@@ -18,7 +18,7 @@ from . import data as D
 from . import model as M
 from . import tensor as T
 from .data import PerturbationSpec, overlay_patch_op, sample_placements
-from .model import ClassifierPool, ClassifierSnapshot, ModelConfig, pool_expected_loss
+from .model import ClassifierPool, ClassifierSnapshot, ModelConfig, pool_expected_loss, read_artifact
 from .tensor import Tensor
 
 CONTAINER_MAGIC = b"AGPT"
@@ -31,13 +31,10 @@ class UniversalAttackConfig:
     alpha: float            # ascent step size
     iterations: int
     batch_size: int = 100
-    target: str = "single"  # "single" attacks one classifier, "pool" a snapshot pool
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.alpha <= 0 or self.iterations < 0 or self.batch_size < 1:
             raise ValueError("invalid universal attack config")
-        if self.target not in ("single", "pool"):
-            raise ValueError(f"target must be 'single' or 'pool', got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -260,35 +257,33 @@ def save_perturbation(path, spec: PerturbationSpec) -> None:
 
 
 def load_perturbation(path) -> PerturbationSpec:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CONTAINER_MAGIC:
-        raise ValueError(f"{path}: not a perturbation container (bad magic)")
-    off = 4
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if version != CONTAINER_VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
+    """Read a container; malformed content raises ``CorruptFileError``."""
+    return read_artifact(path, CONTAINER_MAGIC, CONTAINER_VERSION, _decode_perturbation)
+
+
+def _decode_perturbation(blob: bytes, off: int) -> PerturbationSpec:
     (kind_byte,) = struct.unpack_from("<B", blob, off)
-    off += 1
     if kind_byte == 0:
-        (epsilon,) = struct.unpack_from("<d", blob, off)
-        off += 8
-        meta = {"epsilon": epsilon}
+        (epsilon,) = struct.unpack_from("<d", blob, off + 1)
+        off += 1 + 8
     elif kind_byte == 1:
-        _, chi, theta_max = struct.unpack_from("<Idd", blob, off)
-        off += 4 + 16
-        meta = {"chi": chi, "theta_max": theta_max}
+        patch_side, chi, theta_max = struct.unpack_from("<Idd", blob, off + 1)
+        off += 1 + 4 + 16
     else:
-        raise ValueError(f"{path}: unknown perturbation kind {kind_byte}")
+        raise ValueError(f"unknown perturbation kind {kind_byte}")
     (rank,) = struct.unpack_from("<I", blob, off)
     off += 4
     shape = struct.unpack_from(f"<{rank}I", blob, off)
     off += 4 * rank
     n = int(np.prod(shape))
+    if off + 4 * n != len(blob):
+        raise ValueError(f"payload is {len(blob) - off} bytes, shape {shape} needs {4 * n}")
     xi = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).astype(T.get_default_dtype())
     if kind_byte == 0:
         # f32 quantization can nudge boundary coordinates past the budget
-        xi = project_linf(xi, meta["epsilon"])
-        return PerturbationSpec("universal", xi, epsilon=meta["epsilon"])
-    return PerturbationSpec("patch", xi, chi=meta["chi"], theta_max=meta["theta_max"])
+        xi = project_linf(xi, epsilon)
+        return PerturbationSpec("universal", xi, epsilon=epsilon)
+    spec = PerturbationSpec("patch", xi, chi=chi, theta_max=theta_max)
+    if spec.patch_side != patch_side:
+        raise ValueError(f"header patch side {patch_side} disagrees with payload shape {shape}")
+    return spec

@@ -1,6 +1,7 @@
 """Experiment runner: flat key=value configs, subcommands, artifact I/O.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 I/O error (including a corrupt,
+truncated or padded checkpoint or perturbation file), 4 numeric failure.
 The ``ADVGAME_OUTPUT_DIR`` environment variable overrides ``output_dir``.
 """
 
@@ -191,13 +192,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown attack kind {cfg.attack_kind!r}")
     if cfg.csv_timing not in ("zero", "real"):
         raise ConfigError("csv_timing must be 'zero' or 'real'")
-    if cfg.lr_milestones:
-        try:
-            steps = [int(s) for s in cfg.lr_milestones.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse lr_milestones = {cfg.lr_milestones!r}") from exc
-        if steps != sorted(set(steps)):
-            raise ConfigError("lr_milestones must be strictly increasing")
+    if cfg.fp_mode not in ("approximate", "exact"):
+        raise ConfigError("fp_mode must be 'approximate' or 'exact'")
+    try:
+        build_model_config(cfg)
+        build_train_config(cfg)
+        build_attack_config(cfg, iterations=cfg.eval_attack_iterations)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def echo_config(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -248,7 +250,6 @@ def build_attack_config(cfg: ExperimentConfig, iterations: int | None = None):
             alpha=cfg.attack_alpha,
             iterations=iters,
             batch_size=cfg.attack_batch_size,
-            target="pool" if cfg.fp_mode == "exact" else "single",
         )
     return PatchAttackConfig(
         patch_side=cfg.image_side,
@@ -269,7 +270,10 @@ def build_pgd_config(cfg: ExperimentConfig) -> PgdConfig:
 
 
 def build_train_config(cfg: ExperimentConfig) -> TR.TrainConfig:
-    milestones = tuple(int(s) for s in cfg.lr_milestones.split(",")) if cfg.lr_milestones else ()
+    try:
+        milestones = tuple(int(s) for s in cfg.lr_milestones.split(",")) if cfg.lr_milestones else ()
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse lr_milestones = {cfg.lr_milestones!r}") from exc
     return TR.TrainConfig(
         outer_iterations=cfg.outer_iterations,
         inner_steps=cfg.inner_steps,
@@ -464,7 +468,7 @@ def main(argv=None) -> int:
     except TR.TrainingError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
+    except (OSError, M.CorruptFileError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

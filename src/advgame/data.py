@@ -10,8 +10,7 @@ array transform (for training-time views) and as a differentiable graph op
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

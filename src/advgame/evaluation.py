@@ -160,7 +160,6 @@ def evaluate_checkpoint_series(
 
     checkpoint on the train split and applied to every split."""
     rows = []
-    kind = "universal" if isinstance(attack_config, UniversalAttackConfig) else "patch"
     for path in checkpoint_files(checkpoint_dir):
         iteration = int(path.stem.split("_")[-1])
         config, params = load_checkpoint(path)
@@ -175,5 +174,5 @@ def evaluate_checkpoint_series(
             sub_rng = np.random.default_rng((seed, 6, iteration, SPLIT_ORDER.index(split)))
             clean = accuracy(target, ds, sample_size, sub_rng)
             adv = perturbed_accuracy(target, ds, spec, sample_size, sub_rng, placement_seed=iteration)
-            rows.append(MetricsRow(iteration, split, clean, adv, kind, time.perf_counter() - t0))
+            rows.append(MetricsRow(iteration, split, clean, adv, spec.kind, time.perf_counter() - t0))
     return rows

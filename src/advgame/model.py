@@ -25,6 +25,26 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
+class CorruptFileError(ValueError):
+    """An artifact file whose bytes do not decode: truncated, padded or malformed."""
+
+
+def read_artifact(path, magic: bytes, version: int, decode):
+    """Check a binary artifact's magic and version, then ``decode(blob, 8)``
+    the rest; malformed content raises :class:`CorruptFileError`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        if blob[:4] != magic:
+            raise ValueError(f"bad magic {blob[:4]!r}, expected {magic!r}")
+        (found,) = struct.unpack_from("<I", blob, 4)
+        if found != version:
+            raise ValueError(f"unsupported version {found}")
+        return decode(blob, 8)
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CorruptFileError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     channels: int
@@ -106,14 +126,6 @@ def paper_vgg_config(num_classes: int = 10) -> ModelConfig:
         conv_layers=tuple(ConvSpec(c, 3, s) for c, s in widths),
         batchnorm=True,
     )
-
-
-def model_config(name: str, **kwargs) -> ModelConfig:
-    if name == "tiny":
-        return tiny_config(**kwargs)
-    if name == "paper-vgg":
-        return paper_vgg_config(**{k: v for k, v in kwargs.items() if k == "num_classes"})
-    raise ValueError(f"unknown model {name!r}; choices: tiny, paper-vgg")
 
 
 def build_model(config: ModelConfig, seed: int) -> dict[str, Tensor]:
@@ -288,15 +300,10 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor]) -> Non
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    off = 4
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    return read_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _decode_checkpoint)
+
+
+def _decode_checkpoint(blob: bytes, off: int) -> tuple[ModelConfig, dict[str, Tensor]]:
     (cfg_len,) = struct.unpack_from("<I", blob, off)
     off += 4
     config = ModelConfig.from_json(blob[off : off + cfg_len].decode("utf-8"))
@@ -320,5 +327,5 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
         trainable = not name.endswith(("running_mean", "running_var"))
         params[name] = Tensor(data.astype(dtype), requires_grad=trainable)
     if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes after last tensor")
+        raise ValueError("trailing bytes after last tensor")
     return config, params

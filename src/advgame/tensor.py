@@ -12,7 +12,7 @@ propagated unchanged for cheaper training runs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -73,12 +73,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, name=self.name)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}, dtype={self.data.dtype}"
@@ -259,20 +253,6 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.maximum(a.data, 0), (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), bwd)
-
-
 def dense(inp: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fully connected layer: out[b,o] = sum_i inp[b,i] w[i,o] + bias[o]."""
     inp, weight, bias = _as_tensor(inp), _as_tensor(weight), _as_tensor(bias)
@@ -441,13 +421,11 @@ def batchnorm(
         if inp.requires_grad:
             gs = g * gamma.data[None, :, None, None]
             if mode == "train":
-                n = B * H * W
                 mean_gs = gs.mean(axis=(0, 2, 3))
                 mean_gs_xhat = (gs * x_hat).mean(axis=(0, 2, 3))
                 gx = inv_std[None, :, None, None] * (
                     gs - mean_gs[None, :, None, None] - x_hat * mean_gs_xhat[None, :, None, None]
                 )
-                del n
             else:
                 gx = gs * inv_std[None, :, None, None]
             _accumulate(inp, gx)

@@ -1,18 +1,24 @@
-"""The three training procedures and a matrix-game best-response harness.
+"""Fictitious play for the classifier-vs-perturbation game, its two baselines,
+and a matrix-game best-response harness.
 
-The game-theoretic loop alternates two best responses: the classifier runs
-K optimizer steps against the weighted mixture of all previously perturbed
-dataset views, then the perturbation player crafts a new perturbation
-against the classifier (approximate mode) or against the uniform pool of
-its past snapshots (exact mode) and appends it to the mixture.  Plain SGD
-and per-sample adversarial training share the same inner-step machinery so
-their reduction identities hold bit for bit.
+FP, SGD and AT run one loop, :func:`_play`: K optimizer steps on a batch
+loss, then an attack crafted against the classifier (or, in exact mode, the
+pool of its snapshots) and scored in a metrics row.  Each entry point hands
+the loop its batch loss, its attack and that attack's RNG stream.
+``fp_train`` passes the mixture loss over all pooled views and the training
+attack on ``(seed, 2)``, and the attack joins the pool.  ``sgd_train``
+passes the same loss, whose pool stays the clean view, and the evaluation
+attack on ``(seed, 2)``.  ``at_train`` passes the half clean, half PGD loss
+(PGD on ``(seed, 2)``) and the evaluation attack on ``(seed, 7)``.  So FP
+with a zero attack steps exactly as SGD while its pool is the clean view
+alone, and so does AT with zero PGD steps, whose two halves are then the
+same clean cross-entropy.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,12 +66,9 @@ class TrainConfig:
             raise ValueError("weighting must be 'literal' or 'uniform'")
 
     def eval_attack(self):
-        if self.attack is None:
-            return None
-        iters = self.eval_attack_iterations
-        if iters is None:
+        if self.attack is None or self.eval_attack_iterations is None:
             return self.attack
-        return replace(self.attack, iterations=iters)
+        return replace(self.attack, iterations=self.eval_attack_iterations)
 
 
 @dataclass
@@ -75,7 +78,6 @@ class FPState:
     params: dict[str, Tensor]
     views: list[PerturbedView]              # views[0] is the clean dataset
     classifier_pool: ClassifierPool | None = None
-    iteration: int = 0
     weighting: str = "literal"
 
     @property
@@ -131,41 +133,62 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate * cfg.lr_decay**passed
 
 
-def _optimizer_step(state: FPState, loss: Tensor, velocity: dict, cfg: TrainConfig, step: int) -> None:
-    names = M.trainable_names(state.params)
-    grads = T.backward(loss, wrt={n: state.params[n] for n in names})
-    T.sgd_momentum_step(state.params, grads, velocity, _lr_at(cfg, step), cfg.momentum, cfg.weight_decay)
+def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_loss, attack,
+          attack_stream: int, mode: str | None, on_step, on_outer) -> tuple[FPState, list[MetricsRow]]:
+    """The one training loop behind FP, SGD and AT.
 
-
-def _metrics_row(
-    state: FPState,
-    dataset: Dataset,
-    cfg: TrainConfig,
-    n: int,
-    spec: D.PerturbationSpec | None,
-    seconds: float,
-) -> MetricsRow:
-    target = (state.config, state.params)
-    rng = np.random.default_rng((cfg.seed, 3, n))
-    clean = E.accuracy(target, dataset, cfg.eval_sample_size, rng)
-    if spec is None:
-        adv, kind = clean, "none"
-    else:
-        adv = E.perturbed_accuracy(target, dataset, spec, cfg.eval_sample_size, rng, placement_seed=n)
-        kind = spec.kind
-    return MetricsRow(n, dataset.split, clean, adv, kind, seconds)
-
-
-def _view_seed(cfg: TrainConfig, n: int) -> int:
-    return int(np.random.SeedSequence((cfg.seed, 4, n)).generate_state(1)[0])
-
-
-def _craft(target, dataset: Dataset, attack_cfg, rng) -> D.PerturbationSpec:
-    if isinstance(attack_cfg, UniversalAttackConfig):
-        return A.learn_universal(target, dataset, attack_cfg, rng)
-    if isinstance(attack_cfg, PatchAttackConfig):
-        return A.learn_patch(target, dataset, attack_cfg, rng)
-    raise TypeError(f"unsupported attack config {type(attack_cfg).__name__}")
+    Each of the N outer iterations takes K momentum-SGD steps on
+    ``batch_loss(state, indices, step)`` over batches drawn on stream
+    ``(seed, 1)``, then crafts ``attack`` (unless None) on stream
+    ``(seed, attack_stream)`` and scores the classifier on the clean data
+    and under that attack.  ``mode=None`` is a baseline, which only scores
+    the attack; ``"approximate"`` and ``"exact"`` play the game, adding it
+    to ``state.views``, and exact mode attacks the pool of classifier
+    snapshots taken at the start and after each iteration's inner steps.
+    """
+    params = M.build_model(model_config, cfg.seed)
+    state = FPState(model_config, params, [clean_view(dataset)], weighting=cfg.weighting)
+    if mode == "exact":
+        state.classifier_pool = ClassifierPool()
+        state.classifier_pool.add(ClassifierSnapshot.freeze(0, model_config, params, note="initial"))
+    sampler = BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1)))
+    attack_rng = np.random.default_rng((cfg.seed, attack_stream))
+    classifier = (model_config, params)
+    trainable = {name: params[name] for name in M.trainable_names(params)}
+    velocity: dict = {}
+    report: list[MetricsRow] = []
+    step = 0
+    for n in range(1, cfg.outer_iterations + 1):
+        t0 = time.perf_counter()
+        try:
+            for _ in range(cfg.inner_steps):
+                loss = batch_loss(state, sampler.next_indices(cfg.batch_size), step)
+                # the gradients are not bound to a name, so they are freed before the next step
+                T.sgd_momentum_step(params, T.backward(loss, wrt=trainable), velocity, _lr_at(cfg, step),
+                                    cfg.momentum, cfg.weight_decay)
+                step += 1
+                if on_step is not None:
+                    on_step(step, params)
+            target = classifier
+            if state.classifier_pool is not None:
+                state.classifier_pool.add(ClassifierSnapshot.freeze(n, model_config, params, note=f"outer {n}"))
+                target = state.classifier_pool
+            spec = E.craft_attack(target, dataset, attack, attack_rng) if attack is not None else None
+        except (ValueError, FloatingPointError) as exc:
+            raise TrainingError(f"outer iteration {n}: {exc}") from exc
+        if mode is not None:
+            view_seed = int(np.random.SeedSequence((cfg.seed, 4, n)).generate_state(1)[0])
+            state.views.append(PerturbedView(dataset, spec, seed=view_seed))
+        eval_rng = np.random.default_rng((cfg.seed, 3, n))
+        clean = E.accuracy(classifier, dataset, cfg.eval_sample_size, eval_rng)
+        adv = clean if spec is None else E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size,
+                                                              eval_rng, placement_seed=n)
+        kind = "none" if spec is None else spec.kind
+        row = MetricsRow(n, dataset.split, clean, adv, kind, time.perf_counter() - t0)
+        report.append(row)
+        if on_outer is not None:
+            on_outer(n, params, row)
+    return state, report
 
 
 def fp_train(
@@ -189,41 +212,7 @@ def fp_train(
         raise ValueError("mode must be 'approximate' or 'exact'")
     if cfg.attack is None:
         raise ValueError("fp_train needs an attack config")
-    params = M.build_model(model_config, cfg.seed)
-    state = FPState(model_config, params, [clean_view(dataset)], weighting=cfg.weighting)
-    if mode == "exact":
-        state.classifier_pool = ClassifierPool()
-        state.classifier_pool.add(ClassifierSnapshot.freeze(0, model_config, params, note="initial"))
-    sampler = BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1)))
-    attack_rng = np.random.default_rng((cfg.seed, 2))
-    velocity: dict = {}
-    report: list[MetricsRow] = []
-    step = 0
-    for n in range(1, cfg.outer_iterations + 1):
-        t0 = time.perf_counter()
-        try:
-            for _ in range(cfg.inner_steps):
-                idx = sampler.next_indices(cfg.batch_size)
-                loss = classifier_pool_loss(state, idx, draw=step, mode="train")
-                _optimizer_step(state, loss, velocity, cfg, step)
-                step += 1
-                if on_step is not None:
-                    on_step(step, state.params)
-            if mode == "exact":
-                state.classifier_pool.add(ClassifierSnapshot.freeze(n, model_config, params, note=f"outer {n}"))
-                target = state.classifier_pool
-            else:
-                target = (model_config, params)
-            spec = _craft(target, dataset, cfg.attack, attack_rng)
-        except (ValueError, FloatingPointError) as exc:
-            raise TrainingError(f"outer iteration {n}: {exc}") from exc
-        state.views.append(PerturbedView(dataset, spec, seed=_view_seed(cfg, n)))
-        state.iteration = n
-        row = _metrics_row(state, dataset, cfg, n, spec, time.perf_counter() - t0)
-        report.append(row)
-        if on_outer is not None:
-            on_outer(n, state.params, row)
-    return state, report
+    return _play(model_config, dataset, cfg, classifier_pool_loss, cfg.attack, 2, mode, on_step, on_outer)
 
 
 def sgd_train(
@@ -234,32 +223,9 @@ def sgd_train(
     on_outer=None,
 ) -> tuple[dict[str, Tensor], list[MetricsRow]]:
     """Plain stochastic gradient descent on the clean dataset, N*K steps."""
-    params = M.build_model(model_config, cfg.seed)
-    state = FPState(model_config, params, [clean_view(dataset)], weighting=cfg.weighting)
-    sampler = BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1)))
-    eval_rng = np.random.default_rng((cfg.seed, 2))
-    velocity: dict = {}
-    report: list[MetricsRow] = []
-    step = 0
-    for n in range(1, cfg.outer_iterations + 1):
-        t0 = time.perf_counter()
-        try:
-            for _ in range(cfg.inner_steps):
-                idx = sampler.next_indices(cfg.batch_size)
-                loss = classifier_pool_loss(state, idx, draw=step, mode="train")
-                _optimizer_step(state, loss, velocity, cfg, step)
-                step += 1
-                if on_step is not None:
-                    on_step(step, state.params)
-            eval_cfg = cfg.eval_attack()
-            spec = _craft((model_config, params), dataset, eval_cfg, eval_rng) if eval_cfg else None
-        except (ValueError, FloatingPointError) as exc:
-            raise TrainingError(f"outer iteration {n}: {exc}") from exc
-        row = _metrics_row(state, dataset, cfg, n, spec, time.perf_counter() - t0)
-        report.append(row)
-        if on_outer is not None:
-            on_outer(n, params, row)
-    return params, report
+    state, report = _play(model_config, dataset, cfg, classifier_pool_loss, cfg.eval_attack(), 2, None,
+                          on_step, on_outer)
+    return state.params, report
 
 
 def at_train(
@@ -278,39 +244,20 @@ def at_train(
     """
     if cfg.pgd is None:
         raise ValueError("at_train needs a pgd config")
-    params = M.build_model(model_config, cfg.seed)
-    state = FPState(model_config, params, [clean_view(dataset)], weighting=cfg.weighting)
-    sampler = BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1)))
     pgd_rng = np.random.default_rng((cfg.seed, 2))
-    eval_rng = np.random.default_rng((cfg.seed, 7))
-    velocity: dict = {}
-    report: list[MetricsRow] = []
-    step = 0
-    for n in range(1, cfg.outer_iterations + 1):
-        t0 = time.perf_counter()
-        try:
-            for _ in range(cfg.inner_steps):
-                idx = sampler.next_indices(cfg.batch_size)
-                x, y = dataset.images[idx], dataset.labels[idx]
-                adv = A.pgd_per_sample((model_config, params), x, y, cfg.pgd, pgd_rng)
-                ce_clean = T.softmax_cross_entropy(M.forward(model_config, params, x, "train"), y)
-                ce_adv = T.softmax_cross_entropy(M.forward(model_config, params, adv, "train"), y)
-                if margin_log is not None:
-                    margin_log.append(ce_adv.item() >= ce_clean.item())
-                loss = T.add(T.mul(ce_clean, 0.5), T.mul(ce_adv, 0.5))
-                _optimizer_step(state, loss, velocity, cfg, step)
-                step += 1
-                if on_step is not None:
-                    on_step(step, params)
-            eval_cfg = cfg.eval_attack()
-            spec = _craft((model_config, params), dataset, eval_cfg, eval_rng) if eval_cfg else None
-        except (ValueError, FloatingPointError) as exc:
-            raise TrainingError(f"outer iteration {n}: {exc}") from exc
-        row = _metrics_row(state, dataset, cfg, n, spec, time.perf_counter() - t0)
-        report.append(row)
-        if on_outer is not None:
-            on_outer(n, params, row)
-    return params, report
+
+    def half_adversarial_loss(state: FPState, indices: np.ndarray, step: int) -> Tensor:
+        x, y = dataset.images[indices], dataset.labels[indices]
+        adv = A.pgd_per_sample((model_config, state.params), x, y, cfg.pgd, pgd_rng)
+        ce_clean = T.softmax_cross_entropy(M.forward(model_config, state.params, x, "train"), y)
+        ce_adv = T.softmax_cross_entropy(M.forward(model_config, state.params, adv, "train"), y)
+        if margin_log is not None:
+            margin_log.append(ce_adv.item() >= ce_clean.item())
+        return T.add(T.mul(ce_clean, 0.5), T.mul(ce_adv, 0.5))
+
+    state, report = _play(model_config, dataset, cfg, half_adversarial_loss, cfg.eval_attack(), 7, None,
+                          on_step, on_outer)
+    return state.params, report
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,8 +253,6 @@ class TestConfigs:
     def test_universal_validation(self):
         with pytest.raises(ValueError):
             UniversalAttackConfig(-0.1, 0.01, 10)
-        with pytest.raises(ValueError):
-            UniversalAttackConfig(0.1, 0.01, 10, target="both")
 
     def test_patch_validation(self):
         with pytest.raises(ValueError):
@@ -293,4 +293,12 @@ class TestContainer:
         path = tmp_path / "x.pert"
         path.write_bytes(b"WHAT" + b"\0" * 16)
         with pytest.raises(ValueError):
+            load_perturbation(path)
+
+    def test_patch_side_header_must_match_payload(self, tmp_path):
+        path = tmp_path / "p.pert"
+        save_perturbation(path, D.gray_patch(3, 8, 0.4, 0.0))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:9] + struct.pack("<I", 7) + blob[13:])  # patch_side follows magic, version and kind
+        with pytest.raises(M.CorruptFileError, match="patch side 7"):
             load_perturbation(path)

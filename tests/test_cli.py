@@ -1,10 +1,16 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advgame
+from advgame import attack as A
 from advgame import cli as C
+from advgame import data as D
+from advgame import model as M
 from advgame.cli import ConfigError, ExperimentConfig, main, parse_config
 
 
@@ -183,9 +189,49 @@ class TestExitCodes:
         assert main(["eval", *desk_args(tmp_path), "--checkpoint-dir", str(tmp_path)]) == 3
 
     def test_console_script_runs(self, tmp_path):
+        src = str(Path(advgame.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "advgame.cli", "matrix-demo", "--game", "pennies", "--iters", "100"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "row strategy" in proc.stdout
+
+    @pytest.mark.parametrize("extra", [
+        ["--outer-iterations", "0"],
+        ["--batch-size", "0"],
+        ["--momentum", "1.5"],
+        ["--weighting", "foo"],
+        ["--attack-alpha", "-1"],
+        ["--patch-chi", "2", "--attack-kind", "patch"],
+        ["--fp-mode", "foo"],
+        ["--eval-attack-iterations", "-1"],
+        ["--classes", "1"],
+    ], ids=" ".join)
+    def test_out_of_range_value_is_2_before_any_write(self, tmp_path, capsys, extra):
+        assert main(["train-fp", *desk_args(tmp_path), *extra]) == 2
+        assert not (tmp_path / "run" / "config.txt").exists()
+
+
+class TestCorruptArtifacts:
+    def test_truncated_checkpoint_is_3(self, tmp_path, capsys):
+        mc = M.ModelConfig("tiny", (1, 2, 2), 2, (M.ConvSpec(1),))
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        M.save_checkpoint(good, mc, M.build_model(mc, 0))
+        blob = good.read_bytes()
+        args = ["attack", "--output-dir", str(tmp_path / "run"), "--checkpoint", str(bad)]
+        for cut in range(len(blob)):
+            bad.write_bytes(blob[:cut])
+            assert main(args) == 3, f"prefix of {cut} bytes"
+
+    def test_truncated_or_padded_perturbation_is_3(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.pert", tmp_path / "bad.pert"
+        args = ["export-ppm", "--in", str(bad), "--out", str(tmp_path / "out.ppm")]
+        for spec in (D.zero_universal((1, 2, 2), 0.1), D.gray_patch(1, 4, 0.5, 0.0)):
+            A.save_perturbation(good, spec)
+            blob = good.read_bytes()
+            for broken in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+                bad.write_bytes(broken)
+                assert main(args) == 3, f"{len(broken)} of {len(blob)} bytes"
+        assert not (tmp_path / "out.ppm").exists()

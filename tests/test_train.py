@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from advgame import data as D
+from advgame import evaluation as E
 from advgame import model as M
 from advgame import tensor as T
 from advgame import train as TR
@@ -146,14 +147,16 @@ class TestClassifierPoolLoss:
 
 
 class TestReductionIdentities:
-    def test_fp_with_zero_attack_equals_sgd_bitwise(self):
+    @pytest.mark.parametrize("mode", ["approximate", "exact"])
+    def test_fp_with_zero_attack_equals_sgd_bitwise(self, mode):
         ds = small_dataset()
         mc = tiny_config(side=8, num_classes=ds.num_classes)
         cfg = desk_cfg(inner_steps=25)
         fp_digests, sgd_digests = [], []
-        fp_train(mc, ds, cfg, mode="approximate", on_step=lambda s, p: fp_digests.append(param_digest(p)))
-        sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_digests.append(param_digest(p)))
+        _, fp_report = fp_train(mc, ds, cfg, mode=mode, on_step=lambda s, p: fp_digests.append(param_digest(p)))
+        _, sgd_report = sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_digests.append(param_digest(p)))
         assert fp_digests == sgd_digests and len(fp_digests) == 25
+        assert E.format_rows(fp_report) == E.format_rows(sgd_report)
 
     def test_at_with_zero_pgd_equals_sgd_bitwise(self):
         ds = small_dataset()
@@ -203,7 +206,7 @@ class TestFpTrain:
         ds = small_dataset()
         mc = tiny_config(side=8, num_classes=ds.num_classes)
         cfg = desk_cfg(outer_iterations=2, inner_steps=2,
-                       attack=UniversalAttackConfig(16 / 255, 0.01, 1, batch_size=8, target="pool"))
+                       attack=UniversalAttackConfig(16 / 255, 0.01, 1, batch_size=8))
         state, _ = fp_train(mc, ds, cfg, mode="exact")
         assert state.classifier_pool is not None and len(state.classifier_pool) == 3
         iters = [s.iteration for s in state.classifier_pool]
