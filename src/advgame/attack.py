@@ -1,6 +1,9 @@
 """Attack crafting: universal max-norm perturbations, adversarial patches,
 and per-sample PGD examples for the adversarial-training baseline.
 
+Every attack ascends the expected loss of a classifier pool: the snapshot
+pool in exact-mode play, otherwise the live classifier as a pool of one.
+
 The universal update averages per-sample gradient SIGNS over the batch
 (sign-then-average, not sign-of-average) before the max-norm projection;
 the patch update uses raw gradients through the bilinear overlay, with the
@@ -15,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as D
-from . import model as M
 from . import tensor as T
 from .data import PerturbationSpec, overlay_patch_op, sample_placements
-from .model import ClassifierPool, ClassifierSnapshot, ModelConfig, pool_expected_loss, read_artifact
+from .model import ClassifierPool, pack_array, pool_expected_loss, read_artifact, unpack_array, write_artifact
 from .tensor import Tensor
 
 CONTAINER_MAGIC = b"AGPT"
@@ -72,26 +74,6 @@ class PgdConfig:
             raise ValueError("invalid pgd config")
 
 
-AttackTarget = ClassifierPool | ClassifierSnapshot | tuple[ModelConfig, dict]
-
-
-def _loss_fn(target: AttackTarget):
-    """Differentiable batch loss against a single classifier or a pool.
-
-    Parameters are wrapped as constants: attacks only ever need gradients
-    with respect to the inputs.
-    """
-    if isinstance(target, ClassifierPool):
-        return lambda x, labels: pool_expected_loss(target, x, labels)
-    if isinstance(target, ClassifierSnapshot):
-        config, params = target.config, target.params
-    else:
-        config, params = target
-        if any(p.requires_grad for p in params.values()):
-            params = {name: Tensor(p.data, requires_grad=False) for name, p in params.items()}
-    return lambda x, labels: T.softmax_cross_entropy(M.forward(config, params, x, "infer"), labels)
-
-
 def project_linf(xi: np.ndarray, epsilon: float) -> np.ndarray:
     """Coordinatewise clamp onto the max-norm ball of radius epsilon."""
     if epsilon <= 0:
@@ -99,16 +81,9 @@ def project_linf(xi: np.ndarray, epsilon: float) -> np.ndarray:
     return np.clip(xi, -epsilon, epsilon)
 
 
-def input_gradients(target: AttackTarget, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the target loss at the given (already valid) inputs."""
-    leaf = Tensor(batch, requires_grad=True)
-    T.backward(_loss_fn(target)(leaf, labels))
-    return leaf.grad
-
-
 def universal_step(
     xi: np.ndarray,
-    target: AttackTarget,
+    pool: ClassifierPool,
     batch: np.ndarray,
     labels: np.ndarray,
     alpha: float,
@@ -125,13 +100,13 @@ def universal_step(
     pre = batch + xi
     leaf = Tensor(pre, requires_grad=True)
     adv = T.clip(leaf, 0.0, 1.0)
-    T.backward(_loss_fn(target)(adv, labels))
+    T.backward(pool_expected_loss(pool, adv, labels))
     signs = np.sign(leaf.grad)
     return project_linf(xi + alpha * signs.mean(axis=0), epsilon)
 
 
 def learn_universal(
-    target: AttackTarget,
+    pool: ClassifierPool,
     dataset: D.Dataset,
     config: UniversalAttackConfig,
     rng: np.random.Generator,
@@ -143,12 +118,12 @@ def learn_universal(
         sampler = D.BatchSampler(len(dataset), rng)
         for _ in range(config.iterations):
             idx = sampler.next_indices(size)
-            xi = universal_step(xi, target, dataset.images[idx], dataset.labels[idx], config.alpha, config.epsilon)
+            xi = universal_step(xi, pool, dataset.images[idx], dataset.labels[idx], config.alpha, config.epsilon)
     return PerturbationSpec("universal", xi, epsilon=config.epsilon)
 
 
 def patch_objective(
-    target: AttackTarget,
+    pool: ClassifierPool,
     patch: Tensor,
     batch: np.ndarray,
     labels: np.ndarray,
@@ -162,20 +137,19 @@ def patch_objective(
     big = np.concatenate([batch] * s, axis=0)
     big_labels = np.concatenate([labels] * s)
     adv = overlay_patch_op(big, patch, config.chi, placements)
-    loss = _loss_fn(target)
     objective = None
     if config.lam < 1.0:
-        objective = T.mul(loss(adv, big_labels), 1.0 - config.lam)
+        objective = T.mul(pool_expected_loss(pool, adv, big_labels), 1.0 - config.lam)
     if config.lam > 0.0:
         t = np.full(len(big_labels), config.target_class, dtype=np.int64)
-        term = T.mul(loss(adv, t), -config.lam)
+        term = T.mul(pool_expected_loss(pool, adv, t), -config.lam)
         objective = term if objective is None else T.add(objective, term)
     return objective
 
 
 def patch_step(
     xi: np.ndarray,
-    target: AttackTarget,
+    pool: ClassifierPool,
     batch: np.ndarray,
     labels: np.ndarray,
     config: PatchAttackConfig,
@@ -184,12 +158,12 @@ def patch_step(
 ) -> np.ndarray:
     """One gradient-ascent step of the patch; disc-masked, clipped to [0, 1]."""
     patch = Tensor(xi, requires_grad=True)
-    T.backward(patch_objective(target, patch, batch, labels, config, placements))
+    T.backward(patch_objective(pool, patch, batch, labels, config, placements))
     return np.clip(xi + config.alpha * patch.grad * mask, 0.0, 1.0)
 
 
 def learn_patch(
-    target: AttackTarget,
+    pool: ClassifierPool,
     dataset: D.Dataset,
     config: PatchAttackConfig,
     rng: np.random.Generator,
@@ -209,12 +183,12 @@ def learn_patch(
             placements = sample_placements(
                 rng, size * config.placements_per_step, side, config.chi, config.theta_max
             )
-            xi = patch_step(xi, target, dataset.images[idx], dataset.labels[idx], config, placements, spec.mask)
+            xi = patch_step(xi, pool, dataset.images[idx], dataset.labels[idx], config, placements, spec.mask)
     return PerturbationSpec("patch", xi, mask=spec.mask, chi=config.chi, theta_max=config.theta_max)
 
 
 def pgd_per_sample(
-    target: AttackTarget,
+    pool: ClassifierPool,
     batch: np.ndarray,
     labels: np.ndarray,
     config: PgdConfig,
@@ -227,8 +201,9 @@ def pgd_per_sample(
     else:
         adv = x.copy()
     for _ in range(config.steps):
-        grad = input_gradients(target, adv, labels)
-        adv = adv + config.step_size * np.sign(grad)
+        leaf = Tensor(adv, requires_grad=True)
+        T.backward(pool_expected_loss(pool, leaf, labels))
+        adv = adv + config.step_size * np.sign(leaf.grad)
         adv = np.clip(adv, x - config.epsilon, x + config.epsilon)
         adv = np.clip(adv, 0.0, 1.0)
     return adv
@@ -240,20 +215,11 @@ def pgd_per_sample(
 
 def save_perturbation(path, spec: PerturbationSpec) -> None:
     """Binary container: kind + budget/placement header + f32 payload."""
-    blob = bytearray()
-    blob += CONTAINER_MAGIC
-    blob += struct.pack("<I", CONTAINER_VERSION)
     if spec.kind == "universal":
-        blob += struct.pack("<B", 0)
-        blob += struct.pack("<d", spec.epsilon)
+        header = struct.pack("<Bd", 0, spec.epsilon)
     else:
-        blob += struct.pack("<B", 1)
-        blob += struct.pack("<Idd", spec.patch_side, spec.chi, spec.theta_max)
-    blob += struct.pack("<I", spec.xi.ndim)
-    blob += struct.pack(f"<{spec.xi.ndim}I", *spec.xi.shape)
-    blob += np.ascontiguousarray(spec.xi, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        header = struct.pack("<BIdd", 1, spec.patch_side, spec.chi, spec.theta_max)
+    write_artifact(path, CONTAINER_MAGIC, CONTAINER_VERSION, header + pack_array(spec.xi))
 
 
 def load_perturbation(path) -> PerturbationSpec:
@@ -261,7 +227,7 @@ def load_perturbation(path) -> PerturbationSpec:
     return read_artifact(path, CONTAINER_MAGIC, CONTAINER_VERSION, _decode_perturbation)
 
 
-def _decode_perturbation(blob: bytes, off: int) -> PerturbationSpec:
+def _decode_perturbation(blob: bytes, off: int) -> tuple[PerturbationSpec, int]:
     (kind_byte,) = struct.unpack_from("<B", blob, off)
     if kind_byte == 0:
         (epsilon,) = struct.unpack_from("<d", blob, off + 1)
@@ -271,19 +237,12 @@ def _decode_perturbation(blob: bytes, off: int) -> PerturbationSpec:
         off += 1 + 4 + 16
     else:
         raise ValueError(f"unknown perturbation kind {kind_byte}")
-    (rank,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    shape = struct.unpack_from(f"<{rank}I", blob, off)
-    off += 4 * rank
-    n = int(np.prod(shape))
-    if off + 4 * n != len(blob):
-        raise ValueError(f"payload is {len(blob) - off} bytes, shape {shape} needs {4 * n}")
-    xi = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).astype(T.get_default_dtype())
+    xi, off = unpack_array(blob, off)
     if kind_byte == 0:
         # f32 quantization can nudge boundary coordinates past the budget
         xi = project_linf(xi, epsilon)
-        return PerturbationSpec("universal", xi, epsilon=epsilon)
+        return PerturbationSpec("universal", xi, epsilon=epsilon), off
     spec = PerturbationSpec("patch", xi, chi=chi, theta_max=theta_max)
     if spec.patch_side != patch_side:
-        raise ValueError(f"header patch side {patch_side} disagrees with payload shape {shape}")
-    return spec
+        raise ValueError(f"header patch side {patch_side} disagrees with payload shape {xi.shape}")
+    return spec, off

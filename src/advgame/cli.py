@@ -1,7 +1,9 @@
 """Experiment runner: flat key=value configs, subcommands, artifact I/O.
 
-Exit codes: 0 success, 2 config error, 3 I/O error (including a corrupt,
-truncated or padded checkpoint or perturbation file), 4 numeric failure.
+Exit codes: 0 success; 2 config error (before any write), or a model or
+checkpoint whose input shape is not the data's; 3 I/O error (including a
+corrupt, truncated or padded checkpoint, perturbation or CIFAR-10 file);
+4 numeric failure.
 The ``ADVGAME_OUTPUT_DIR`` environment variable overrides ``output_dir``.
 """
 
@@ -195,7 +197,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.fp_mode not in ("approximate", "exact"):
         raise ConfigError("fp_mode must be 'approximate' or 'exact'")
     try:
-        build_model_config(cfg)
+        image_shape = D.CIFAR_SHAPE if cfg.data == "cifar10" else (cfg.channels, cfg.image_side, cfg.image_side)
+        build_model_config(cfg).check_input_shape(image_shape)
+        if cfg.data == "synthetic":
+            D.check_synthetic(cfg.classes, cfg.per_class, cfg.image_side)
         build_train_config(cfg)
         build_attack_config(cfg, iterations=cfg.eval_attack_iterations)
     except ValueError as exc:
@@ -331,19 +336,21 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
     model_cfg, params = M.load_checkpoint(checkpoint)
     splits = load_splits(cfg)
     train_ds = splits["train"]
+    model_cfg.check_input_shape(train_ds.image_shape)
+    pool = M.single_pool(model_cfg, params)
     rng = np.random.default_rng((cfg.seed, 8))
     attack_cfg = build_attack_config(cfg)
-    spec = E.craft_attack((model_cfg, params), train_ds, attack_cfg, rng)
+    spec = E.craft_attack(pool, train_ds, attack_cfg, rng)
     dest = Path(out_path) if out_path else out_dir / f"attack_{cfg.attack_kind}.pert"
     A.save_perturbation(dest, spec)
     eval_ds = splits.get("test", train_ds)
-    adv = E.perturbed_accuracy((model_cfg, params), eval_ds, spec, cfg.eval_sample_size,
+    adv = E.perturbed_accuracy(pool, eval_ds, spec, cfg.eval_sample_size,
                                np.random.default_rng((cfg.seed, 9)), placement_seed=1)
-    clean = E.accuracy((model_cfg, params), eval_ds, cfg.eval_sample_size, np.random.default_rng((cfg.seed, 9)))
+    clean = E.accuracy(pool, eval_ds, cfg.eval_sample_size, np.random.default_rng((cfg.seed, 9)))
     print(f"clean accuracy {clean:.4f}")
     print(f"adv accuracy {adv:.4f}")
     if cfg.attack_kind == "patch" and cfg.patch_target_class >= 0 and cfg.patch_lambda > 0:
-        rate = E.target_class_rate((model_cfg, params), eval_ds, spec, cfg.patch_target_class,
+        rate = E.target_class_rate(pool, eval_ds, spec, cfg.patch_target_class,
                                    cfg.eval_sample_size, np.random.default_rng((cfg.seed, 10)), placement_seed=2)
         print(f"target-class hit rate {rate:.4f}")
     print(f"wrote {dest}")
@@ -448,18 +455,14 @@ def main(argv=None) -> int:
         if args.command == "matrix-demo":
             return run_matrix_demo(args.game, args.iters)
         cfg = parse_config(args.config, _collect_overrides(args))
-        if args.command == "train-fp":
-            return run_training(cfg, "fp")
-        if args.command == "train-at":
-            return run_training(cfg, "at")
-        if args.command == "train-sgd":
-            return run_training(cfg, "sgd")
+        if args.command.startswith("train-"):
+            return run_training(cfg, args.command.removeprefix("train-"))
         if args.command == "attack":
             return run_attack(cfg, args.checkpoint, args.out)
         if args.command == "eval":
             return run_eval(cfg, args.checkpoint_dir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, M.InputShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteError, FloatingPointError) as exc:

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .model import CorruptFileError
 from .tensor import Tensor
 
-CIFAR_SIDE = 32
+CIFAR_SHAPE = (3, 32, 32)
 CIFAR_CLASSES = 10
-_CIFAR_RECORD = 1 + 3 * CIFAR_SIDE * CIFAR_SIDE
+_CIFAR_RECORD = 1 + int(np.prod(CIFAR_SHAPE))
 
 
 @dataclass
@@ -52,17 +53,18 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def load_cifar10(path, split: str = "train") -> Dataset:
-    """Read CIFAR-10 binary records: 1 label byte + 3072 channel-major pixels."""
+    """Read CIFAR-10 binary records: 1 label byte + 3072 channel-major pixels;
+    a truncated file or a label byte past the last class raises ``CorruptFileError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) % _CIFAR_RECORD != 0:
-        raise ValueError(f"{path}: truncated record ({len(blob)} bytes is not a multiple of {_CIFAR_RECORD})")
+        raise CorruptFileError(f"{path}: truncated record ({len(blob)} bytes is not a multiple of {_CIFAR_RECORD})")
     n = len(blob) // _CIFAR_RECORD
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(n, _CIFAR_RECORD)
     labels = raw[:, 0].astype(np.int64)
     if labels.size and labels.max() >= CIFAR_CLASSES:
-        raise ValueError(f"{path}: label byte {labels.max()} out of range")
-    images = raw[:, 1:].reshape(n, 3, CIFAR_SIDE, CIFAR_SIDE).astype(T.get_default_dtype()) / 255.0
+        raise CorruptFileError(f"{path}: label byte {labels.max()} out of range")
+    images = raw[:, 1:].reshape(n, *CIFAR_SHAPE).astype(T.get_default_dtype()) / 255.0
     return Dataset(images, labels, CIFAR_CLASSES, split)
 
 
@@ -95,6 +97,12 @@ def class_pattern(k: int, num_classes: int, side: int, channels: int = 3) -> np.
     return img
 
 
+def check_synthetic(classes: int, per_class: int, side: int) -> None:
+    """The smallest synthetic dataset :func:`make_synthetic` draws."""
+    if classes < 2 or per_class < 2 or side < 8:
+        raise ValueError("need classes >= 2, per_class >= 2, side >= 8")
+
+
 def make_synthetic(
     classes: int,
     per_class: int,
@@ -105,8 +113,7 @@ def make_synthetic(
     split: str = "train",
 ) -> Dataset:
     """Balanced synthetic dataset of noisy class textures, pixels clipped to [0, 1]."""
-    if classes < 2 or per_class < 2 or side < 8:
-        raise ValueError("need classes >= 2, per_class >= 2, side >= 8")
+    check_synthetic(classes, per_class, side)
     rng = np.random.default_rng(seed)
     dtype = T.get_default_dtype()
     n = classes * per_class
@@ -331,10 +338,6 @@ class PerturbedView:
     @property
     def labels(self) -> np.ndarray:
         return self.base.labels
-
-    @property
-    def num_classes(self) -> int:
-        return self.base.num_classes
 
     def storage_bytes(self) -> int:
         return self.spec.storage_bytes() if self.spec is not None else 0

@@ -3,7 +3,8 @@
 Adversarial accuracy never reuses a training-time perturbation: each call
 crafts a new one against the classifier under evaluation from an
 independent RNG stream, so the number reported is robustness to an unseen
-attack.
+attack.  Every classifier is scored as a :class:`~advgame.model.ClassifierPool`,
+the live one as a pool of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import data as D
 from . import model as M
 from .attack import PatchAttackConfig, UniversalAttackConfig
 from .data import Dataset, PerturbationSpec, PerturbedView
-from .model import ClassifierPool, load_checkpoint
+from .model import ClassifierPool, load_checkpoint, single_pool
 
 CSV_HEADER = "iter,split,clean_acc,adv_acc,attack,seconds"
 SPLIT_ORDER = ("train", "valid", "test")
@@ -57,17 +58,11 @@ def write_csv(path, rows, timing: str = "zero") -> None:
         fh.write(format_rows(rows, timing))
 
 
-def predictions(target, images: np.ndarray) -> np.ndarray:
-    """Predicted class ids, chunked to bound peak memory."""
-    out = []
-    for start in range(0, len(images), _PREDICT_CHUNK):
-        chunk = images[start : start + _PREDICT_CHUNK]
-        if isinstance(target, ClassifierPool):
-            out.append(M.pool_predict(target, chunk))
-        else:
-            config, params = (target.config, target.params) if isinstance(target, M.ClassifierSnapshot) else target
-            logits = M.forward(config, params, chunk, "infer").data
-            out.append(np.argmax(logits, axis=1))
+def predictions(pool: ClassifierPool, images: np.ndarray) -> np.ndarray:
+    """The pool's predicted class ids (:func:`~advgame.model.pool_predict`),
+    chunked to bound peak memory; for a pool of one, its member's argmax."""
+    out = [M.pool_predict(pool, images[start : start + _PREDICT_CHUNK])
+           for start in range(0, len(images), _PREDICT_CHUNK)]
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
@@ -79,14 +74,14 @@ def _subset(dataset: Dataset, sample_size, rng) -> np.ndarray:
     return rng.choice(len(dataset), size=sample_size, replace=False)
 
 
-def accuracy(target, dataset: Dataset, sample_size: int | None = None, rng=None) -> float:
+def accuracy(pool: ClassifierPool, dataset: Dataset, sample_size: int | None = None, rng=None) -> float:
     """Fraction of correct predictions over a sampled subset (or the full split)."""
     idx = _subset(dataset, sample_size, rng)
-    return float(np.mean(predictions(target, dataset.images[idx]) == dataset.labels[idx]))
+    return float(np.mean(predictions(pool, dataset.images[idx]) == dataset.labels[idx]))
 
 
 def perturbed_accuracy(
-    target,
+    pool: ClassifierPool,
     dataset: Dataset,
     spec: PerturbationSpec,
     sample_size: int | None = None,
@@ -97,11 +92,11 @@ def perturbed_accuracy(
     idx = _subset(dataset, sample_size, rng)
     view = PerturbedView(dataset, spec, seed=placement_seed)
     images = view.materialize(idx)
-    return float(np.mean(predictions(target, images) == dataset.labels[idx]))
+    return float(np.mean(predictions(pool, images) == dataset.labels[idx]))
 
 
 def target_class_rate(
-    target,
+    pool: ClassifierPool,
     dataset: Dataset,
     spec: PerturbationSpec,
     target_class: int,
@@ -113,33 +108,15 @@ def target_class_rate(
     idx = _subset(dataset, sample_size, rng)
     view = PerturbedView(dataset, spec, seed=placement_seed)
     images = view.materialize(idx)
-    return float(np.mean(predictions(target, images) == target_class))
+    return float(np.mean(predictions(pool, images) == target_class))
 
 
-def craft_attack(target, dataset: Dataset, attack_config, rng) -> PerturbationSpec:
+def craft_attack(pool: ClassifierPool, dataset: Dataset, attack_config, rng) -> PerturbationSpec:
     if isinstance(attack_config, UniversalAttackConfig):
-        return A.learn_universal(target, dataset, attack_config, rng)
+        return A.learn_universal(pool, dataset, attack_config, rng)
     if isinstance(attack_config, PatchAttackConfig):
-        return A.learn_patch(target, dataset, attack_config, rng)
+        return A.learn_patch(pool, dataset, attack_config, rng)
     raise TypeError(f"unsupported attack config {type(attack_config).__name__}")
-
-
-def adv_accuracy(
-    target,
-    dataset: Dataset,
-    attack_config,
-    rng: np.random.Generator,
-    sample_size: int | None = None,
-) -> tuple[float, PerturbationSpec]:
-    """Accuracy under a FRESH perturbation crafted against this classifier.
-
-    The crafted spec is returned so callers can check it against (and keep it
-    out of) any training-time pool.
-    """
-    spec = craft_attack(target, dataset, attack_config, rng)
-    seed = int(rng.integers(0, 2**31 - 1))
-    acc = perturbed_accuracy(target, dataset, spec, sample_size, rng, placement_seed=seed)
-    return acc, spec
 
 
 def checkpoint_files(checkpoint_dir) -> list[Path]:
@@ -163,16 +140,17 @@ def evaluate_checkpoint_series(
     for path in checkpoint_files(checkpoint_dir):
         iteration = int(path.stem.split("_")[-1])
         config, params = load_checkpoint(path)
-        target = (config, params)
+        config.check_input_shape(splits["train"].image_shape)
+        pool = single_pool(config, params)
         rng = np.random.default_rng((seed, 5, iteration))
         t0 = time.perf_counter()
-        spec = craft_attack(target, splits["train"], attack_config, rng)
+        spec = craft_attack(pool, splits["train"], attack_config, rng)
         for split in SPLIT_ORDER:
             if split not in splits:
                 continue
             ds = splits[split]
             sub_rng = np.random.default_rng((seed, 6, iteration, SPLIT_ORDER.index(split)))
-            clean = accuracy(target, ds, sample_size, sub_rng)
-            adv = perturbed_accuracy(target, ds, spec, sample_size, sub_rng, placement_seed=iteration)
+            clean = accuracy(pool, ds, sample_size, sub_rng)
+            adv = perturbed_accuracy(pool, ds, spec, sample_size, sub_rng, placement_seed=iteration)
             rows.append(MetricsRow(iteration, split, clean, adv, spec.kind, time.perf_counter() - t0))
     return rows

@@ -1,10 +1,12 @@
-"""Classifier architectures, parameter handling, and classifier pools.
+"""Classifier architectures, parameter handling, classifier pools, and the
+binary codec of checkpoints and perturbation containers.
 
 A model is described by a :class:`ModelConfig` (a stack of 3x3 conv blocks
 followed by one fully connected layer) and carried as a flat dict of named
-tensors.  Pools of frozen snapshots implement the mixture-of-classifiers
-objective used by the game-theoretic training loop: attacks differentiate
-the pool's average loss with respect to the input batch.
+tensors.  A :class:`ClassifierPool` is the one classifier type attacks and
+scoring take: exact-mode play pools frozen snapshots, every other caller
+the live classifier as a pool of one (:func:`single_pool`).  Attacks
+differentiate the pool's average loss with respect to the input batch.
 """
 
 from __future__ import annotations
@@ -29,9 +31,39 @@ class CorruptFileError(ValueError):
     """An artifact file whose bytes do not decode: truncated, padded or malformed."""
 
 
+class InputShapeError(ValueError):
+    """Images whose shape differs from the one a model takes."""
+
+
+def write_artifact(path, magic: bytes, version: int, payload: bytes) -> None:
+    """Write a binary artifact: magic, little-endian u32 version, payload."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<I", version) + payload)
+
+
+def pack_array(arr: np.ndarray) -> bytes:
+    """Frame an array as u32 rank, u32 dims, then its values as little-endian f32."""
+    return (struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+            + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def unpack_array(blob: bytes, off: int) -> tuple[np.ndarray, int]:
+    """Inverse of :func:`pack_array` at ``off``, in the default dtype; returns
+    the array and the offset just past it."""
+    (rank,) = struct.unpack_from("<I", blob, off)
+    shape = struct.unpack_from(f"<{rank}I", blob, off + 4)
+    off += 4 + 4 * rank
+    n = int(np.prod(shape))
+    if off + 4 * n > len(blob):
+        raise ValueError(f"payload is {len(blob) - off} bytes, shape {shape} needs {4 * n}")
+    arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
+    return arr.astype(T.get_default_dtype()), off + 4 * n
+
+
 def read_artifact(path, magic: bytes, version: int, decode):
     """Check a binary artifact's magic and version, then ``decode(blob, 8)``
-    the rest; malformed content raises :class:`CorruptFileError`."""
+    the rest into ``(value, end)`` and return the value; malformed content,
+    or bytes past ``end``, raise :class:`CorruptFileError`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -40,7 +72,10 @@ def read_artifact(path, magic: bytes, version: int, decode):
         (found,) = struct.unpack_from("<I", blob, 4)
         if found != version:
             raise ValueError(f"unsupported version {found}")
-        return decode(blob, 8)
+        value, end = decode(blob, 8)
+        if end != len(blob):
+            raise ValueError(f"{len(blob) - end} trailing bytes")
+        return value
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CorruptFileError(f"{path}: {exc}") from exc
 
@@ -82,6 +117,10 @@ class ModelConfig:
     def feature_size(self) -> int:
         c, h, w = self.conv_output_shape()
         return c * h * w
+
+    def check_input_shape(self, image_shape) -> None:
+        if tuple(image_shape) != self.input_shape:
+            raise InputShapeError(f"the model takes {self.input_shape} images, the data has {tuple(image_shape)}")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -165,9 +204,9 @@ def forward(config: ModelConfig, params: dict[str, Tensor], batch, mode: str = "
     buffers; infer mode reads the running buffers and leaves them untouched.
     """
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
-    expected = config.input_shape
-    if x.data.ndim != 4 or x.shape[1:] != expected:
-        raise ValueError(f"batch shape {x.shape} does not match input shape (B,)+{expected}")
+    if x.data.ndim != 4:
+        raise InputShapeError(f"batch shape {x.shape} is not (B, C, H, W)")
+    config.check_input_shape(x.shape[1:])
     for i in range(len(config.conv_layers)):
         spec = config.conv_layers[i]
         x = T.conv2d(x, params[f"conv{i}.weight"], params[f"conv{i}.bias"], stride=spec.stride, padding="same")
@@ -191,16 +230,6 @@ def trainable_names(params: dict[str, Tensor]) -> list[str]:
     return [name for name, p in params.items() if p.requires_grad]
 
 
-def copy_params(params: dict[str, Tensor], frozen: bool = False) -> dict[str, Tensor]:
-    out = {}
-    for name, p in params.items():
-        arr = p.data.copy()
-        if frozen:
-            arr.setflags(write=False)
-        out[name] = Tensor(arr, requires_grad=(p.requires_grad and not frozen))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # classifier pools
 # ---------------------------------------------------------------------------
@@ -211,11 +240,14 @@ class ClassifierSnapshot:
     iteration: int
     config: ModelConfig
     params: dict[str, Tensor]
-    note: str = ""
 
     @staticmethod
-    def freeze(iteration: int, config: ModelConfig, params: dict[str, Tensor], note: str = "") -> "ClassifierSnapshot":
-        return ClassifierSnapshot(iteration, config, copy_params(params, frozen=True), note)
+    def freeze(iteration: int, config: ModelConfig, params: dict[str, Tensor]) -> "ClassifierSnapshot":
+        """Read-only copies of the arrays, as constants."""
+        copies = {name: p.data.copy() for name, p in params.items()}
+        for arr in copies.values():
+            arr.setflags(write=False)
+        return ClassifierSnapshot(iteration, config, {name: Tensor(arr) for name, arr in copies.items()})
 
 
 @dataclass
@@ -235,16 +267,21 @@ class ClassifierPool:
         return iter(self.members)
 
 
+def _member_logits(pool: ClassifierPool, batch):
+    """Each member's infer-mode logits on the batch, computed one at a time."""
+    if len(pool) == 0:
+        raise ValueError("classifier pool is empty")
+    x = batch if isinstance(batch, Tensor) else Tensor(batch)
+    return (forward(m.config, m.params, x, "infer") for m in pool)
+
+
 def pool_expected_loss(pool: ClassifierPool, batch, labels) -> Tensor:
     """Average cross-entropy over the pool members, differentiable in the batch.
 
     Equals the expected loss of a classifier drawn uniformly from the pool,
     which is exactly the objective the perturbation player maximizes.
     """
-    if len(pool) == 0:
-        raise ValueError("classifier pool is empty")
-    x = batch if isinstance(batch, Tensor) else Tensor(batch)
-    losses = [T.softmax_cross_entropy(forward(m.config, m.params, x, "infer"), labels) for m in pool]
+    losses = [T.softmax_cross_entropy(logits, labels) for logits in _member_logits(pool, batch)]
     total = losses[0]
     for term in losses[1:]:
         total = T.add(total, term)
@@ -253,15 +290,7 @@ def pool_expected_loss(pool: ClassifierPool, batch, labels) -> Tensor:
 
 def pool_probabilities(pool: ClassifierPool, batch) -> np.ndarray:
     """Average per-member softmax probabilities over the pool."""
-    if len(pool) == 0:
-        raise ValueError("classifier pool is empty")
-    x = batch if isinstance(batch, Tensor) else Tensor(batch)
-    acc = None
-    for m in pool:
-        logits = forward(m.config, m.params, x, "infer").data
-        probs = np.exp(T.log_softmax(logits))
-        acc = probs if acc is None else acc + probs
-    return acc / len(pool)
+    return sum(np.exp(T.log_softmax(logits.data)) for logits in _member_logits(pool, batch)) / len(pool)
 
 
 def pool_predict(pool: ClassifierPool, batch) -> np.ndarray:
@@ -269,10 +298,14 @@ def pool_predict(pool: ClassifierPool, batch) -> np.ndarray:
     return np.argmax(pool_probabilities(pool, batch), axis=1)
 
 
-def single_pool(config: ModelConfig, params: dict[str, Tensor], iteration: int = 0) -> ClassifierPool:
-    pool = ClassifierPool()
-    pool.add(ClassifierSnapshot.freeze(iteration, config, params))
-    return pool
+def single_pool(config: ModelConfig, params: dict[str, Tensor]) -> ClassifierPool:
+    """The live classifier as a pool of one, whose mixture is that classifier.
+
+    The member wraps the live arrays, not copies, as constants: the optimizer
+    and batchnorm update them in place, so a pool built once follows
+    training, and nothing scored through it keeps a backward graph alive.
+    """
+    return ClassifierPool([ClassifierSnapshot(0, config, {name: Tensor(p.data) for name, p in params.items()})])
 
 
 # ---------------------------------------------------------------------------
@@ -281,51 +314,31 @@ def single_pool(config: ModelConfig, params: dict[str, Tensor], iteration: int =
 
 def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor]) -> None:
     """Write a versioned checkpoint: header, config, then named f32 tensors."""
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
     cfg = config.to_json().encode("utf-8")
-    blob += struct.pack("<I", len(cfg))
-    blob += cfg
-    blob += struct.pack("<I", len(params))
+    blob = bytearray(struct.pack("<I", len(cfg)) + cfg + struct.pack("<I", len(params)))
     for name, p in params.items():
         encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded))
-        blob += encoded
-        blob += struct.pack("<I", p.data.ndim)
-        blob += struct.pack(f"<{p.data.ndim}I", *p.data.shape)
-        blob += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        blob += struct.pack("<I", len(encoded)) + encoded + pack_array(p.data)
+    write_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes(blob))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
     return read_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _decode_checkpoint)
 
 
-def _decode_checkpoint(blob: bytes, off: int) -> tuple[ModelConfig, dict[str, Tensor]]:
+def _decode_checkpoint(blob: bytes, off: int) -> tuple[tuple[ModelConfig, dict[str, Tensor]], int]:
     (cfg_len,) = struct.unpack_from("<I", blob, off)
     off += 4
     config = ModelConfig.from_json(blob[off : off + cfg_len].decode("utf-8"))
     off += cfg_len
     (count,) = struct.unpack_from("<I", blob, off)
     off += 4
-    dtype = T.get_default_dtype()
     params: dict[str, Tensor] = {}
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", blob, off)
         off += 4
         name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
+        data, off = unpack_array(blob, off + name_len)
         trainable = not name.endswith(("running_mean", "running_var"))
-        params[name] = Tensor(data.astype(dtype), requires_grad=trainable)
-    if off != len(blob):
-        raise ValueError("trailing bytes after last tensor")
-    return config, params
+        params[name] = Tensor(data, requires_grad=trainable)
+    return (config, params), off

@@ -58,6 +58,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.outer_iterations < 1 or self.inner_steps < 0 or self.batch_size < 1:
             raise ValueError("invalid train config")
+        if self.eval_sample_size is not None and self.eval_sample_size < 1:
+            raise ValueError("eval_sample_size must be >= 1")
         if self.learning_rate < 0 or not (0.0 <= self.momentum < 1.0):
             raise ValueError("invalid train config")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
@@ -145,15 +147,16 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
     the attack; ``"approximate"`` and ``"exact"`` play the game, adding it
     to ``state.views``, and exact mode attacks the pool of classifier
     snapshots taken at the start and after each iteration's inner steps.
+    Every other attack, and all scoring, target the live classifier as a
+    pool of one (:func:`~advgame.model.single_pool`) built up front.
     """
     params = M.build_model(model_config, cfg.seed)
     state = FPState(model_config, params, [clean_view(dataset)], weighting=cfg.weighting)
     if mode == "exact":
-        state.classifier_pool = ClassifierPool()
-        state.classifier_pool.add(ClassifierSnapshot.freeze(0, model_config, params, note="initial"))
+        state.classifier_pool = ClassifierPool([ClassifierSnapshot.freeze(0, model_config, params)])
     sampler = BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1)))
     attack_rng = np.random.default_rng((cfg.seed, attack_stream))
-    classifier = (model_config, params)
+    classifier = M.single_pool(model_config, params)
     trainable = {name: params[name] for name in M.trainable_names(params)}
     velocity: dict = {}
     report: list[MetricsRow] = []
@@ -171,7 +174,7 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
                     on_step(step, params)
             target = classifier
             if state.classifier_pool is not None:
-                state.classifier_pool.add(ClassifierSnapshot.freeze(n, model_config, params, note=f"outer {n}"))
+                state.classifier_pool.add(ClassifierSnapshot.freeze(n, model_config, params))
                 target = state.classifier_pool
             spec = E.craft_attack(target, dataset, attack, attack_rng) if attack is not None else None
         except (ValueError, FloatingPointError) as exc:
@@ -248,7 +251,7 @@ def at_train(
 
     def half_adversarial_loss(state: FPState, indices: np.ndarray, step: int) -> Tensor:
         x, y = dataset.images[indices], dataset.labels[indices]
-        adv = A.pgd_per_sample((model_config, state.params), x, y, cfg.pgd, pgd_rng)
+        adv = A.pgd_per_sample(M.single_pool(model_config, state.params), x, y, cfg.pgd, pgd_rng)
         ce_clean = T.softmax_cross_entropy(M.forward(model_config, state.params, x, "train"), y)
         ce_adv = T.softmax_cross_entropy(M.forward(model_config, state.params, adv, "train"), y)
         if margin_log is not None:

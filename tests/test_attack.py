@@ -60,7 +60,7 @@ class TestUniversalStep:
         # constant logits: zero weights and bias make every gradient vanish
         params0 = {k: Tensor(np.zeros_like(v.data), requires_grad=v.requires_grad) for k, v in params.items()}
         xi = np.zeros(dataset.image_shape)
-        out = universal_step(xi, (cfg, params0), dataset.images[:4], dataset.labels[:4], 0.1, 0.2)
+        out = universal_step(xi, single_pool(cfg, params0), dataset.images[:4], dataset.labels[:4], 0.1, 0.2)
         assert np.array_equal(out, xi)
 
     def test_sign_arithmetic_single_sample(self):
@@ -78,26 +78,26 @@ class TestUniversalStep:
 
     def test_pool_of_one_bit_identical_to_single(self, desk):
         cfg, params, dataset = desk
-        pool = single_pool(cfg, params)
+        frozen = ClassifierPool([ClassifierSnapshot.freeze(0, cfg, params)])
         xi = np.random.default_rng(1).uniform(-0.05, 0.05, dataset.image_shape)
         batch, labels = dataset.images[:6], dataset.labels[:6]
-        via_pool = universal_step(xi, pool, batch, labels, 0.01, 0.1)
-        via_single = universal_step(xi, (cfg, params), batch, labels, 0.01, 0.1)
-        assert np.array_equal(via_pool, via_single)
+        via_frozen = universal_step(xi, frozen, batch, labels, 0.01, 0.1)
+        via_live = universal_step(xi, single_pool(cfg, params), batch, labels, 0.01, 0.1)
+        assert np.array_equal(via_frozen, via_live)
 
     def test_duplication_invariance(self, desk):
         cfg, params, dataset = desk
         xi = np.zeros(dataset.image_shape)
-        one = universal_step(xi, (cfg, params), dataset.images[:1], dataset.labels[:1], 0.02, 0.1)
+        one = universal_step(xi, single_pool(cfg, params), dataset.images[:1], dataset.labels[:1], 0.02, 0.1)
         dup_batch = np.concatenate([dataset.images[:1]] * 4)
         dup_labels = np.concatenate([dataset.labels[:1]] * 4)
-        duplicated = universal_step(xi, (cfg, params), dup_batch, dup_labels, 0.02, 0.1)
+        duplicated = universal_step(xi, single_pool(cfg, params), dup_batch, dup_labels, 0.02, 0.1)
         assert np.array_equal(one, duplicated)
 
     def test_budget_precondition(self, desk):
         cfg, params, dataset = desk
         with pytest.raises(ValueError):
-            universal_step(np.full(dataset.image_shape, 0.3), (cfg, params),
+            universal_step(np.full(dataset.image_shape, 0.3), single_pool(cfg, params),
                            dataset.images[:2], dataset.labels[:2], 0.1, 0.2)
 
     def test_budget_invariant_many_random_steps(self, desk):
@@ -107,7 +107,7 @@ class TestUniversalStep:
         xi = np.zeros(dataset.image_shape)
         for _ in range(64):
             idx = rng.integers(0, len(dataset), 4)
-            xi = universal_step(xi, (cfg, params), dataset.images[idx], dataset.labels[idx],
+            xi = universal_step(xi, single_pool(cfg, params), dataset.images[idx], dataset.labels[idx],
                                 rng.uniform(0.005, 0.1), eps)
             assert np.abs(xi).max() <= eps
 
@@ -115,14 +115,14 @@ class TestUniversalStep:
 class TestLearnUniversal:
     def test_zero_iterations(self, desk):
         cfg, params, dataset = desk
-        spec = learn_universal((cfg, params), dataset,
+        spec = learn_universal(single_pool(cfg, params), dataset,
                                UniversalAttackConfig(0.1, 0.01, 0), np.random.default_rng(0))
         assert np.all(spec.xi == 0.0)
 
     def test_loss_does_not_decrease_on_random_model(self, desk):
         cfg, params, dataset = desk
         config = UniversalAttackConfig(16 / 255, 0.005, 150, batch_size=32)
-        spec = learn_universal((cfg, params), dataset, config, np.random.default_rng(3))
+        spec = learn_universal(single_pool(cfg, params), dataset, config, np.random.default_rng(3))
         x, y = dataset.images, dataset.labels
         clean = softmax_cross_entropy(forward(cfg, params, x, "infer"), y).item()
         adv_x = D.apply_universal(x, spec.xi, spec.epsilon)
@@ -132,8 +132,8 @@ class TestLearnUniversal:
     def test_deterministic_given_seed(self, desk):
         cfg, params, dataset = desk
         config = UniversalAttackConfig(0.05, 0.01, 10, batch_size=16)
-        a = learn_universal((cfg, params), dataset, config, np.random.default_rng(7))
-        b = learn_universal((cfg, params), dataset, config, np.random.default_rng(7))
+        a = learn_universal(single_pool(cfg, params), dataset, config, np.random.default_rng(7))
+        b = learn_universal(single_pool(cfg, params), dataset, config, np.random.default_rng(7))
         assert np.array_equal(a.xi, b.xi)
 
 
@@ -153,14 +153,14 @@ class TestPatchStep:
         cfg, params, dataset, config, placements = self._setup(desk)
         params0 = {k: Tensor(np.zeros_like(v.data), requires_grad=v.requires_grad) for k, v in params.items()}
         spec = D.gray_patch(3, 8, config.chi, config.theta_max)
-        out = patch_step(spec.xi, (cfg, params0), dataset.images[:4], dataset.labels[:4],
+        out = patch_step(spec.xi, single_pool(cfg, params0), dataset.images[:4], dataset.labels[:4],
                          config, placements, spec.mask)
         assert np.array_equal(out, spec.xi)
 
     def test_masked_pixels_never_change(self, desk):
         cfg, params, dataset, config, placements = self._setup(desk)
         spec = D.gray_patch(3, 8, config.chi, config.theta_max)
-        out = patch_step(spec.xi, (cfg, params), dataset.images[:4], dataset.labels[:4],
+        out = patch_step(spec.xi, single_pool(cfg, params), dataset.images[:4], dataset.labels[:4],
                          config, placements, spec.mask)
         outside = spec.mask == 0.0
         assert np.array_equal(out[:, outside], spec.xi[:, outside])
@@ -178,10 +178,10 @@ class TestPatchStep:
             spec = D.gray_patch(3, 8, config.chi, config.theta_max)
 
             def target_loss(xi):
-                return -patch_objective((cfg, params), Tensor(xi), batch, labels, config, placements).item()
+                return -patch_objective(single_pool(cfg, params), Tensor(xi), batch, labels, config, placements).item()
 
             before = target_loss(spec.xi)
-            stepped = patch_step(spec.xi, (cfg, params), batch, labels, config, placements, spec.mask)
+            stepped = patch_step(spec.xi, single_pool(cfg, params), batch, labels, config, placements, spec.mask)
             if target_loss(stepped) < before:
                 decreased = True
                 break
@@ -195,7 +195,7 @@ class TestPatchStep:
         for _ in range(40):
             placements = D.sample_placements(rng, 8, 8, config.chi, config.theta_max)
             idx = rng.integers(0, len(dataset), 4)
-            xi = patch_step(xi, (cfg, params), dataset.images[idx], dataset.labels[idx],
+            xi = patch_step(xi, single_pool(cfg, params), dataset.images[idx], dataset.labels[idx],
                             config, placements, spec.mask)
             assert xi.min() >= 0.0 and xi.max() <= 1.0
 
@@ -204,14 +204,14 @@ class TestLearnPatch:
     def test_zero_iterations_gray_disc(self, desk):
         cfg, params, dataset = desk
         config = PatchAttackConfig(8, 0.5, 0.0, alpha=0.1, iterations=0)
-        spec = learn_patch((cfg, params), dataset, config, np.random.default_rng(0))
+        spec = learn_patch(single_pool(cfg, params), dataset, config, np.random.default_rng(0))
         assert np.all(spec.xi == 0.5) and spec.kind == "patch"
 
 
 class TestPgd:
     def test_zero_steps_no_init_identity(self, desk):
         cfg, params, dataset = desk
-        out = pgd_per_sample((cfg, params), dataset.images[:3], dataset.labels[:3],
+        out = pgd_per_sample(single_pool(cfg, params), dataset.images[:3], dataset.labels[:3],
                              PgdConfig(0.1, 0.025, 0, random_init=False), np.random.default_rng(0))
         assert np.array_equal(out, dataset.images[:3])
 
@@ -219,7 +219,7 @@ class TestPgd:
         cfg, params, dataset = desk
         eps = 16 / 255
         x = dataset.images[:8]
-        out = pgd_per_sample((cfg, params), x, dataset.labels[:8],
+        out = pgd_per_sample(single_pool(cfg, params), x, dataset.labels[:8],
                              PgdConfig(eps, eps / 4, 7, random_init=True), np.random.default_rng(1))
         assert np.abs(out - x).max() <= eps + 1e-12
         assert out.min() >= 0.0 and out.max() <= 1.0
@@ -238,7 +238,7 @@ class TestPgd:
             T.sgd_momentum_step(params, grads, vel, lr=0.05, momentum=0.9)
         eps = 16 / 255
         x, y = dataset.images[:40], dataset.labels[:40]
-        adv = pgd_per_sample((cfg, params), x, y, PgdConfig(eps, eps / 4, 7), np.random.default_rng(3))
+        adv = pgd_per_sample(single_pool(cfg, params), x, y, PgdConfig(eps, eps / 4, 7), np.random.default_rng(3))
 
         def per_sample_loss(batch):
             logits = forward(cfg, params, batch, "infer").data

@@ -1,0 +1,47 @@
+"""The benchmark's traced child still finds every name it wraps in ``advgame``.
+
+``perfbench/child.py --trace`` wraps public functions where their callers
+look them up (``attack`` imports ``pool_expected_loss`` and
+``overlay_patch_op`` by name; ``cli`` calls ``train.fp_train`` through the
+module) and then checks exact forward counts per inner and attack step.
+A tiny game in each mode runs through it here, so renaming or inlining one
+of those names fails a test instead of the benchmark.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import advgame
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+SRC = Path(advgame.__file__).resolve().parent.parent
+
+TINY_GAME = dict(per_class=6, outer_iterations=2, inner_steps=2, batch_size=8,
+                 attack_iterations=2, attack_batch_size=8, eval_sample_size=20)
+
+
+@pytest.mark.parametrize("base", ["fp-universal", "fp-exact-patch"])
+def test_traced_child_counts(base, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import check_counts
+    from workloads import WORKLOADS
+
+    w = WORKLOADS[base]
+    w = dataclasses.replace(w, config={**w.config, **TINY_GAME})
+    trace = tmp_path / "trace.json"
+    cmd = [sys.executable, str(PERFBENCH / "child.py"), "--src", str(SRC),
+           "--entry", str(tmp_path / "entry.txt"), "--trace", str(trace),
+           "--", *w.cli_args(1, str(tmp_path / "run"))]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    assert check_counts(w, spans) == []
+    assert any(s[0] == "model.pool_expected_loss" for s in spans)

@@ -208,10 +208,35 @@ class TestExitCodes:
         ["--fp-mode", "foo"],
         ["--eval-attack-iterations", "-1"],
         ["--classes", "1"],
+        ["--image-side", "4"],
+        ["--per-class", "1"],
+        ["--eval-sample-size", "0"],
+        ["--model", "paper-vgg"],
     ], ids=" ".join)
     def test_out_of_range_value_is_2_before_any_write(self, tmp_path, capsys, extra):
         assert main(["train-fp", *desk_args(tmp_path), *extra]) == 2
         assert not (tmp_path / "run" / "config.txt").exists()
+
+    def _checkpoint_of_side(self, directory, side):
+        directory.mkdir()
+        path = directory / "checkpoint_0001.ckpt"
+        mc = M.tiny_config(side=side, num_classes=3)
+        M.save_checkpoint(path, mc, M.build_model(mc, 0))
+        return path
+
+    def test_attack_on_checkpoint_of_other_shape_is_2(self, tmp_path, capsys):
+        ckpt = self._checkpoint_of_side(tmp_path / "ckpts", 16)
+        assert main(["attack", *desk_args(tmp_path), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "(3, 16, 16)" in err and "(3, 8, 8)" in err
+        assert not list((tmp_path / "run").glob("*.pert"))
+
+    def test_eval_on_checkpoint_of_other_shape_is_2(self, tmp_path, capsys):
+        self._checkpoint_of_side(tmp_path / "ckpts", 16)
+        assert main(["eval", *desk_args(tmp_path), "--checkpoint-dir", str(tmp_path / "ckpts")]) == 2
+        err = capsys.readouterr().err
+        assert "(3, 16, 16)" in err and "(3, 8, 8)" in err
+        assert not (tmp_path / "run" / "eval.csv").exists()
 
 
 class TestCorruptArtifacts:
@@ -235,3 +260,11 @@ class TestCorruptArtifacts:
                 bad.write_bytes(broken)
                 assert main(args) == 3, f"{len(broken)} of {len(blob)} bytes"
         assert not (tmp_path / "out.ppm").exists()
+
+    @pytest.mark.parametrize("blob", [bytes(5), bytes([10]) + bytes(3072)], ids=["truncated", "label-10"])
+    def test_corrupt_cifar_file_is_3(self, tmp_path, capsys, blob):
+        path = tmp_path / "data_batch.bin"
+        path.write_bytes(blob)
+        args = desk_args(tmp_path, **{"image-side": 32, "data": "cifar10", "data-path": str(path)})
+        assert main(["train-sgd", *args]) == 3
+        assert "i/o error" in capsys.readouterr().err

@@ -9,14 +9,14 @@ from advgame.data import Dataset
 from advgame.evaluation import (
     MetricsRow,
     accuracy,
-    adv_accuracy,
+    craft_attack,
     evaluate_checkpoint_series,
     format_rows,
     perturbed_accuracy,
     target_class_rate,
     write_csv,
 )
-from advgame.model import ModelConfig, build_model, save_checkpoint
+from advgame.model import ModelConfig, build_model, save_checkpoint, single_pool
 from advgame.tensor import Tensor
 
 
@@ -51,57 +51,58 @@ def constant_classifier(classes=4):
 class TestAccuracy:
     def test_perfect_classifier_scores_one(self):
         cfg, params = perfect_classifier()
-        assert accuracy((cfg, params), onehot_dataset()) == 1.0
+        assert accuracy(single_pool(cfg, params), onehot_dataset()) == 1.0
 
     def test_constant_classifier_scores_one_over_k(self):
         cfg, params = constant_classifier()
         ds = onehot_dataset(classes=4, copies=5)
-        assert accuracy((cfg, params), ds) == 0.25
+        assert accuracy(single_pool(cfg, params), ds) == 0.25
 
     def test_random_model_near_chance(self):
         ds = D.make_synthetic(10, 30, 8, seed=0)
         mc = M.tiny_config(side=8, num_classes=10)
-        accs = [accuracy((mc, build_model(mc, s)), ds) for s in (1, 2, 3)]
+        accs = [accuracy(single_pool(mc, build_model(mc, s)), ds) for s in (1, 2, 3)]
         assert abs(np.mean(accs) - 0.1) < 0.05
 
     def test_sample_size_subsets(self):
         cfg, params = perfect_classifier()
         ds = onehot_dataset(copies=10)
         rng = np.random.default_rng(0)
-        assert accuracy((cfg, params), ds, sample_size=8, rng=rng) == 1.0
+        assert accuracy(single_pool(cfg, params), ds, sample_size=8, rng=rng) == 1.0
 
     def test_empty_dataset_rejected(self):
         cfg, params = perfect_classifier()
         empty = Dataset(np.zeros((0, 1, 2, 2)), np.zeros(0), 4)
         with pytest.raises(ValueError):
-            accuracy((cfg, params), empty)
+            accuracy(single_pool(cfg, params), empty)
 
 
 class TestAdvAccuracy:
     def test_zero_iteration_attack_equals_clean(self):
         ds = D.make_synthetic(4, 10, 8, seed=1)
         mc = M.tiny_config(side=8, num_classes=4)
-        params = build_model(mc, 5)
-        clean = accuracy((mc, params), ds)
-        adv, spec = adv_accuracy((mc, params), ds, UniversalAttackConfig(0.1, 0.01, 0), np.random.default_rng(0))
+        pool = single_pool(mc, build_model(mc, 5))
+        clean = accuracy(pool, ds)
+        spec = craft_attack(pool, ds, UniversalAttackConfig(0.1, 0.01, 0), np.random.default_rng(0))
+        adv = perturbed_accuracy(pool, ds, spec)
         assert adv == clean
         assert np.all(spec.xi == 0.0)
 
     def test_fresh_spec_differs_from_pooled(self):
         ds = D.make_synthetic(4, 10, 8, seed=2)
         mc = M.tiny_config(side=8, num_classes=4)
-        params = build_model(mc, 6)
+        pool = single_pool(mc, build_model(mc, 6))
         cfg = UniversalAttackConfig(16 / 255, 0.01, 5, batch_size=8)
-        _, pooled = adv_accuracy((mc, params), ds, cfg, np.random.default_rng(1))
-        _, fresh = adv_accuracy((mc, params), ds, cfg, np.random.default_rng(2))
+        pooled = craft_attack(pool, ds, cfg, np.random.default_rng(1))
+        fresh = craft_attack(pool, ds, cfg, np.random.default_rng(2))
         assert not np.array_equal(pooled.xi, fresh.xi)
 
     def test_target_class_rate_for_constant_model(self):
         cfg, params = constant_classifier()
         ds = onehot_dataset()
         spec = D.zero_universal(ds.image_shape, 0.1)
-        assert target_class_rate((cfg, params), ds, spec, target_class=0) == 1.0
-        assert target_class_rate((cfg, params), ds, spec, target_class=1) == 0.0
+        assert target_class_rate(single_pool(cfg, params), ds, spec, target_class=0) == 1.0
+        assert target_class_rate(single_pool(cfg, params), ds, spec, target_class=1) == 0.0
 
 
 class TestCsv:

@@ -221,6 +221,21 @@ class TestPool:
         after = forward(cfg, snap.params, x, "infer").data
         assert np.array_equal(before, after)
 
+    def test_single_pool_follows_the_live_params(self):
+        cfg = small_config()
+        params = build_model(cfg, 31)
+        member = single_pool(cfg, params).members[0].params
+        assert all(member[name].data is params[name].data for name in params)
+        assert not any(p.requires_grad for p in member.values())
+        x = np.random.default_rng(12).random((2, 1, 6, 6))
+        before = forward(cfg, member, x, "infer").data.copy()
+        loss = softmax_cross_entropy(forward(cfg, params, x, "train"), np.array([0, 1]))
+        grads = T.backward(loss, wrt={n: params[n] for n in M.trainable_names(params)})
+        T.sgd_momentum_step(params, grads, {}, lr=0.5)
+        after = forward(cfg, member, x, "infer").data
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, forward(cfg, params, x, "infer").data)
+
     def test_indices_strictly_increasing(self):
         cfg, pool = self._pool_of([1, 2])
         with pytest.raises(ValueError):
