@@ -196,10 +196,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("csv_timing must be 'zero' or 'real'")
     if cfg.fp_mode not in ("approximate", "exact"):
         raise ConfigError("fp_mode must be 'approximate' or 'exact'")
+    if cfg.patch_target_class >= cfg.classes:
+        raise ConfigError(f"patch_target_class {cfg.patch_target_class} is not one of the {cfg.classes} classes")
+    if cfg.data == "synthetic" and cfg.batch_size > cfg.classes * cfg.per_class:
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {cfg.classes * cfg.per_class} training images")
     try:
-        image_shape = D.CIFAR_SHAPE if cfg.data == "cifar10" else (cfg.channels, cfg.image_side, cfg.image_side)
-        build_model_config(cfg).check_input_shape(image_shape)
-        if cfg.data == "synthetic":
+        if cfg.data == "cifar10":
+            build_model_config(cfg).check_input_shape(D.CIFAR_SHAPE, D.CIFAR_CLASSES)
+        else:
+            build_model_config(cfg).check_input_shape((cfg.channels, cfg.image_side, cfg.image_side), cfg.classes)
             D.check_synthetic(cfg.classes, cfg.per_class, cfg.image_side)
         build_train_config(cfg)
         build_attack_config(cfg, iterations=cfg.eval_attack_iterations)
@@ -336,7 +341,7 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
     model_cfg, params = M.load_checkpoint(checkpoint)
     splits = load_splits(cfg)
     train_ds = splits["train"]
-    model_cfg.check_input_shape(train_ds.image_shape)
+    model_cfg.check_input_shape(train_ds.image_shape, train_ds.num_classes)
     pool = M.single_pool(model_cfg, params)
     rng = np.random.default_rng((cfg.seed, 8))
     attack_cfg = build_attack_config(cfg)

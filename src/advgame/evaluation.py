@@ -140,7 +140,7 @@ def evaluate_checkpoint_series(
     for path in checkpoint_files(checkpoint_dir):
         iteration = int(path.stem.split("_")[-1])
         config, params = load_checkpoint(path)
-        config.check_input_shape(splits["train"].image_shape)
+        config.check_input_shape(splits["train"].image_shape, splits["train"].num_classes)
         pool = single_pool(config, params)
         rng = np.random.default_rng((seed, 5, iteration))
         t0 = time.perf_counter()

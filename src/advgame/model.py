@@ -32,7 +32,7 @@ class CorruptFileError(ValueError):
 
 
 class InputShapeError(ValueError):
-    """Images whose shape differs from the one a model takes."""
+    """Images whose shape, or labels whose class count, differ from the model's."""
 
 
 def write_artifact(path, magic: bytes, version: int, payload: bytes) -> None:
@@ -118,9 +118,10 @@ class ModelConfig:
         c, h, w = self.conv_output_shape()
         return c * h * w
 
-    def check_input_shape(self, image_shape) -> None:
-        if tuple(image_shape) != self.input_shape:
-            raise InputShapeError(f"the model takes {self.input_shape} images, the data has {tuple(image_shape)}")
+    def check_input_shape(self, image_shape, num_classes: int) -> None:
+        if tuple(image_shape) != self.input_shape or num_classes != self.num_classes:
+            raise InputShapeError(f"the model takes {self.input_shape} images of {self.num_classes} classes, "
+                                  f"the data has {tuple(image_shape)} images of {num_classes} classes")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -206,7 +207,7 @@ def forward(config: ModelConfig, params: dict[str, Tensor], batch, mode: str = "
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
     if x.data.ndim != 4:
         raise InputShapeError(f"batch shape {x.shape} is not (B, C, H, W)")
-    config.check_input_shape(x.shape[1:])
+    config.check_input_shape(x.shape[1:], config.num_classes)  # a batch carries no labels
     for i in range(len(config.conv_layers)):
         spec = config.conv_layers[i]
         x = T.conv2d(x, params[f"conv{i}.weight"], params[f"conv{i}.bias"], stride=spec.stride, padding="same")

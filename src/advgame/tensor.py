@@ -7,7 +7,9 @@ nodes per forward pass), so the tape is simply the node graph itself and is
 rebuilt on every call.
 
 All gradient math is float64 by default; float32 arrays are accepted and
-propagated unchanged for cheaper training runs.
+propagated unchanged for cheaper training runs.  A node's gradient buffer is
+created by its first contribution, in the node's dtype and memory layout.
+Elementwise ops take operands of one shape; nothing broadcasts.
 """
 
 from __future__ import annotations
@@ -40,24 +42,24 @@ def get_default_dtype():
 class Tensor:
     """An n-dimensional array plus the bookkeeping needed for backprop.
 
-    ``grad`` is populated (as a plain ndarray) by :func:`backward`; it is
-    reset at the start of every backward pass over the reachable graph.
+    ``grad`` is cleared by :func:`backward`, then created (as a plain
+    ndarray, with the dtype and layout of ``data``) by the first gradient
+    contribution; it stays ``None`` on a node the loss does not reach.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backward_fn=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backward_fn=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"tensor {name or ''} contains non-finite values")
+            raise NonFiniteError("tensor contains non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = _parents
         self._backward_fn: Callable[[np.ndarray], None] | None = _backward_fn
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,29 +77,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        head = f"Tensor(shape={self.shape}, dtype={self.data.dtype}"
-        if self.name:
-            head += f", name={self.name!r}"
-        return head + ")"
-
-    # Convenience arithmetic; the heavy lifting lives in the module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 def _as_tensor(x) -> Tensor:
@@ -110,21 +90,15 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add one gradient contribution to ``t.grad``.  The first creates the
+    buffer as ``zeros_like(t.data) + g``, never ``g`` itself: ``g`` may be a
+    shared or read-only view, and a buffer of another dtype or layout would
+    change how later reductions round."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes introduced or stretched by broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -151,14 +125,15 @@ def backward(loss: Tensor, wrt: Mapping[str, Tensor] | None = None) -> dict[str,
 
     Populates ``grad`` on every grad-requiring node reachable from ``loss``
     (consumers' contributions are summed).  With ``wrt`` given, returns a
-    mapping name -> gradient array; parameters the loss does not depend on
-    get zeros.
+    mapping name -> gradient array, the tensors' own ``grad`` buffers;
+    tensors the loss does not depend on get zeros, even when an earlier pass
+    gave them a gradient.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
-    for node in order:
-        node.grad = np.zeros_like(node.data)
+    for node in (*order, *(wrt or {}).values()):
+        node.grad = None
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
         for node in reversed(order):
@@ -166,43 +141,38 @@ def backward(loss: Tensor, wrt: Mapping[str, Tensor] | None = None) -> dict[str,
                 node._backward_fn(node.grad)
     if wrt is None:
         return None
-    return {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for name, p in wrt.items()}
+    return {name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in wrt.items()}
 
 
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise addition with numpy broadcasting."""
-    a = _as_tensor(a)
-    if isinstance(b, Tensor):
-        out_data = a.data + b.data
-
-        def bwd(g):
-            _accumulate(a, _unbroadcast(g, a.shape))
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-        return _node(out_data, (a, b), bwd)
-    out_data = a.data + b
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape; nothing broadcasts."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ValueError(f"add of shapes {a.shape} and {b.shape}; nothing broadcasts")
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-    return _node(out_data, (a,), bwd)
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; ``b`` may be a Tensor or a python scalar."""
+    """Elementwise product; ``b`` is a python scalar or a Tensor of ``a``'s shape."""
     a = _as_tensor(a)
     if isinstance(b, Tensor):
-        out_data = a.data * b.data
+        if a.shape != b.shape:
+            raise ValueError(f"mul of shapes {a.shape} and {b.shape}; nothing broadcasts")
 
         def bwd(g):
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+            _accumulate(a, g * b.data)
+            _accumulate(b, g * a.data)
 
-        return _node(out_data, (a, b), bwd)
+        return _node(a.data * b.data, (a, b), bwd)
     scale = b
 
     def bwd(g):
@@ -216,7 +186,7 @@ def tensor_sum(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
     def bwd(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _node(np.asarray(a.data.sum()), (a,), bwd)
 
@@ -289,9 +259,10 @@ _CONV_LOOP_MAX_C = 3
 def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """2-d cross-correlation over [B,C,H,W] with kernel [F,C,k,k].
 
-    For small spatial inputs the accumulation order over (c, ky, kx) is
-    fixed, so the result is bit-identical to a nested-loop evaluation in the
-    same order; larger inputs take an im2col/GEMM path.
+    For small spatial inputs the forward's accumulation order over
+    (c, ky, kx) is fixed, so the result is bit-identical to a nested-loop
+    evaluation in the same order; larger inputs take an im2col/GEMM forward.
+    Both share one im2col/GEMM backward.
     """
     inp, kernel, bias = _as_tensor(inp), _as_tensor(kernel), _as_tensor(bias)
     if stride < 1:
@@ -315,6 +286,10 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
 
+    def im2col():  # one row per output pixel (b, ho, wo), columns in (c, ky, kx) order
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        return windows.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * k * k)
+
     if H * W <= _CONV_LOOP_MAX_HW and C <= _CONV_LOOP_MAX_C:
         out = np.zeros((B, F, Ho, Wo), dtype=x.dtype)
         for c in range(C):
@@ -325,39 +300,17 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
         out = out + bias.data[None, :, None, None]
         cols = None
     else:
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        windows = windows[:, :, ::stride, ::stride]
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * k * k)
+        cols = im2col()
         flat = cols @ kernel.data.reshape(F, -1).T
         out = flat.reshape(B, Ho, Wo, F).transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
 
     def bwd(g):
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if cols is None:
-            if kernel.requires_grad:
-                gk = np.zeros_like(kernel.data)
-                for c in range(C):
-                    for ky in range(k):
-                        for kx in range(k):
-                            patch = x[:, c, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride]
-                            gk[:, c, ky, kx] = np.einsum("bhw,bfhw->f", patch, g)
-                _accumulate(kernel, gk)
-            if inp.requires_grad:
-                gx = np.zeros_like(x)
-                for c in range(C):
-                    for ky in range(k):
-                        for kx in range(k):
-                            gx[:, c, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride] += np.einsum(
-                                "f,bfhw->bhw", kernel.data[:, c, ky, kx], g
-                            )
-                if pad:
-                    gx = gx[:, :, pad : pad + H, pad : pad + W]
-                _accumulate(inp, gx)
-            return
         g2 = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, F)
         if kernel.requires_grad:
-            _accumulate(kernel, (g2.T @ cols).reshape(F, C, k, k))
+            gk = g2.T @ (im2col() if cols is None else cols)
+            _accumulate(kernel, gk.reshape(F, C, k, k))
         if inp.requires_grad:
             gcols = (g2 @ kernel.data.reshape(F, -1)).reshape(B, Ho, Wo, C, k, k)
             gcols = gcols.transpose(0, 3, 1, 2, 4, 5)

@@ -5,7 +5,9 @@ look them up (``attack`` imports ``pool_expected_loss`` and
 ``overlay_patch_op`` by name; ``cli`` calls ``train.fp_train`` through the
 module) and then checks exact forward counts per inner and attack step.
 A tiny game in each mode runs through it here, so renaming or inlining one
-of those names fails a test instead of the benchmark.
+of those names fails a test instead of the benchmark.  Likewise one entry
+of each op kind in ``perfbench/opbench.py``'s op table is timed through the
+``advgame.tensor`` API it calls.
 """
 
 import dataclasses
@@ -15,9 +17,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import advgame
+from advgame import tensor as T
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -45,3 +49,21 @@ def test_traced_child_counts(base, tmp_path, monkeypatch):
     spans = json.loads(trace.read_text())["spans"]
     assert check_counts(w, spans) == []
     assert any(s[0] == "model.pool_expected_loss" for s in spans)
+
+
+def test_opbench_times_one_entry_of_each_op(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from opbench import time_entry
+    from workloads import op_table
+
+    first = {}
+    for entry in op_table():
+        first.setdefault(entry["op"], entry)
+    assert sorted(first) == ["batchnorm", "conv2d", "softmax_cross_entropy"]
+    dtype = T.get_default_dtype()
+    try:
+        for entry in first.values():
+            result = time_entry(T, np, entry)
+            assert all(np.isfinite(result[key]) and result[key] > 0 for key in ("fwd_ms", "bwd_ms")), result
+    finally:
+        T.set_default_dtype(dtype)

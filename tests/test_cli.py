@@ -212,10 +212,19 @@ class TestExitCodes:
         ["--per-class", "1"],
         ["--eval-sample-size", "0"],
         ["--model", "paper-vgg"],
+        ["--data", "cifar10", "--data-path", "unread.bin", "--image-side", "32"],
+        ["--attack-kind", "patch", "--patch-target-class", "12", "--patch-lambda", "0.5"],
+        ["--per-class", "2", "--batch-size", "64"],
     ], ids=" ".join)
     def test_out_of_range_value_is_2_before_any_write(self, tmp_path, capsys, extra):
         assert main(["train-fp", *desk_args(tmp_path), *extra]) == 2
         assert not (tmp_path / "run" / "config.txt").exists()
+
+    # a 3-class checkpoint of the given side against 8 px data of the given class count
+    OTHER_SHAPES = pytest.mark.parametrize("side,classes,named", [
+        (16, 3, ["(3, 16, 16)", "(3, 8, 8)"]),
+        (8, 10, ["of 3 classes", "of 10 classes"]),
+    ], ids=["side", "classes"])
 
     def _checkpoint_of_side(self, directory, side):
         directory.mkdir()
@@ -224,18 +233,20 @@ class TestExitCodes:
         M.save_checkpoint(path, mc, M.build_model(mc, 0))
         return path
 
-    def test_attack_on_checkpoint_of_other_shape_is_2(self, tmp_path, capsys):
-        ckpt = self._checkpoint_of_side(tmp_path / "ckpts", 16)
-        assert main(["attack", *desk_args(tmp_path), "--checkpoint", str(ckpt)]) == 2
+    @OTHER_SHAPES
+    def test_attack_on_checkpoint_of_other_shape_is_2(self, tmp_path, capsys, side, classes, named):
+        ckpt = self._checkpoint_of_side(tmp_path / "ckpts", side)
+        assert main(["attack", *desk_args(tmp_path, classes=classes), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert "(3, 16, 16)" in err and "(3, 8, 8)" in err
+        assert all(text in err for text in named)
         assert not list((tmp_path / "run").glob("*.pert"))
 
-    def test_eval_on_checkpoint_of_other_shape_is_2(self, tmp_path, capsys):
-        self._checkpoint_of_side(tmp_path / "ckpts", 16)
-        assert main(["eval", *desk_args(tmp_path), "--checkpoint-dir", str(tmp_path / "ckpts")]) == 2
+    @OTHER_SHAPES
+    def test_eval_on_checkpoint_of_other_shape_is_2(self, tmp_path, capsys, side, classes, named):
+        self._checkpoint_of_side(tmp_path / "ckpts", side)
+        assert main(["eval", *desk_args(tmp_path, classes=classes), "--checkpoint-dir", str(tmp_path / "ckpts")]) == 2
         err = capsys.readouterr().err
-        assert "(3, 16, 16)" in err and "(3, 8, 8)" in err
+        assert all(text in err for text in named)
         assert not (tmp_path / "run" / "eval.csv").exists()
 
 
@@ -265,6 +276,6 @@ class TestCorruptArtifacts:
     def test_corrupt_cifar_file_is_3(self, tmp_path, capsys, blob):
         path = tmp_path / "data_batch.bin"
         path.write_bytes(blob)
-        args = desk_args(tmp_path, **{"image-side": 32, "data": "cifar10", "data-path": str(path)})
+        args = desk_args(tmp_path, **{"image-side": 32, "classes": 10, "data": "cifar10", "data-path": str(path)})
         assert main(["train-sgd", *args]) == 3
         assert "i/o error" in capsys.readouterr().err

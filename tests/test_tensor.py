@@ -7,6 +7,7 @@ from advgame import tensor as T
 from advgame.tensor import (
     NonFiniteError,
     Tensor,
+    add,
     backward,
     batchnorm,
     clip,
@@ -259,6 +260,19 @@ class TestBackward:
         grads = backward(tensor_sum(Tensor([5.0])), wrt={"x": x})
         assert np.array_equal(grads["x"], [0.0, 0.0])
 
+    def test_unreached_wrt_gets_zeros_after_an_earlier_pass(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0], requires_grad=True)
+        backward(tensor_sum(mul(x, x)))
+        grads = backward(tensor_sum(mul(y, y)), wrt={"x": x, "y": y})
+        assert np.array_equal(grads["x"], [0.0, 0.0])
+        assert np.array_equal(grads["y"], [6.0])
+
+    @pytest.mark.parametrize("op", [add, mul])
+    def test_elementwise_ops_do_not_broadcast(self, op):
+        with pytest.raises(ValueError):
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):
@@ -268,7 +282,7 @@ class TestBackward:
         # f(x) = g(x) + g(x) must have gradient 2 g'(x)
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
         g = mul(x, x)
-        backward(tensor_sum(g + g))
+        backward(tensor_sum(add(g, g)))
         assert np.array_equal(x.grad, 4.0 * x.data)
 
     def test_two_layer_net_matches_finite_differences(self):
@@ -319,15 +333,18 @@ class TestGradcheckAllOps:
         weights = Tensor(rng.standard_normal((2, 3)))
         self.check(lambda x: tensor_sum(mul(dense(x, w, b), weights)), rng.standard_normal((2, 4)))
 
-    def test_conv_input_kernel_bias(self):
+    @pytest.mark.parametrize("stride,padding", [(2, "same"), (1, "same"), (1, "valid")])
+    def test_conv_input_kernel_bias(self, stride, padding):
+        # 5x5 with 2 channels takes the loop-path forward
         rng = np.random.default_rng(21)
         x0 = rng.standard_normal((2, 2, 5, 5))
         k0 = rng.standard_normal((3, 2, 3, 3))
         b0 = rng.standard_normal(3)
-        weights = Tensor(rng.standard_normal((2, 3, 3, 3)))
+        out_shape = conv2d(Tensor(x0), Tensor(k0), Tensor(b0), stride, padding).shape
+        weights = Tensor(rng.standard_normal(out_shape))
 
         def out_loss(x, k, b):
-            return tensor_sum(mul(conv2d(x, k, b, 2, "same"), weights))
+            return tensor_sum(mul(conv2d(x, k, b, stride, padding), weights))
 
         self.check(lambda x: out_loss(x, Tensor(k0), Tensor(b0)), x0)
         self.check(lambda k: out_loss(Tensor(x0), k, Tensor(b0)), k0)
