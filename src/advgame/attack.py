@@ -137,14 +137,7 @@ def patch_objective(
     big = np.concatenate([batch] * s, axis=0)
     big_labels = np.concatenate([labels] * s)
     adv = overlay_patch_op(big, patch, config.chi, placements)
-    objective = None
-    if config.lam < 1.0:
-        objective = T.mul(pool_expected_loss(pool, adv, big_labels), 1.0 - config.lam)
-    if config.lam > 0.0:
-        t = np.full(len(big_labels), config.target_class, dtype=np.int64)
-        term = T.mul(pool_expected_loss(pool, adv, t), -config.lam)
-        objective = term if objective is None else T.add(objective, term)
-    return objective
+    return pool_expected_loss(pool, adv, big_labels, config.target_class, config.lam)
 
 
 def patch_step(

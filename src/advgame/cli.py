@@ -198,8 +198,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("fp_mode must be 'approximate' or 'exact'")
     if cfg.patch_target_class >= cfg.classes:
         raise ConfigError(f"patch_target_class {cfg.patch_target_class} is not one of the {cfg.classes} classes")
-    if cfg.data == "synthetic" and cfg.batch_size > cfg.classes * cfg.per_class:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {cfg.classes * cfg.per_class} training images")
     try:
         if cfg.data == "cifar10":
             build_model_config(cfg).check_input_shape(D.CIFAR_SHAPE, D.CIFAR_CLASSES)
@@ -303,7 +301,6 @@ def build_train_config(cfg: ExperimentConfig) -> TR.TrainConfig:
 
 
 def _prepare_run(cfg: ExperimentConfig):
-    T.set_default_dtype(np.float32 if cfg.precision == "float32" else np.float64)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out_dir)
@@ -311,9 +308,10 @@ def _prepare_run(cfg: ExperimentConfig):
 
 
 def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
+    train_ds = load_splits(cfg)["train"]
+    if cfg.batch_size > len(train_ds):
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(train_ds)} training images")
     out_dir = _prepare_run(cfg)
-    splits = load_splits(cfg)
-    train_ds = splits["train"]
     model_cfg = build_model_config(cfg)
     tcfg = build_train_config(cfg)
 
@@ -337,11 +335,11 @@ def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
 
 
 def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> int:
-    out_dir = _prepare_run(cfg)
     model_cfg, params = M.load_checkpoint(checkpoint)
     splits = load_splits(cfg)
     train_ds = splits["train"]
     model_cfg.check_input_shape(train_ds.image_shape, train_ds.num_classes)
+    out_dir = _prepare_run(cfg)
     pool = M.single_pool(model_cfg, params)
     rng = np.random.default_rng((cfg.seed, 8))
     attack_cfg = build_attack_config(cfg)
@@ -363,9 +361,9 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint_dir: str | None) -> int:
+    splits = load_splits(cfg)
     out_dir = _prepare_run(cfg)
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else out_dir
-    splits = load_splits(cfg)
     attack_cfg = build_attack_config(cfg, iterations=cfg.eval_attack_iterations)
     rows = E.evaluate_checkpoint_series(ckpt_dir, splits, attack_cfg, seed=cfg.seed,
                                         sample_size=cfg.eval_sample_size)
@@ -460,6 +458,8 @@ def main(argv=None) -> int:
         if args.command == "matrix-demo":
             return run_matrix_demo(args.game, args.iters)
         cfg = parse_config(args.config, _collect_overrides(args))
+        # every data and checkpoint loader reads the default dtype
+        T.set_default_dtype(np.float32 if cfg.precision == "float32" else np.float64)
         if args.command.startswith("train-"):
             return run_training(cfg, args.command.removeprefix("train-"))
         if args.command == "attack":

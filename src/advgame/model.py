@@ -276,17 +276,27 @@ def _member_logits(pool: ClassifierPool, batch):
     return (forward(m.config, m.params, x, "infer") for m in pool)
 
 
-def pool_expected_loss(pool: ClassifierPool, batch, labels) -> Tensor:
+def pool_expected_loss(pool: ClassifierPool, batch, labels, target: int | None = None, lam: float = 0.0) -> Tensor:
     """Average cross-entropy over the pool members, differentiable in the batch.
 
     Equals the expected loss of a classifier drawn uniformly from the pool,
-    which is exactly the objective the perturbation player maximizes.
+    which is exactly the objective the perturbation player maximizes.  At
+    ``lam`` > 0 it is ``(1 - lam) * loss(labels) - lam * loss(target)``
+    instead, the fixed-class patch objective; both cross-entropies read one
+    forward per member.
     """
-    losses = [T.softmax_cross_entropy(logits, labels) for logits in _member_logits(pool, batch)]
-    total = losses[0]
-    for term in losses[1:]:
-        total = T.add(total, term)
-    return T.mul(total, 1.0 / len(pool))
+    logits = list(_member_logits(pool, batch))
+
+    def expected(y):
+        total = T.softmax_cross_entropy(logits[0], y)
+        for member in logits[1:]:
+            total = T.add(total, T.softmax_cross_entropy(member, y))
+        return T.mul(total, 1.0 / len(pool))
+
+    if lam == 0.0:
+        return expected(labels)
+    term = T.mul(expected(np.full(len(labels), target, dtype=np.int64)), -lam)
+    return term if lam == 1.0 else T.add(T.mul(expected(labels), 1.0 - lam), term)
 
 
 def pool_probabilities(pool: ClassifierPool, batch) -> np.ndarray:

@@ -262,7 +262,8 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     For small spatial inputs the forward's accumulation order over
     (c, ky, kx) is fixed, so the result is bit-identical to a nested-loop
     evaluation in the same order; larger inputs take an im2col/GEMM forward.
-    Both share one im2col/GEMM backward.
+    Both share one im2col/GEMM backward.  One zero-padded channel-last copy
+    of the input, [B, H+2p, W+2p, C], serves both im2col and col2im.
     """
     inp, kernel, bias = _as_tensor(inp), _as_tensor(kernel), _as_tensor(bias)
     if stride < 1:
@@ -282,20 +283,19 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     Ho = (H + 2 * pad - k) // stride + 1
     Wo = (W + 2 * pad - k) // stride + 1
 
-    x = inp.data
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    x = np.zeros((B, H + 2 * pad, W + 2 * pad, C), dtype=inp.data.dtype)
+    x[:, pad : pad + H, pad : pad + W] = inp.data.transpose(0, 2, 3, 1)
 
-    def im2col():  # one row per output pixel (b, ho, wo), columns in (c, ky, kx) order
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-        return windows.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * k * k)
+    def im2col():  # rows (b, ho, wo), columns (c, ky, kx): the order of the buffer's window view
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+        return windows.reshape(B * Ho * Wo, C * k * k)
 
     if H * W <= _CONV_LOOP_MAX_HW and C <= _CONV_LOOP_MAX_C:
         out = np.zeros((B, F, Ho, Wo), dtype=x.dtype)
         for c in range(C):
             for ky in range(k):
                 for kx in range(k):
-                    patch = x[:, c, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride]
+                    patch = x[:, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride, c]
                     out += patch[:, None] * kernel.data[None, :, c, ky, kx, None, None]
         out = out + bias.data[None, :, None, None]
         cols = None
@@ -312,15 +312,13 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
             gk = g2.T @ (im2col() if cols is None else cols)
             _accumulate(kernel, gk.reshape(F, C, k, k))
         if inp.requires_grad:
+            # col2im: each window's gradient adds back where it was read, in (ky, kx) order
             gcols = (g2 @ kernel.data.reshape(F, -1)).reshape(B, Ho, Wo, C, k, k)
-            gcols = gcols.transpose(0, 3, 1, 2, 4, 5)
             gx = np.zeros_like(x)
             for ky in range(k):
                 for kx in range(k):
-                    gx[:, :, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride] += gcols[..., ky, kx]
-            if pad:
-                gx = gx[:, :, pad : pad + H, pad : pad + W]
-            _accumulate(inp, gx)
+                    gx[:, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride] += gcols[..., ky, kx]
+            _accumulate(inp, gx[:, pad : pad + H, pad : pad + W].transpose(0, 3, 1, 2))
 
     return _node(out, (inp, kernel, bias), bwd)
 
@@ -432,7 +430,8 @@ def sgd_momentum_step(
     """One SGD step with momentum and L2 regularization, in place.
 
     v <- momentum * v + (grad + weight_decay * param); param <- param - lr * v.
-    Parameters missing from ``grads`` are left untouched.
+    Parameters missing from ``grads`` are left untouched; ``velocity`` is
+    updated in place, ``grads`` only read, with the formula's exact bits.
     """
     if lr < 0:
         raise ValueError("lr must be nonnegative")
@@ -443,12 +442,15 @@ def sgd_momentum_step(
             raise ValueError(f"grad shape {g.shape} != param shape {p.shape} for {name!r}")
         v = velocity.get(name)
         if v is None:
-            v = np.zeros_like(p.data)
+            v = velocity[name] = np.zeros_like(p.data)
         elif v.shape != p.shape:
             raise ValueError(f"velocity shape {v.shape} != param shape {p.shape} for {name!r}")
-        v = momentum * v + (g + weight_decay * p.data)
-        velocity[name] = v
-        p.data[...] = p.data - lr * v
+        step = weight_decay * p.data
+        step += g
+        v *= momentum
+        v += step
+        np.multiply(v, lr, out=step)
+        p.data -= step
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -187,6 +187,28 @@ class TestPatchStep:
                 break
         assert decreased
 
+    def test_targeted_step_runs_one_forward_per_member(self, desk, monkeypatch):
+        cfg, params, dataset, config, placements = self._setup(desk, lam=0.5, target_class=3)
+        pool = ClassifierPool([ClassifierSnapshot.freeze(i, cfg, params) for i in range(2)])
+        batch, labels = dataset.images[:4], dataset.labels[:4]
+        spec = D.gray_patch(3, 8, config.chi, config.theta_max)
+        forwards = []
+        real_forward = M.forward
+
+        def counted(*args, **kwargs):
+            forwards.append(1)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(M, "forward", counted)
+        patch_step(spec.xi, pool, batch, labels, config, placements, spec.mask)
+        assert len(forwards) == 2
+        # the value is still (1 - lambda) * loss(labels) - lambda * loss(target)
+        got = patch_objective(pool, Tensor(spec.xi), batch, labels, config, placements).item()
+        adv = D.overlay_patch_op(np.concatenate([batch] * 2), Tensor(spec.xi), config.chi, placements)
+        true_loss = M.pool_expected_loss(pool, adv, np.concatenate([labels] * 2)).item()
+        target_loss = M.pool_expected_loss(pool, adv, np.full(8, 3)).item()
+        assert got == 0.5 * true_loss - 0.5 * target_loss
+
     def test_pixels_stay_in_range_many_steps(self, desk):
         cfg, params, dataset, config, _ = self._setup(desk, alpha=5.0)
         spec = D.gray_patch(3, 8, config.chi, config.theta_max)

@@ -220,6 +220,15 @@ class TestExitCodes:
         assert main(["train-fp", *desk_args(tmp_path), *extra]) == 2
         assert not (tmp_path / "run" / "config.txt").exists()
 
+    def test_cifar_set_smaller_than_batch_is_2_before_any_write(self, tmp_path, capsys):
+        path = tmp_path / "data_batch.bin"
+        path.write_bytes(b"".join(bytes([i % 10]) + bytes(3072) for i in range(40)))
+        args = desk_args(tmp_path, **{"image-side": 32, "classes": 10, "data": "cifar10", "data-path": str(path),
+                                      "batch-size": 64})
+        assert main(["train-sgd", *args]) == 2
+        assert "batch_size 64 exceeds the 40 training images" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "config.txt").exists()
+
     # a 3-class checkpoint of the given side against 8 px data of the given class count
     OTHER_SHAPES = pytest.mark.parametrize("side,classes,named", [
         (16, 3, ["(3, 16, 16)", "(3, 8, 8)"]),

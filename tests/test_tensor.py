@@ -139,6 +139,63 @@ class TestConv2d:
             conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))), Tensor([0.0]), 1, "valid")
 
 
+def conv2d_nchw_reference(x, kernel, bias, stride, padding, g):
+    """conv2d as the engine computed it on an NCHW buffer: ``np.pad``, an NCHW
+    im2col and a strided NCHW col2im scatter.  Returns the forward output and,
+    for the upstream gradient ``g``, the kernel and input gradients."""
+    B, C, H, W = x.shape
+    F, _, k, _ = kernel.shape
+    pad = 0 if padding == "valid" else (k - 1) // 2
+    Ho = (H + 2 * pad - k) // stride + 1
+    Wo = (W + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * k * k)
+    if H * W <= 64 and C <= 3:
+        out = np.zeros((B, F, Ho, Wo), dtype=xp.dtype)
+        for c in range(C):
+            for ky in range(k):
+                for kx in range(k):
+                    patch = xp[:, c, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride]
+                    out += patch[:, None] * kernel[None, :, c, ky, kx, None, None]
+        out = out + bias[None, :, None, None]
+    else:
+        flat = cols @ kernel.reshape(F, -1).T
+        out = flat.reshape(B, Ho, Wo, F).transpose(0, 3, 1, 2) + bias[None, :, None, None]
+    g2 = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, F)
+    gk = (g2.T @ cols).reshape(F, C, k, k)
+    gcols = (g2 @ kernel.reshape(F, -1)).reshape(B, Ho, Wo, C, k, k).transpose(0, 3, 1, 2, 4, 5)
+    gx = np.zeros_like(xp)
+    for ky in range(k):
+        for kx in range(k):
+            gx[:, :, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride] += gcols[..., ky, kx]
+    return out, gk, gx[:, :, pad : pad + H, pad : pad + W]
+
+
+class TestConv2dBits:
+    """The channel-last buffer gives the NCHW reference's bits on both paths."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 3, 12, 12), (2, 8, 8, 8)],
+                             ids=["loop-C3", "gemm-C3", "gemm-C8"])
+    def test_equals_nchw_reference(self, shape, stride, padding, dtype):
+        rng = np.random.default_rng(17)
+        x0 = rng.standard_normal(shape).astype(dtype)
+        k0 = rng.standard_normal((5, shape[1], 3, 3)).astype(dtype)
+        b0 = rng.standard_normal(5).astype(dtype)
+        x, k, b = (Tensor(a, requires_grad=True) for a in (x0, k0, b0))
+        y = conv2d(x, k, b, stride, padding)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        backward(tensor_sum(mul(y, Tensor(g))))
+        out, gk, gx = conv2d_nchw_reference(x0, k0, b0, stride, padding, g)
+        assert y.data.dtype == x.grad.dtype == k.grad.dtype == dtype
+        assert np.array_equal(y.data, out)
+        assert np.array_equal(k.grad, gk)
+        assert np.array_equal(x.grad, gx)
+
+
 class TestRelu:
     def test_forward(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
@@ -404,6 +461,22 @@ class TestSgdMomentum:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sgd_momentum_step(self._param([1.0]), {"p": np.zeros(2)}, {}, lr=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_formula_bitwise_and_leaves_grads(self, dtype):
+        rng = np.random.default_rng(4)
+        p_ref = rng.standard_normal((3, 4)).astype(dtype)
+        v_ref = np.zeros_like(p_ref)
+        params, velocity = {"p": Tensor(p_ref.copy(), requires_grad=True)}, {}
+        for _ in range(3):
+            g = rng.standard_normal(p_ref.shape).astype(dtype)
+            grads = {"p": g.copy()}
+            sgd_momentum_step(params, grads, velocity, lr=0.05, momentum=0.9, weight_decay=5e-4)
+            v_ref = 0.9 * v_ref + (g + 5e-4 * p_ref)
+            p_ref = p_ref - 0.05 * v_ref
+            assert np.array_equal(grads["p"], g)
+            assert np.array_equal(velocity["p"], v_ref) and np.array_equal(params["p"].data, p_ref)
+            assert params["p"].data.dtype == velocity["p"].dtype == dtype
 
 
 class TestFiniteDifference:
