@@ -1,19 +1,22 @@
 """Experiment runner: flat key=value configs, subcommands, artifact I/O.
 
-Exit codes: 0 success; 2 config error (before any write), or a model or
-checkpoint whose input shape is not the data's; 3 I/O error (including a
-corrupt, truncated or padded checkpoint, perturbation or CIFAR-10 file);
-4 numeric failure.
+Exit codes: 0 success; 2 config error (before any write), a model or
+checkpoint whose input shape is not the data's, or a perturbation PPM cannot
+hold; 3 I/O error (a missing, corrupt, truncated or padded checkpoint,
+perturbation or CIFAR-10 file, or an unnumbered checkpoint); 4 numeric
+failure.  Training writes each outer iteration as it ends, in ``on_outer``:
+its checkpoint, its ``.pert`` (``train-fp``) and ``metrics.csv`` so far; so
+after exit 4 at iteration k the run directory holds iterations 1..k-1.
 The ``ADVGAME_OUTPUT_DIR`` environment variable overrides ``output_dir``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -314,22 +317,19 @@ def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
     out_dir = _prepare_run(cfg)
     model_cfg = build_model_config(cfg)
     tcfg = build_train_config(cfg)
+    rows = []
 
     def on_outer(n, params, row):
         M.save_checkpoint(out_dir / f"checkpoint_{n:04d}.ckpt", model_cfg, params)
+        if algorithm == "fp":
+            A.save_perturbation(out_dir / f"perturbation_{n:04d}.pert", row.spec)
+        rows.append(row)
+        E.write_csv(out_dir / "metrics.csv", rows, timing=cfg.csv_timing)
         print(f"iter {n}: clean {row.clean_acc:.3f} adv {row.adv_acc:.3f}")
 
-    if algorithm == "fp":
-        state, report = TR.fp_train(model_cfg, train_ds, tcfg, mode=cfg.fp_mode, on_outer=on_outer)
-        for i, spec in enumerate(state.perturbation_pool, start=1):
-            A.save_perturbation(out_dir / f"perturbation_{i:04d}.pert", spec)
-    elif algorithm == "at":
-        _, report = TR.at_train(model_cfg, train_ds, tcfg, on_outer=on_outer)
-    elif algorithm == "sgd":
-        _, report = TR.sgd_train(model_cfg, train_ds, tcfg, on_outer=on_outer)
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    E.write_csv(out_dir / "metrics.csv", report, timing=cfg.csv_timing)
+    # looked up per call, so that a wrapped trainer is the one that runs
+    trainers = {"fp": partial(TR.fp_train, mode=cfg.fp_mode), "at": TR.at_train, "sgd": TR.sgd_train}
+    trainers[algorithm](model_cfg, train_ds, tcfg, on_outer=on_outer)
     print(f"wrote {out_dir / 'metrics.csv'}")
     return 0
 
@@ -386,6 +386,8 @@ def run_matrix_demo(game_name: str, iterations: int) -> int:
     games = {"rps": TR.ROCK_PAPER_SCISSORS, "pennies": TR.MATCHING_PENNIES}
     if game_name not in games:
         raise ConfigError(f"unknown game {game_name!r}; choices: {sorted(games)}")
+    if iterations < 1:
+        raise ConfigError(f"--iters must be >= 1, got {iterations}")
     game = games[game_name]
     p, q, trace = TR.fp_matrix_game(game, iterations)
     print("row strategy:", " ".join(f"{v:.4f}" for v in p))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .model import CorruptFileError
+from .model import CorruptFileError, InputShapeError
 from .tensor import Tensor
 
 CIFAR_SHAPE = (3, 32, 32)
@@ -66,15 +66,6 @@ def load_cifar10(path, split: str = "train") -> Dataset:
         raise CorruptFileError(f"{path}: label byte {labels.max()} out of range")
     images = raw[:, 1:].reshape(n, *CIFAR_SHAPE).astype(T.get_default_dtype()) / 255.0
     return Dataset(images, labels, CIFAR_CLASSES, split)
-
-
-def cifar10_bytes(dataset: Dataset) -> bytes:
-    """Inverse of :func:`load_cifar10` for datasets whose pixels came from bytes."""
-    n = len(dataset)
-    raw = np.empty((n, _CIFAR_RECORD), dtype=np.uint8)
-    raw[:, 0] = dataset.labels
-    raw[:, 1:] = np.round(dataset.images * 255.0).reshape(n, -1)
-    return raw.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +176,6 @@ class PerturbationSpec:
     @property
     def patch_side(self) -> int:
         return self.xi.shape[1]
-
-    def storage_bytes(self) -> int:
-        n = self.xi.nbytes
-        if self.mask is not None:
-            n += self.mask.nbytes
-        return n
-
-
-def zero_universal(image_shape: tuple[int, int, int], epsilon: float) -> PerturbationSpec:
-    return PerturbationSpec("universal", np.zeros(image_shape, dtype=T.get_default_dtype()), epsilon=epsilon)
 
 
 def gray_patch(channels: int, side: int, chi: float, theta_max: float) -> PerturbationSpec:
@@ -339,9 +320,6 @@ class PerturbedView:
     def labels(self) -> np.ndarray:
         return self.base.labels
 
-    def storage_bytes(self) -> int:
-        return self.spec.storage_bytes() if self.spec is not None else 0
-
     def materialize(self, indices, draw: int = 0) -> np.ndarray:
         indices = np.asarray(indices)
         if indices.size and (indices.min() < 0 or indices.max() >= len(self.base)):
@@ -393,14 +371,6 @@ class BatchSampler:
         return out
 
 
-def sample_batch(source, size: int, sampler: BatchSampler, draw: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Next batch of (images, labels) from a Dataset or PerturbedView."""
-    indices = sampler.next_indices(size)
-    if isinstance(source, PerturbedView):
-        return source.materialize(indices, draw=draw), source.labels[indices]
-    return source.images[indices], source.labels[indices]
-
-
 # ---------------------------------------------------------------------------
 # PPM export
 # ---------------------------------------------------------------------------
@@ -420,11 +390,12 @@ def to_ppm_bytes(spec: PerturbationSpec) -> bytes:
     if c == 1:
         img = np.repeat(img, 3, axis=0)
     elif c != 3:
-        raise ValueError(f"cannot export {c}-channel image as PPM")
+        raise InputShapeError(f"cannot export a {c}-channel perturbation as PPM (needs 1 or 3 channels)")
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     return header + img.transpose(1, 2, 0).tobytes()
 
 
 def export_ppm(spec: PerturbationSpec, path) -> None:
+    blob = to_ppm_bytes(spec)  # rendered first, so a spec PPM cannot hold leaves no file
     with open(path, "wb") as fh:
-        fh.write(to_ppm_bytes(spec))
+        fh.write(blob)

@@ -16,11 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import attack as A
-from . import data as D
 from . import model as M
 from .attack import PatchAttackConfig, UniversalAttackConfig
 from .data import Dataset, PerturbationSpec, PerturbedView
-from .model import ClassifierPool, load_checkpoint, single_pool
+from .model import ClassifierPool, CorruptFileError, load_checkpoint, single_pool
 
 CSV_HEADER = "iter,split,clean_acc,adv_acc,attack,seconds"
 SPLIT_ORDER = ("train", "valid", "test")
@@ -30,16 +29,22 @@ _PREDICT_CHUNK = 256
 
 @dataclass(frozen=True)
 class MetricsRow:
+    """One outer iteration's record (or one checkpoint's on one split); ``spec``
+    is the perturbation ``adv_acc`` was scored under, None for no attack."""
     iteration: int
     split: str
     clean_acc: float
     adv_acc: float
-    attack: str
+    spec: PerturbationSpec | None
     seconds: float
 
     def __post_init__(self):
         if not (0.0 <= self.clean_acc <= 1.0 and 0.0 <= self.adv_acc <= 1.0):
             raise ValueError("accuracies must lie in [0, 1]")
+
+    @property
+    def attack(self) -> str:
+        return "none" if self.spec is None else self.spec.kind
 
 
 def format_rows(rows, timing: str = "zero") -> str:
@@ -119,13 +124,6 @@ def craft_attack(pool: ClassifierPool, dataset: Dataset, attack_config, rng) -> 
     raise TypeError(f"unsupported attack config {type(attack_config).__name__}")
 
 
-def checkpoint_files(checkpoint_dir) -> list[Path]:
-    files = sorted(Path(checkpoint_dir).glob("checkpoint_*.ckpt"))
-    if not files:
-        raise FileNotFoundError(f"no checkpoint_*.ckpt files in {checkpoint_dir}")
-    return files
-
-
 def evaluate_checkpoint_series(
     checkpoint_dir,
     splits: dict[str, Dataset],
@@ -133,12 +131,16 @@ def evaluate_checkpoint_series(
     seed: int = 0,
     sample_size: int | None = 2000,
 ) -> list[MetricsRow]:
-    """One row per checkpoint per split; a fresh perturbation is crafted per
-
-    checkpoint on the train split and applied to every split."""
+    """One row per numbered checkpoint per split; a fresh perturbation is crafted
+    per checkpoint on the train split and applied to every split."""
+    files = sorted(Path(checkpoint_dir).glob("checkpoint_*.ckpt"))
+    if not files:
+        raise FileNotFoundError(f"no checkpoint_*.ckpt files in {checkpoint_dir}")
+    if bad := [str(p) for p in files if not p.stem.removeprefix("checkpoint_").isdecimal()]:
+        raise CorruptFileError(f"checkpoint names without an iteration number: {', '.join(bad)}")
     rows = []
-    for path in checkpoint_files(checkpoint_dir):
-        iteration = int(path.stem.split("_")[-1])
+    for path in files:
+        iteration = int(path.stem.removeprefix("checkpoint_"))
         config, params = load_checkpoint(path)
         config.check_input_shape(splits["train"].image_shape, splits["train"].num_classes)
         pool = single_pool(config, params)
@@ -152,5 +154,5 @@ def evaluate_checkpoint_series(
             sub_rng = np.random.default_rng((seed, 6, iteration, SPLIT_ORDER.index(split)))
             clean = accuracy(pool, ds, sample_size, sub_rng)
             adv = perturbed_accuracy(pool, ds, spec, sample_size, sub_rng, placement_seed=iteration)
-            rows.append(MetricsRow(iteration, split, clean, adv, spec.kind, time.perf_counter() - t0))
+            rows.append(MetricsRow(iteration, split, clean, adv, spec, time.perf_counter() - t0))
     return rows

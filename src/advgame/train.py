@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import attack as A
-from . import data as D
 from . import evaluation as E
 from . import model as M
 from . import tensor as T
@@ -82,10 +81,6 @@ class FPState:
     classifier_pool: ClassifierPool | None = None
     weighting: str = "literal"
 
-    @property
-    def perturbation_pool(self) -> list[D.PerturbationSpec]:
-        return [v.spec for v in self.views[1:]]
-
 
 def dataset_weights(n: int, mode: str = "literal") -> np.ndarray:
     """Per-dataset weights for the mixture loss over datasets 0..n-1.
@@ -113,7 +108,7 @@ def dataset_weights(n: int, mode: str = "literal") -> np.ndarray:
     return weights / (n + 1)
 
 
-def classifier_pool_loss(state: FPState, indices: np.ndarray, draw: int = 0, mode: str = "train") -> Tensor:
+def classifier_pool_loss(state: FPState, indices: np.ndarray, draw: int = 0) -> Tensor:
     """Weighted loss of the current classifier over every pooled dataset view.
 
     One index batch is materialized under each view and the per-view
@@ -124,7 +119,7 @@ def classifier_pool_loss(state: FPState, indices: np.ndarray, draw: int = 0, mod
     total = None
     for view, w in zip(state.views, weights):
         batch = view.materialize(indices, draw=draw)
-        ce = T.softmax_cross_entropy(M.forward(state.config, state.params, batch, mode), labels)
+        ce = T.softmax_cross_entropy(M.forward(state.config, state.params, batch, "train"), labels)
         term = T.mul(ce, float(w))
         total = term if total is None else T.add(total, term)
     return total
@@ -149,6 +144,9 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
     snapshots taken at the start and after each iteration's inner steps.
     Every other attack, and all scoring, target the live classifier as a
     pool of one (:func:`~advgame.model.single_pool`) built up front.
+    ``on_outer(n, params, row)`` ends each iteration and is the only exit for
+    its outputs; ``row.spec`` is what ``adv_acc`` scored (in the game, the new
+    pool entry).  A ``TrainingError`` at iteration k skips its ``on_outer``.
     """
     params = M.build_model(model_config, cfg.seed)
     state = FPState(model_config, params, [clean_view(dataset)], weighting=cfg.weighting)
@@ -186,8 +184,7 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
         clean = E.accuracy(classifier, dataset, cfg.eval_sample_size, eval_rng)
         adv = clean if spec is None else E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size,
                                                               eval_rng, placement_seed=n)
-        kind = "none" if spec is None else spec.kind
-        row = MetricsRow(n, dataset.split, clean, adv, kind, time.perf_counter() - t0)
+        row = MetricsRow(n, dataset.split, clean, adv, spec, time.perf_counter() - t0)
         report.append(row)
         if on_outer is not None:
             on_outer(n, params, row)
@@ -237,14 +234,9 @@ def at_train(
     cfg: TrainConfig,
     on_step=None,
     on_outer=None,
-    margin_log: list | None = None,
 ) -> tuple[dict[str, Tensor], list[MetricsRow]]:
     """Adversarial training: per-batch PGD examples against the current
-    classifier, descending on the half clean, half adversarial loss.
-
-    ``margin_log``, when given, records per step whether the adversarial
-    loss term was at least the clean term.
-    """
+    classifier, descending on the half clean, half adversarial loss."""
     if cfg.pgd is None:
         raise ValueError("at_train needs a pgd config")
     pgd_rng = np.random.default_rng((cfg.seed, 2))
@@ -254,8 +246,6 @@ def at_train(
         adv = A.pgd_per_sample(M.single_pool(model_config, state.params), x, y, cfg.pgd, pgd_rng)
         ce_clean = T.softmax_cross_entropy(M.forward(model_config, state.params, x, "train"), y)
         ce_adv = T.softmax_cross_entropy(M.forward(model_config, state.params, adv, "train"), y)
-        if margin_log is not None:
-            margin_log.append(ce_adv.item() >= ce_clean.item())
         return T.add(T.mul(ce_clean, 0.5), T.mul(ce_adv, 0.5))
 
     state, report = _play(model_config, dataset, cfg, half_adversarial_loss, cfg.eval_attack(), 7, None,

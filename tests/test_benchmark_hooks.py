@@ -4,8 +4,10 @@
 look them up (``attack`` imports ``pool_expected_loss`` and
 ``overlay_patch_op`` by name; ``cli`` calls ``train.fp_train`` through the
 module) and then checks exact forward counts per inner and attack step.
-A tiny game in each mode runs through it here, so renaming or inlining one
-of those names fails a test instead of the benchmark.  Likewise one entry
+A tiny game in each mode, and tiny plain SGD, run through it here, and the
+run directory passes the benchmark's own artifact check, so renaming or
+inlining one of those names, or losing an iteration's output, fails a test
+instead of the benchmark.  Likewise one entry
 of each op kind in ``perfbench/opbench.py``'s op table is timed through the
 ``advgame.tensor`` API it calls.
 """
@@ -28,27 +30,34 @@ PERFBENCH = ROOT / "perfbench"
 SRC = Path(advgame.__file__).resolve().parent.parent
 
 TINY_GAME = dict(per_class=6, outer_iterations=2, inner_steps=2, batch_size=8,
-                 attack_iterations=2, attack_batch_size=8, eval_sample_size=20)
+                 attack_iterations=2, eval_attack_iterations=2, attack_batch_size=8, eval_sample_size=20)
 
 
-@pytest.mark.parametrize("base", ["fp-universal", "fp-exact-patch"])
-def test_traced_child_counts(base, tmp_path, monkeypatch):
+@pytest.mark.parametrize("base,command", [
+    ("fp-universal", "train-fp"), ("fp-exact-patch", "train-fp"), ("fp-universal", "train-sgd"),
+], ids=["fp-universal", "fp-exact-patch", "fp-universal-sgd"])
+def test_traced_child_counts(base, command, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
     from layers import check_counts
     from workloads import WORKLOADS
 
     w = WORKLOADS[base]
-    w = dataclasses.replace(w, config={**w.config, **TINY_GAME})
-    trace = tmp_path / "trace.json"
+    w = dataclasses.replace(w, command=command, config={**w.config, **TINY_GAME})
+    trace, run_dir = tmp_path / "trace.json", tmp_path / "run"
     cmd = [sys.executable, str(PERFBENCH / "child.py"), "--src", str(SRC),
-           "--entry", str(tmp_path / "entry.txt"), "--trace", str(trace),
-           "--", *w.cli_args(1, str(tmp_path / "run"))]
+           "--entry", str(run_dir / "entry.txt"), "--trace", str(trace),
+           "--", *w.cli_args(1, str(run_dir))]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(trace.read_text())["spans"]
     assert check_counts(w, spans) == []
     assert any(s[0] == "model.pool_expected_loss" for s in spans)
+    assert any(s[0] == f"train.{command.removeprefix('train-')}_train" for s in spans)
+    child = run.Child(1, run_dir)
+    run.check_outputs(w, child)
+    assert child.problems == []
 
 
 def test_opbench_times_one_entry_of_each_op(monkeypatch):

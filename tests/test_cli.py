@@ -10,6 +10,7 @@ import advgame
 from advgame import attack as A
 from advgame import cli as C
 from advgame import data as D
+from advgame import evaluation as E
 from advgame import model as M
 from advgame.cli import ConfigError, ExperimentConfig, main, parse_config
 
@@ -107,6 +108,12 @@ class TestMatrixDemo:
     def test_unknown_game_exits_2(self, capsys):
         assert main(["matrix-demo", "--game", "chess"]) == 2
 
+    @pytest.mark.parametrize("iters", ["0", "-1"])
+    def test_nonpositive_iters_exits_2_before_output(self, capsys, iters):
+        assert main(["matrix-demo", "--iters", iters]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ")
+
 
 class TestTrainEvalPipeline:
     def test_sgd_then_eval_row_counts(self, tmp_path, capsys):
@@ -187,6 +194,41 @@ class TestExitCodes:
 
     def test_eval_without_checkpoints_is_3(self, tmp_path, capsys):
         assert main(["eval", *desk_args(tmp_path), "--checkpoint-dir", str(tmp_path)]) == 3
+
+    def test_eval_on_unnumbered_checkpoint_is_3(self, tmp_path, capsys):
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        mc = M.tiny_config(side=8, num_classes=3)
+        for name in ("checkpoint_0001.ckpt", "checkpoint_best.ckpt"):
+            M.save_checkpoint(ckpts / name, mc, M.build_model(mc, 0))
+        assert main(["eval", *desk_args(tmp_path), "--checkpoint-dir", str(ckpts)]) == 3
+        assert "checkpoint_best.ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "eval.csv").exists()
+
+    def test_export_ppm_of_two_channel_perturbation_is_2_without_file(self, tmp_path, capsys):
+        pert, ppm = tmp_path / "two.pert", tmp_path / "out.ppm"
+        A.save_perturbation(pert, D.PerturbationSpec("universal", np.zeros((2, 4, 4)), epsilon=0.1))
+        assert main(["export-ppm", "--in", str(pert), "--out", str(ppm)]) == 2
+        assert "2-channel" in capsys.readouterr().err
+        assert not ppm.exists()
+
+    def test_numeric_failure_keeps_finished_iterations(self, tmp_path, capsys, monkeypatch):
+        craft, calls = E.craft_attack, []
+
+        def failing_second_call(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("overflow in the attack")
+            return craft(*args)
+
+        monkeypatch.setattr(E, "craft_attack", failing_second_call)
+        assert main(["train-fp", *desk_args(tmp_path, **{"outer-iterations": 3})]) == 4
+        run = tmp_path / "run"
+        assert (run / "checkpoint_0001.ckpt").exists() and (run / "perturbation_0001.pert").exists()
+        assert not list(run.glob("*_0002.*"))
+        metrics = (run / "metrics.csv").read_text().splitlines()
+        assert metrics[0] == "iter,split,clean_acc,adv_acc,attack,seconds"
+        assert [line.split(",")[:2] for line in metrics[1:]] == [["1", "train"]]
 
     def test_console_script_runs(self, tmp_path):
         src = str(Path(advgame.__file__).resolve().parent.parent)
@@ -273,7 +315,7 @@ class TestCorruptArtifacts:
     def test_truncated_or_padded_perturbation_is_3(self, tmp_path, capsys):
         good, bad = tmp_path / "good.pert", tmp_path / "bad.pert"
         args = ["export-ppm", "--in", str(bad), "--out", str(tmp_path / "out.ppm")]
-        for spec in (D.zero_universal((1, 2, 2), 0.1), D.gray_patch(1, 4, 0.5, 0.0)):
+        for spec in (D.PerturbationSpec("universal", np.zeros((1, 2, 2)), epsilon=0.1), D.gray_patch(1, 4, 0.5, 0.0)):
             A.save_perturbation(good, spec)
             blob = good.read_bytes()
             for broken in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:

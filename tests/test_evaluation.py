@@ -100,28 +100,29 @@ class TestAdvAccuracy:
     def test_target_class_rate_for_constant_model(self):
         cfg, params = constant_classifier()
         ds = onehot_dataset()
-        spec = D.zero_universal(ds.image_shape, 0.1)
+        spec = D.PerturbationSpec("universal", np.zeros(ds.image_shape), epsilon=0.1)
         assert target_class_rate(single_pool(cfg, params), ds, spec, target_class=0) == 1.0
         assert target_class_rate(single_pool(cfg, params), ds, spec, target_class=1) == 0.0
 
 
 class TestCsv:
     def test_format(self):
-        rows = [MetricsRow(1, "train", 0.5, 0.25, "universal", 1.23456789)]
+        rows = [MetricsRow(1, "train", 0.5, 0.25, D.PerturbationSpec("universal", np.zeros((1, 2, 2)), epsilon=0.1),
+                           1.23456789)]
         text = format_rows(rows, timing="zero")
         assert text == "iter,split,clean_acc,adv_acc,attack,seconds\n1,train,0.500000,0.250000,universal,0.000000\n"
 
     def test_real_timing_mode(self):
-        rows = [MetricsRow(1, "test", 1.0, 1.0, "none", 2.0)]
+        rows = [MetricsRow(1, "test", 1.0, 1.0, None, 2.0)]
         assert "2.000000" in format_rows(rows, timing="real")
 
     def test_accuracy_range_validated(self):
         with pytest.raises(ValueError):
-            MetricsRow(0, "train", 1.5, 0.0, "none", 0.0)
+            MetricsRow(0, "train", 1.5, 0.0, None, 0.0)
 
     def test_write_lf_endings(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_csv(path, [MetricsRow(1, "train", 1.0, 0.0, "patch", 0.0)])
+        write_csv(path, [MetricsRow(1, "train", 1.0, 0.0, D.gray_patch(1, 4, 0.5, 0.0), 0.0)])
         raw = path.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
 

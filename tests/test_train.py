@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from advgame import attack as A
 from advgame import data as D
 from advgame import evaluation as E
 from advgame import model as M
@@ -108,7 +109,7 @@ class TestClassifierPoolLoss:
         ds = small_dataset()
         state = self._state(ds)
         idx = np.arange(6)
-        got = classifier_pool_loss(state, idx, mode="infer").item()
+        got = classifier_pool_loss(state, idx).item()
         want = softmax_cross_entropy(
             forward(state.config, state.params, ds.images[idx], "infer"), ds.labels[idx]
         ).item()
@@ -116,10 +117,10 @@ class TestClassifierPoolLoss:
 
     def test_zero_perturbation_pool_equals_clean(self):
         ds = small_dataset()
-        zero = D.PerturbedView(ds, D.zero_universal(ds.image_shape, 0.1))
+        zero = D.PerturbedView(ds, D.PerturbationSpec("universal", np.zeros(ds.image_shape), epsilon=0.1))
         state = self._state(ds, [zero])
         idx = np.arange(6)
-        got = classifier_pool_loss(state, idx, mode="infer").item()
+        got = classifier_pool_loss(state, idx).item()
         want = softmax_cross_entropy(
             forward(state.config, state.params, ds.images[idx], "infer"), ds.labels[idx]
         ).item()
@@ -142,7 +143,7 @@ class TestClassifierPoolLoss:
                 softmax_cross_entropy(forward(state.config, state.params, x, "infer"), ds.labels[idx]).item()
             )
         want = sum(w * t for w, t in zip(weights, terms))
-        got = classifier_pool_loss(state, idx, mode="infer").item()
+        got = classifier_pool_loss(state, idx).item()
         assert abs(got - want) < 1e-12
 
 
@@ -177,7 +178,7 @@ class TestFpTrain:
         init = build_model(mc, cfg.seed)
         for name in init:
             assert np.array_equal(state.params[name].data, init[name].data)
-        assert len(state.perturbation_pool) == 1 and len(report) == 1
+        assert len(state.views[1:]) == 1 and len(report) == 1
 
     def test_pool_length_equals_outer_iterations(self):
         ds = small_dataset()
@@ -185,9 +186,9 @@ class TestFpTrain:
         cfg = desk_cfg(outer_iterations=3, inner_steps=2,
                        attack=UniversalAttackConfig(16 / 255, 0.01, 2, batch_size=8))
         state, report = fp_train(mc, ds, cfg)
-        assert len(state.perturbation_pool) == 3 and len(report) == 3
-        for spec in state.perturbation_pool:
-            assert np.abs(spec.xi).max() <= 16 / 255
+        assert len(state.views[1:]) == 3 and len(report) == 3
+        for view in state.views[1:]:
+            assert np.abs(view.spec.xi).max() <= 16 / 255
 
     def test_pool_memory_is_per_image_not_per_dataset(self):
         small = small_dataset(per_class=4)
@@ -197,8 +198,8 @@ class TestFpTrain:
                        attack=UniversalAttackConfig(16 / 255, 0.01, 1, batch_size=8))
         state_small, _ = fp_train(mc, small, cfg)
         state_big, _ = fp_train(mc, big, cfg)
-        bytes_small = sum(v.storage_bytes() for v in state_small.views)
-        bytes_big = sum(v.storage_bytes() for v in state_big.views)
+        bytes_small = sum(v.spec.xi.nbytes for v in state_small.views[1:])
+        bytes_big = sum(v.spec.xi.nbytes for v in state_big.views[1:])
         assert bytes_small == bytes_big
         assert bytes_small == 2 * small.images[0].nbytes
 
@@ -251,7 +252,7 @@ class TestSgdTrain:
 
 
 class TestAtTrain:
-    def test_margin_log_mostly_adversarial(self):
+    def test_margin_log_mostly_adversarial(self, monkeypatch):
         ds = D.make_synthetic(4, 16, 8, seed=4)
         mc = tiny_config(side=8, num_classes=4)
         eps = 16 / 255
@@ -259,7 +260,16 @@ class TestAtTrain:
                        pgd=PgdConfig(eps, eps / 4, 5, random_init=True),
                        attack=UniversalAttackConfig(eps, 0.01, 0, batch_size=8))
         log = []
-        at_train(mc, ds, cfg, margin_log=log)
+        pgd = A.pgd_per_sample
+
+        # per step, whether the adversarial loss term is at least the clean term
+        def logged_pgd(pool, x, y, *args):
+            adv = pgd(pool, x, y, *args)
+            log.append(M.pool_expected_loss(pool, adv, y).item() >= M.pool_expected_loss(pool, x, y).item())
+            return adv
+
+        monkeypatch.setattr(A, "pgd_per_sample", logged_pgd)
+        at_train(mc, ds, cfg)
         warm = log[50:]
         assert np.mean(warm) >= 0.95
 
