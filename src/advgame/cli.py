@@ -7,6 +7,11 @@ perturbation or CIFAR-10 file, or an unnumbered checkpoint); 4 numeric
 failure.  Training writes each outer iteration as it ends, in ``on_outer``:
 its checkpoint, its ``.pert`` (``train-fp``) and ``metrics.csv`` so far; so
 after exit 4 at iteration k the run directory holds iterations 1..k-1.
+Each command echoes its resolved config into ``output_dir`` before its
+first artifact: training as ``config.txt``, ``attack`` as
+``attack_config.txt`` and ``eval`` as ``eval_config.txt``, so an ``eval`` or
+``attack`` run in a training directory leaves the record of how its
+checkpoints were trained intact.
 The ``ADVGAME_OUTPUT_DIR`` environment variable overrides ``output_dir``.
 """
 
@@ -213,8 +218,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def echo_config(cfg: ExperimentConfig, out_dir: Path) -> None:
-    (out_dir / "config.txt").write_text(cfg.to_text())
+def echo_config(cfg: ExperimentConfig, out_dir: Path, name: str) -> None:
+    (out_dir / name).write_text(cfg.to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +308,10 @@ def build_train_config(cfg: ExperimentConfig) -> TR.TrainConfig:
     )
 
 
-def _prepare_run(cfg: ExperimentConfig):
+def _prepare_run(cfg: ExperimentConfig, echo_name: str):
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out_dir)
+    echo_config(cfg, out_dir, echo_name)
     return out_dir
 
 
@@ -314,7 +319,7 @@ def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
     train_ds = load_splits(cfg)["train"]
     if cfg.batch_size > len(train_ds):
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(train_ds)} training images")
-    out_dir = _prepare_run(cfg)
+    out_dir = _prepare_run(cfg, "config.txt")
     model_cfg = build_model_config(cfg)
     tcfg = build_train_config(cfg)
     rows = []
@@ -339,7 +344,7 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
     splits = load_splits(cfg)
     train_ds = splits["train"]
     model_cfg.check_input_shape(train_ds.image_shape, train_ds.num_classes)
-    out_dir = _prepare_run(cfg)
+    out_dir = _prepare_run(cfg, "attack_config.txt")
     pool = M.single_pool(model_cfg, params)
     rng = np.random.default_rng((cfg.seed, 8))
     attack_cfg = build_attack_config(cfg)
@@ -362,7 +367,7 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
 
 def run_eval(cfg: ExperimentConfig, checkpoint_dir: str | None) -> int:
     splits = load_splits(cfg)
-    out_dir = _prepare_run(cfg)
+    out_dir = _prepare_run(cfg, "eval_config.txt")
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else out_dir
     attack_cfg = build_attack_config(cfg, iterations=cfg.eval_attack_iterations)
     rows = E.evaluate_checkpoint_series(ckpt_dir, splits, attack_cfg, seed=cfg.seed,

@@ -8,8 +8,19 @@ rebuilt on every call.
 
 All gradient math is float64 by default; float32 arrays are accepted and
 propagated unchanged for cheaper training runs.  A node's gradient buffer is
-created by its first contribution, in the node's dtype and memory layout.
-Elementwise ops take operands of one shape; nothing broadcasts.
+created by its first contribution, in one pass, in the node's dtype and
+memory layout.  Elementwise ops take operands of one shape; nothing
+broadcasts.
+
+A closure keeps only what its backward reads.  ``conv2d`` converts between
+images and im2col columns through one int window index per padded geometry
+(height, width, channels, kernel, stride), cached for the life of the
+process and independent of the batch size: a ``take`` gathers the columns,
+and a per-image ``np.add.at`` over the reversed index scatters their
+gradients back in the (ky, kx) order a per-tap loop would add them, so
+the output and both gradients keep the bits of the NCHW reference the tests
+compare against.  Its backward keeps the columns only for a kernel that
+requires a gradient and never keeps the padded input.
 """
 
 from __future__ import annotations
@@ -91,14 +102,17 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add one gradient contribution to ``t.grad``.  The first creates the
-    buffer as ``zeros_like(t.data) + g``, never ``g`` itself: ``g`` may be a
-    shared or read-only view, and a buffer of another dtype or layout would
-    change how later reductions round."""
+    buffer in one pass as ``g + 0.0`` written into ``empty_like(t.data)``,
+    the bits of ``zeros_like(t.data) + g`` (``-0.0`` becomes ``+0.0`` in
+    both), never ``g`` itself: ``g`` may be a shared or read-only view, and
+    a buffer of another dtype or layout would change how later reductions
+    round."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -255,15 +269,46 @@ def _conv_pad(k: int, padding: str) -> int:
 _CONV_LOOP_MAX_HW = 64
 _CONV_LOOP_MAX_C = 3
 
+# (Hp, Wp, C, k, stride) -> window index: one read-only entry per padded geometry, whatever the
+# batch size, so a model adds at most one entry per conv layer
+_WINDOW_INDEX: dict[tuple[int, int, int, int, int], np.ndarray] = {}
+
+
+def _window_index(Hp: int, Wp: int, C: int, k: int, stride: int) -> np.ndarray:
+    """Read-only int index [Ho*Wo, C*k*k] into one flattened channel-last
+    padded image [Hp, Wp, C]: row (ho, wo), column (c, ky, kx) holds the
+    offset of pixel (ho*stride + ky, wo*stride + kx, c)."""
+    key = (Hp, Wp, C, k, stride)
+    idx = _WINDOW_INDEX.get(key)
+    if idx is None:
+        Ho, Wo = (Hp - k) // stride + 1, (Wp - k) // stride + 1
+        ys = np.arange(Ho)[:, None, None, None, None] * stride + np.arange(k)[:, None]
+        xs = np.arange(Wo)[:, None, None, None] * stride + np.arange(k)
+        idx = ((ys * Wp + xs) * C + np.arange(C)[:, None, None]).reshape(Ho * Wo, C * k * k)
+        idx.flags.writeable = False
+        _WINDOW_INDEX[key] = idx
+    return idx
+
 
 def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """2-d cross-correlation over [B,C,H,W] with kernel [F,C,k,k].
 
-    For small spatial inputs the forward's accumulation order over
-    (c, ky, kx) is fixed, so the result is bit-identical to a nested-loop
-    evaluation in the same order; larger inputs take an im2col/GEMM forward.
-    Both share one im2col/GEMM backward.  One zero-padded channel-last copy
-    of the input, [B, H+2p, W+2p, C], serves both im2col and col2im.
+    The input is copied once into a zero-padded channel-last buffer
+    [B, Hp, Wp, C].  im2col gathers its columns through the window index of
+    the padded geometry (:func:`_window_index`), built once and shared by
+    every batch size: rows (b, ho, wo), columns (c, ky, kx).  For small
+    spatial inputs the forward's accumulation order over (c, ky, kx) is
+    fixed, so the result is bit-identical to a nested-loop evaluation in the
+    same order; larger inputs take an im2col/GEMM forward.
+
+    Both paths share one backward.  The kernel gradient is one GEMM over the
+    columns, which the backward keeps only when the kernel requires a
+    gradient (the loop path gathers them only then); it never keeps the
+    padded buffer.  col2im scatters each image's column gradients back
+    through the same index with ``np.add.at``, walking the windows in
+    reverse memory order: a pixel's window rows then come by descending
+    (ho, wo), that is by ascending (ky, kx), so every pixel sums its
+    contributions in the (ky, kx) order of a per-tap strided loop.
     """
     inp, kernel, bias = _as_tensor(inp), _as_tensor(kernel), _as_tensor(bias)
     if stride < 1:
@@ -278,19 +323,21 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
         raise ValueError(f"bias shape {bias.shape} != ({F},)")
     k = kh
     pad = _conv_pad(k, padding)
-    if k > H + 2 * pad or k > W + 2 * pad:
-        raise ValueError(f"kernel {k} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
-    Ho = (H + 2 * pad - k) // stride + 1
-    Wo = (W + 2 * pad - k) // stride + 1
+    Hp, Wp = H + 2 * pad, W + 2 * pad
+    if k > Hp or k > Wp:
+        raise ValueError(f"kernel {k} larger than padded input {Hp}x{Wp}")
+    Ho = (Hp - k) // stride + 1
+    Wo = (Wp - k) // stride + 1
 
-    x = np.zeros((B, H + 2 * pad, W + 2 * pad, C), dtype=inp.data.dtype)
+    x = np.zeros((B, Hp, Wp, C), dtype=inp.data.dtype)
     x[:, pad : pad + H, pad : pad + W] = inp.data.transpose(0, 2, 3, 1)
+    idx = _window_index(Hp, Wp, C, k, stride)
+    loop = H * W <= _CONV_LOOP_MAX_HW and C <= _CONV_LOOP_MAX_C
+    cols = None
+    if kernel.requires_grad or not loop:
+        cols = x.reshape(B, -1).take(idx, axis=1).reshape(B * Ho * Wo, C * k * k)
 
-    def im2col():  # rows (b, ho, wo), columns (c, ky, kx): the order of the buffer's window view
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-        return windows.reshape(B * Ho * Wo, C * k * k)
-
-    if H * W <= _CONV_LOOP_MAX_HW and C <= _CONV_LOOP_MAX_C:
+    if loop:
         out = np.zeros((B, F, Ho, Wo), dtype=x.dtype)
         for c in range(C):
             for ky in range(k):
@@ -298,27 +345,25 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
                     patch = x[:, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride, c]
                     out += patch[:, None] * kernel.data[None, :, c, ky, kx, None, None]
         out = out + bias.data[None, :, None, None]
-        cols = None
     else:
-        cols = im2col()
         flat = cols @ kernel.data.reshape(F, -1).T
         out = flat.reshape(B, Ho, Wo, F).transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
+    if not kernel.requires_grad:
+        cols = None
 
     def bwd(g):
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         g2 = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, F)
         if kernel.requires_grad:
-            gk = g2.T @ (im2col() if cols is None else cols)
-            _accumulate(kernel, gk.reshape(F, C, k, k))
+            _accumulate(kernel, (g2.T @ cols).reshape(F, C, k, k))
         if inp.requires_grad:
-            # col2im: each window's gradient adds back where it was read, in (ky, kx) order
-            gcols = (g2 @ kernel.data.reshape(F, -1)).reshape(B, Ho, Wo, C, k, k)
-            gx = np.zeros_like(x)
-            for ky in range(k):
-                for kx in range(k):
-                    gx[:, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride] += gcols[..., ky, kx]
-            _accumulate(inp, gx[:, pad : pad + H, pad : pad + W].transpose(0, 3, 1, 2))
+            gcols = (g2 @ kernel.data.reshape(F, -1)).reshape(B, -1)
+            gx = np.zeros((B, Hp * Wp * C), dtype=inp.data.dtype)
+            back = idx.ravel()[::-1]
+            for b in range(B):
+                np.add.at(gx[b], back, gcols[b, ::-1])
+            _accumulate(inp, gx.reshape(B, Hp, Wp, C)[:, pad : pad + H, pad : pad + W].transpose(0, 3, 1, 2))
 
     return _node(out, (inp, kernel, bias), bwd)
 

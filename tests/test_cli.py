@@ -136,6 +136,17 @@ class TestTrainEvalPipeline:
         assert cfg.output_dir == str(tmp_path / "run")
         assert cfg.outer_iterations == 1
 
+    def test_eval_in_training_dir_keeps_training_config(self, tmp_path, capsys):
+        train = desk_args(tmp_path, **{"outer-iterations": 1, "inner-steps": 2, "batch-size": 16})
+        assert main(["train-sgd", *train]) == 0
+        run_dir = tmp_path / "run"
+        trained = (run_dir / "config.txt").read_bytes()
+        assert main(["eval", *desk_args(tmp_path)]) == 0
+        assert (run_dir / "config.txt").read_bytes() == trained
+        echoed = parse_config(run_dir / "eval_config.txt")
+        assert echoed.outer_iterations == 2 and echoed.inner_steps == 3 and echoed.batch_size == 8
+        assert echoed.output_dir == str(run_dir)
+
     def test_fp_writes_perturbation_containers(self, tmp_path):
         assert main(["train-fp", *desk_args(tmp_path)]) == 0
         perts = sorted((tmp_path / "run").glob("perturbation_*.pert"))
@@ -165,6 +176,14 @@ class TestAttackCommand:
         assert main(["attack", *desk_args(tmp_path), "--checkpoint", ckpt, "--out", out]) == 0
         assert (tmp_path / "u.pert").exists()
         assert "adv accuracy" in capsys.readouterr().out
+
+    def test_attack_in_training_dir_keeps_training_config(self, tmp_path, capsys):
+        ckpt = self._trained_checkpoint(tmp_path)
+        run_dir = tmp_path / "run"
+        trained = (run_dir / "config.txt").read_bytes()
+        assert main(["attack", *desk_args(tmp_path), "--checkpoint", ckpt]) == 0
+        assert (run_dir / "config.txt").read_bytes() == trained
+        assert parse_config(run_dir / "attack_config.txt").inner_steps == 3
 
     def test_targeted_patch_reports_hit_rate(self, tmp_path, capsys):
         ckpt = self._trained_checkpoint(tmp_path)

@@ -175,25 +175,46 @@ def conv2d_nchw_reference(x, kernel, bias, stride, padding, g):
 class TestConv2dBits:
     """The channel-last buffer gives the NCHW reference's bits on both paths."""
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype,kernel_grad", [
+        pytest.param(dtype, kernel_grad, id=dtype.__name__ + ("" if kernel_grad else "-const-kernel"))
+        for kernel_grad in (True, False) for dtype in (np.float32, np.float64)
+    ])
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 3, 12, 12), (2, 8, 8, 8)],
-                             ids=["loop-C3", "gemm-C3", "gemm-C8"])
-    def test_equals_nchw_reference(self, shape, stride, padding, dtype):
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 3, 12, 12), (2, 8, 8, 8), (2, 3, 9, 12)],
+                             ids=["loop-C3", "gemm-C3", "gemm-C8", "gemm-C3-9x12"])
+    def test_equals_nchw_reference(self, shape, stride, padding, dtype, kernel_grad):
+        # a constant kernel and bias are the attack's case: only the input needs a gradient
         rng = np.random.default_rng(17)
         x0 = rng.standard_normal(shape).astype(dtype)
         k0 = rng.standard_normal((5, shape[1], 3, 3)).astype(dtype)
         b0 = rng.standard_normal(5).astype(dtype)
-        x, k, b = (Tensor(a, requires_grad=True) for a in (x0, k0, b0))
+        x = Tensor(x0, requires_grad=True)
+        k, b = (Tensor(a, requires_grad=kernel_grad) for a in (k0, b0))
         y = conv2d(x, k, b, stride, padding)
         g = rng.standard_normal(y.shape).astype(dtype)
         backward(tensor_sum(mul(y, Tensor(g))))
         out, gk, gx = conv2d_nchw_reference(x0, k0, b0, stride, padding, g)
-        assert y.data.dtype == x.grad.dtype == k.grad.dtype == dtype
+        assert y.data.dtype == x.grad.dtype == dtype
         assert np.array_equal(y.data, out)
-        assert np.array_equal(k.grad, gk)
         assert np.array_equal(x.grad, gx)
+        if kernel_grad:
+            assert k.grad.dtype == dtype
+            assert np.array_equal(k.grad, gk)
+        else:
+            assert k.grad is None
+
+    def test_one_window_index_per_geometry_whatever_the_batch(self, monkeypatch):
+        monkeypatch.setattr(T, "_WINDOW_INDEX", {})
+        rng = np.random.default_rng(5)
+        k = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        for batch in (2, 5):
+            x = Tensor(rng.standard_normal((batch, 3, 12, 12)), requires_grad=True)
+            backward(tensor_sum(conv2d(x, k, b, 2, "same")))
+        # padded 14x14, 6x6 windows of 3 channels x 3x3 taps
+        assert list(T._WINDOW_INDEX) == [(14, 14, 3, 3, 2)]
+        assert T._WINDOW_INDEX[(14, 14, 3, 3, 2)].shape == (6 * 6, 3 * 3 * 3)
 
 
 class TestRelu:
@@ -334,6 +355,22 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):
             backward(mul(x, 2.0))
+
+    @pytest.mark.parametrize("node,contribution", [
+        (np.zeros((2, 3)), np.array([[-0.0, 1.5, -0.0], [2.0, -0.0, -3.0]])),
+        (np.zeros((2, 3), np.float32), np.array([[0.1, -0.2, 1e-9], [3.3, -0.0, 7.0]])),
+        (np.zeros((2, 3)), np.arange(6.0).reshape(3, 2).T),
+        (np.zeros((3, 2)).T, np.arange(-3.0, 3.0).reshape(2, 3)),
+    ], ids=["negative-zero", "f64-into-f32", "transposed-contribution", "transposed-node"])
+    def test_first_contribution_is_zeros_plus_g(self, node, contribution):
+        t = Tensor(node, requires_grad=True)
+        T._accumulate(t, contribution)
+        expected = np.zeros_like(node)
+        expected += contribution
+        assert t.grad.dtype == expected.dtype
+        assert t.grad.strides == expected.strides
+        assert t.grad.tobytes(order="A") == expected.tobytes(order="A")
+        assert t.grad is not contribution
 
     def test_accumulation_double_use(self):
         # f(x) = g(x) + g(x) must have gradient 2 g'(x)
