@@ -52,7 +52,7 @@ class PatchAttackConfig:
     lam: float = 0.0        # weight of the fixed-class term
 
     def __post_init__(self):
-        if not (0.0 < self.chi <= 1.0) or self.placements_per_step < 1:
+        if not (0.0 < self.chi <= 1.0) or self.theta_max < 0 or self.placements_per_step < 1:
             raise ValueError("invalid patch attack config")
         if self.patch_side < 2 or self.alpha <= 0 or self.iterations < 0 or self.batch_size < 1:
             raise ValueError("invalid patch attack config")

@@ -12,6 +12,8 @@ first artifact: training as ``config.txt``, ``attack`` as
 ``attack_config.txt`` and ``eval`` as ``eval_config.txt``, so an ``eval`` or
 ``attack`` run in a training directory leaves the record of how its
 checkpoints were trained intact.
+A single CIFAR-10 file as ``data_path`` is only a ``train`` split: ``eval``
+writes ``train`` rows alone and ``attack`` scores the training images.
 The ``ADVGAME_OUTPUT_DIR`` environment variable overrides ``output_dir``.
 """
 
@@ -138,7 +140,9 @@ def _parse_value(key: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            if not np.isfinite(value := float(raw)):
+                raise ValueError(raw)
+            return value
         if kind == "bool":
             if raw.lower() in ("true", "1", "yes", "on"):
                 return True
@@ -246,10 +250,7 @@ def load_splits(cfg: ExperimentConfig) -> dict[str, D.Dataset]:
         if test_path.exists():
             splits["test"] = D.load_cifar10(test_path, "test")
         return splits
-    ds = D.load_cifar10(path, "train")
-    return {"train": ds,
-            "valid": D.Dataset(ds.images, ds.labels, ds.num_classes, "valid"),
-            "test": D.Dataset(ds.images, ds.labels, ds.num_classes, "test")}
+    return {"train": D.load_cifar10(path, "train")}
 
 
 def build_model_config(cfg: ExperimentConfig) -> M.ModelConfig:

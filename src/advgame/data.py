@@ -2,14 +2,15 @@
 
 A perturbed dataset is never materialized whole: a :class:`PerturbedView`
 stores only the base-dataset reference and the perturbation itself, so its
-footprint is a single image regardless of dataset size.  Patch overlays are
-implemented by inverse-mapped bilinear sampling and exposed both as a plain
-array transform (for training-time views) and as a differentiable graph op
-(for crafting patch gradients).
+footprint is a single image regardless of dataset size.  Patches are
+rendered by one differentiable graph op, :func:`overlay_patch_op`
+(inverse-mapped bilinear sampling): views take its output array, and the
+patch attack differentiates through it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,9 +205,9 @@ def sample_placements(rng: np.random.Generator, count: int, side: int, chi: floa
 
 
 def _overlay_gather(images_shape, patch_side: int, chi: float, placements: np.ndarray):
-    """Bilinear gather plan: for each pixel center inside a warped disc, the
-
-    four patch neighbors and weights that reconstruct the sampled value."""
+    """Bilinear gather plan for the K pixel centers inside the warped discs:
+    their ``bidx, ridx, cidx``; the patch ``rows`` and ``cols`` (each 4K) of
+    their neighbors, stacked in corner order 00, 01, 10, 11; weights [4, K]."""
     B, C, H, W = images_shape
     if placements.shape != (B, 3):
         raise ValueError(f"need one (a, b, theta) row per image, got {placements.shape}")
@@ -239,58 +240,30 @@ def _overlay_gather(images_shape, patch_side: int, chi: float, placements: np.nd
     j1 = np.clip(j0 + 1, 0, P - 1)
     i0 = np.clip(i0, 0, P - 1)
     j0 = np.clip(j0, 0, P - 1)
+    rows = np.concatenate([i0, i0, i1, i1])
+    cols = np.concatenate([j0, j1, j0, j1])
     weights = np.stack([(1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv])
-    return bidx, ridx, cidx, (i0, j0, i1, j1), weights
-
-
-def _overlay_sample(patch: np.ndarray, corners, weights) -> np.ndarray:
-    i0, j0, i1, j1 = corners
-    w00, w01, w10, w11 = weights
-    return (
-        w00 * patch[:, i0, j0]
-        + w01 * patch[:, i0, j1]
-        + w10 * patch[:, i1, j0]
-        + w11 * patch[:, i1, j1]
-    )  # [C, K]
-
-
-def apply_patch(x: np.ndarray, xi: np.ndarray, chi: float, placements: np.ndarray) -> np.ndarray:
-    """Overlay the patch on a batch at the given (a, b, theta) placements.
-
-    Pixels whose centers fall inside the warped disc are replaced by the
-    bilinear patch sample; all others are returned untouched.
-    """
-    x = np.asarray(x)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-        placements = np.asarray(placements).reshape(1, 3)
-    bidx, ridx, cidx, corners, weights = _overlay_gather(x.shape, xi.shape[1], chi, placements)
-    out = x.copy()
-    out[bidx, :, ridx, cidx] = _overlay_sample(xi, corners, weights).T
-    return out[0] if single else out
+    return bidx, ridx, cidx, rows, cols, weights
 
 
 def overlay_patch_op(images: np.ndarray, patch: Tensor, chi: float, placements: np.ndarray) -> Tensor:
-    """Differentiable overlay: gradients flow through the bilinear weights
-
-    into the patch pixels (and pass through untouched image pixels)."""
+    """Render the patch on a [B, C, H, W] batch, one (a, b, theta) row each:
+    pixels whose centers fall inside the warped disc take the bilinear sample,
+    its four taps summed in corner order; all others pass through.  The patch
+    gradient is one ``np.add.at`` over the stacked neighbors, corner by corner."""
     images = np.asarray(images)
-    bidx, ridx, cidx, corners, weights = _overlay_gather(images.shape, patch.shape[1], chi, placements)
-    i0, j0, i1, j1 = corners
-    w00, w01, w10, w11 = weights
+    bidx, ridx, cidx, rows, cols, weights = _overlay_gather(images.shape, patch.shape[1], chi, placements)
+    C, K = patch.shape[0], len(bidx)
+    # tap by tap, so one [C, K] tap is alive beside the sum: a [C, 4K] gather raised peak memory
+    taps = (w * patch.data[:, r, c] for r, c, w in zip(rows.reshape(4, K), cols.reshape(4, K), weights))
     out = images.copy()
-    out[bidx, :, ridx, cidx] = _overlay_sample(patch.data, corners, weights).T
+    out[bidx, :, ridx, cidx] = functools.reduce(np.add, taps).T
 
     def bwd(g):
         if patch.requires_grad:
             gp = np.zeros_like(patch.data)
             gsel = g[bidx, :, ridx, cidx].T  # [C, K]
-            chan = np.arange(patch.shape[0])[:, None]
-            np.add.at(gp, (chan, i0[None, :], j0[None, :]), w00[None, :] * gsel)
-            np.add.at(gp, (chan, i0[None, :], j1[None, :]), w01[None, :] * gsel)
-            np.add.at(gp, (chan, i1[None, :], j0[None, :]), w10[None, :] * gsel)
-            np.add.at(gp, (chan, i1[None, :], j1[None, :]), w11[None, :] * gsel)
+            np.add.at(gp, (np.arange(C)[:, None], rows, cols), (weights * gsel[:, None, :]).reshape(C, 4 * K))
             T._accumulate(patch, gp)
 
     return T._node(out, (patch,), bwd)
@@ -331,7 +304,7 @@ class PerturbedView:
             return apply_universal(x, self.spec.xi, self.spec.epsilon)
         rng = np.random.default_rng((self.seed, draw))
         placements = sample_placements(rng, len(indices), x.shape[2], self.spec.chi, self.spec.theta_max)
-        return apply_patch(x, self.spec.xi, self.spec.chi, placements)
+        return overlay_patch_op(x, Tensor(self.spec.xi), self.spec.chi, placements).data
 
 
 def clean_view(dataset: Dataset) -> PerturbedView:

@@ -59,7 +59,7 @@ class TrainConfig:
             raise ValueError("invalid train config")
         if self.eval_sample_size is not None and self.eval_sample_size < 1:
             raise ValueError("eval_sample_size must be >= 1")
-        if self.learning_rate < 0 or not (0.0 <= self.momentum < 1.0):
+        if self.learning_rate < 0 or self.lr_decay < 0 or not (0.0 <= self.momentum < 1.0):
             raise ValueError("invalid train config")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
             raise ValueError("lr milestones must be strictly increasing")

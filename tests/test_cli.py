@@ -129,6 +129,19 @@ class TestTrainEvalPipeline:
         eval_lines = (run_dir / "eval.csv").read_text().splitlines()
         assert len(eval_lines) == 1 + 2 * 3  # header + checkpoints x splits
 
+    def test_single_cifar_file_is_only_a_train_split(self, tmp_path, capsys):
+        path = tmp_path / "data_batch.bin"
+        path.write_bytes(b"".join(bytes([i % 10]) + bytes(3072) for i in range(40)))
+        args = desk_args(tmp_path, **{"image-side": 32, "classes": 10, "data": "cifar10", "data-path": str(path),
+                                      "outer-iterations": 1, "inner-steps": 1})
+        cfg = parse_config(overrides={"data": "cifar10", "data_path": str(path), "image_side": 32, "classes": 10})
+        assert list(C.load_splits(cfg)) == ["train"]
+        assert main(["train-sgd", *args]) == 0
+        assert main(["eval", *args]) == 0
+        rows = (tmp_path / "run" / "eval.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["train"]
+        assert main(["attack", *args, "--checkpoint", str(tmp_path / "run" / "checkpoint_0001.ckpt")]) == 0
+
     def test_config_echo_round_trips(self, tmp_path):
         assert main(["train-sgd", *desk_args(tmp_path, **{"outer-iterations": 1, "inner-steps": 1})]) == 0
         echoed = tmp_path / "run" / "config.txt"
@@ -276,8 +289,19 @@ class TestExitCodes:
         ["--data", "cifar10", "--data-path", "unread.bin", "--image-side", "32"],
         ["--attack-kind", "patch", "--patch-target-class", "12", "--patch-lambda", "0.5"],
         ["--per-class", "2", "--batch-size", "64"],
+        ["--learning-rate", "nan"],
+        ["--weight-decay", "inf"],
+        ["--epsilon-pixels", "nan"],
+        ["--attack-alpha", "inf"],
+        ["--lr-decay", "-1", "--lr-milestones", "1"],
+        ["--attack-kind", "patch", "--patch-theta-max-deg", "-5"],
+        ["--pgd-step-size", "nan"],
+        ["--config", "learning_rate = inf"],
     ], ids=" ".join)
     def test_out_of_range_value_is_2_before_any_write(self, tmp_path, capsys, extra):
+        if extra[0] == "--config":  # the case's text is the config file's
+            (path := tmp_path / "case.cfg").write_text(extra[1] + "\n")
+            extra = ["--config", str(path)]
         assert main(["train-fp", *desk_args(tmp_path), *extra]) == 2
         assert not (tmp_path / "run" / "config.txt").exists()
 

@@ -10,7 +10,6 @@ from advgame.data import (
     Dataset,
     PerturbationSpec,
     PerturbedView,
-    apply_patch,
     apply_universal,
     clean_view,
     disc_mask,
@@ -122,30 +121,60 @@ class TestApplyUniversal:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def overlay_reference(images, patch, chi, placements, g):
+    """The overlay as four bilinear terms summed 00 + 01 + 10 + 11, and the
+    gradient of ``sum(g * out)`` in the patch as four scatters in that order.
+    Only the covered pixels come from ``_overlay_gather``; their neighbors and
+    weights are recomputed here from the placements."""
+    bidx, ridx, cidx = D._overlay_gather(images.shape, patch.shape[1], chi, placements)[:3]
+    P, scale = patch.shape[1], patch.shape[1] / (chi * images.shape[2])
+    a, b, theta = placements[bidx].T
+    dy, dx = ridx + 0.5 - a, cidx + 0.5 - b
+    u = (np.cos(theta) * dy + np.sin(theta) * dx) * scale + P / 2.0 - 0.5
+    v = (-np.sin(theta) * dy + np.cos(theta) * dx) * scale + P / 2.0 - 0.5
+    i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
+    fu, fv = u - i0, v - j0
+    i1, j1 = np.clip(i0 + 1, 0, P - 1), np.clip(j0 + 1, 0, P - 1)
+    i0, j0 = np.clip(i0, 0, P - 1), np.clip(j0, 0, P - 1)
+    corners = [(i0, j0, (1 - fu) * (1 - fv)), (i0, j1, (1 - fu) * fv), (i1, j0, fu * (1 - fv)), (i1, j1, fu * fv)]
+    terms = [w * patch[:, i, j] for i, j, w in corners]
+    out = images.copy()
+    out[bidx, :, ridx, cidx] = (terms[0] + terms[1] + terms[2] + terms[3]).T
+    grad = np.zeros_like(patch)
+    gsel = g[bidx, :, ridx, cidx].T
+    for i, j, w in corners:
+        np.add.at(grad, (np.arange(len(patch))[:, None], i[None, :], j[None, :]), w[None, :] * gsel)
+    return out, grad
+
+
+def overlay(x, xi, chi, placements):
+    return overlay_patch_op(x, Tensor(xi), chi, placements).data
+
+
 class TestApplyPatch:
     def test_tiny_chi_touches_nothing(self):
-        x = np.random.default_rng(1).random((1, 8, 8))
+        x = np.random.default_rng(1).random((1, 1, 8, 8))
         xi = np.full((1, 8, 8), 0.5)
         # radius 0.2 around (4.0, 4.0): no pixel center is that close
-        out = apply_patch(x, xi, chi=0.05, placements=np.array([4.0, 4.0, 0.3]))
+        out = overlay(x, xi, chi=0.05, placements=np.array([[4.0, 4.0, 0.3]]))
         assert np.array_equal(out, x)
 
     def test_one_to_one_centered(self):
         rng = np.random.default_rng(2)
-        x = rng.random((3, 8, 8))
+        x = rng.random((1, 3, 8, 8))
         xi = rng.random((3, 8, 8))
-        out = apply_patch(x, xi, chi=1.0, placements=np.array([4.0, 4.0, 0.0]))
+        out = overlay(x, xi, chi=1.0, placements=np.array([[4.0, 4.0, 0.0]]))
         rs, cs = np.meshgrid(np.arange(8) + 0.5, np.arange(8) + 0.5, indexing="ij")
         inside = (rs - 4.0) ** 2 + (cs - 4.0) ** 2 <= 16.0
-        assert np.array_equal(out[:, inside], xi[:, inside])
-        assert np.array_equal(out[:, ~inside], x[:, ~inside])
+        assert np.array_equal(out[0][:, inside], xi[:, inside])
+        assert np.array_equal(out[0][:, ~inside], x[0][:, ~inside])
 
     def test_outside_disc_untouched(self):
         rng = np.random.default_rng(3)
         x = rng.random((2, 3, 16, 16))
         xi = rng.random((3, 16, 16))
         placements = sample_placements(np.random.default_rng(0), 2, 16, 0.4, np.deg2rad(20))
-        out = apply_patch(x, xi, 0.4, placements)
+        out = overlay(x, xi, 0.4, placements)
         for b in range(2):
             a, bb, _ = placements[b]
             rs, cs = np.meshgrid(np.arange(16) + 0.5, np.arange(16) + 0.5, indexing="ij")
@@ -156,7 +185,7 @@ class TestApplyPatch:
         x = np.zeros((1, 1, 8, 8))
         xi = np.full((1, 8, 8), 0.5)
         with pytest.raises(ValueError, match="out of bounds"):
-            apply_patch(x, xi, 0.5, np.array([[0.5, 4.0, 0.0]]))
+            overlay(x, xi, 0.5, np.array([[0.5, 4.0, 0.0]]))
 
     def test_placements_stay_inside(self):
         p = sample_placements(np.random.default_rng(4), 500, 16, 0.4, np.deg2rad(20))
@@ -179,6 +208,22 @@ class TestApplyPatch:
         backward(tensor_sum(mul(overlay_patch_op(images, patch, 0.6, placements), Tensor(weights))))
         fd = finite_difference_gradient(loss_of, xi0)
         assert relative_gradient_error(patch.grad, fd) < 1e-3
+
+    # patch side below, equal to and above the image side; rotations up to 60 degrees
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side,patch_side,chi,seed", [(16, 8, 0.4, 0), (16, 16, 0.5, 1), (8, 12, 1.0, 2), (12, 5, 0.7, 3)])
+    def test_equals_four_term_reference(self, dtype, side, patch_side, chi, seed):
+        rng = np.random.default_rng(seed)
+        images = rng.random((5, 3, side, side)).astype(dtype)
+        xi = rng.random((3, patch_side, patch_side)).astype(dtype)
+        g = rng.standard_normal(images.shape).astype(dtype)
+        placements = sample_placements(rng, 5, side, chi, np.deg2rad(60))
+        want_out, want_grad = overlay_reference(images, xi, chi, placements, g)
+        patch = Tensor(xi, requires_grad=True)
+        out = overlay_patch_op(images, patch, chi, placements)
+        backward(tensor_sum(mul(out, Tensor(g))))
+        assert out.data.dtype == want_out.dtype and np.array_equal(out.data, want_out)
+        assert patch.grad.dtype == want_grad.dtype and np.array_equal(patch.grad, want_grad)
 
 
 class TestPerturbationSpec:
@@ -220,6 +265,16 @@ class TestPerturbedView:
         view = PerturbedView(ds, gray_patch(3, 16, 0.4, np.deg2rad(20)), seed=5)
         idx = np.arange(6)
         assert not np.array_equal(view.materialize(idx, draw=0), view.materialize(idx, draw=1))
+
+    def test_patch_view_renders_through_the_op(self):
+        ds = make_synthetic(3, 4, 16, seed=10)
+        rng = np.random.default_rng(11)
+        spec = PerturbationSpec("patch", rng.random((3, 8, 8)), chi=0.4, theta_max=np.deg2rad(20))
+        idx = np.array([0, 3, 5, 11])
+        placements = sample_placements(np.random.default_rng((5, 2)), len(idx), 16, spec.chi, spec.theta_max)
+        got = PerturbedView(ds, spec, seed=5).materialize(idx, draw=2)
+        assert np.array_equal(got, overlay(ds.images[idx], spec.xi, spec.chi, placements))
+        assert np.array_equal(got, overlay_reference(ds.images[idx], spec.xi, spec.chi, placements, ds.images[idx])[0])
 
     def test_index_out_of_range(self):
         ds = make_synthetic(2, 2, 8, seed=9)
