@@ -359,8 +359,8 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
     print(f"clean accuracy {clean:.4f}")
     print(f"adv accuracy {adv:.4f}")
     if cfg.attack_kind == "patch" and cfg.patch_target_class >= 0 and cfg.patch_lambda > 0:
-        rate = E.target_class_rate(pool, eval_ds, spec, cfg.patch_target_class,
-                                   cfg.eval_sample_size, np.random.default_rng((cfg.seed, 10)), placement_seed=2)
+        rate = E.perturbed_accuracy(pool, eval_ds, spec, cfg.eval_sample_size, np.random.default_rng((cfg.seed, 10)),
+                                    placement_seed=2, target=cfg.patch_target_class)
         print(f"target-class hit rate {rate:.4f}")
     print(f"wrote {dest}")
     return 0

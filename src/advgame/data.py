@@ -156,8 +156,8 @@ class PerturbationSpec:
     def __post_init__(self):
         self.xi = np.asarray(self.xi)
         if self.kind == "universal":
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError("universal perturbation needs epsilon > 0")
+            if self.epsilon is None or not 0 < self.epsilon < np.inf:
+                raise ValueError("universal perturbation needs a finite epsilon > 0")
             if np.abs(self.xi).max(initial=0.0) > self.epsilon:
                 raise ValueError("universal perturbation exceeds its epsilon budget")
         elif self.kind == "patch":
@@ -167,8 +167,8 @@ class PerturbationSpec:
                 raise ValueError("patch pixels must lie in [0, 1]")
             if not (self.chi and 0.0 < self.chi <= 1.0):
                 raise ValueError("patch needs 0 < chi <= 1")
-            if self.theta_max is None or self.theta_max < 0:
-                raise ValueError("patch needs theta_max >= 0")
+            if self.theta_max is None or not 0 <= self.theta_max < np.inf:
+                raise ValueError("patch needs a finite theta_max >= 0")
             if self.mask is None:
                 self.mask = disc_mask(self.xi.shape[1])
         else:
@@ -297,9 +297,9 @@ class PerturbedView:
         indices = np.asarray(indices)
         if indices.size and (indices.min() < 0 or indices.max() >= len(self.base)):
             raise IndexError("index out of range")
-        x = self.base.images[indices]
+        x = self.base.images[indices]  # fancy indexing: a new array, never a view of the base
         if self.spec is None:
-            return x.copy()
+            return x
         if self.spec.kind == "universal":
             return apply_universal(x, self.spec.xi, self.spec.epsilon)
         rng = np.random.default_rng((self.seed, draw))

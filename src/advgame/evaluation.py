@@ -4,7 +4,9 @@ Adversarial accuracy never reuses a training-time perturbation: each call
 crafts a new one against the classifier under evaluation from an
 independent RNG stream, so the number reported is robustness to an unseen
 attack.  Every classifier is scored as a :class:`~advgame.model.ClassifierPool`,
-the live one as a pool of one.
+the live one as a pool of one, and every score is one function,
+:func:`perturbed_accuracy`: clean accuracy is its clean view (:func:`accuracy`)
+and a fixed-class patch's hit rate its ``target``.
 """
 
 from __future__ import annotations
@@ -63,57 +65,29 @@ def write_csv(path, rows, timing: str = "zero") -> None:
         fh.write(format_rows(rows, timing))
 
 
-def predictions(pool: ClassifierPool, images: np.ndarray) -> np.ndarray:
-    """The pool's predicted class ids (:func:`~advgame.model.pool_predict`),
-    chunked to bound peak memory; for a pool of one, its member's argmax."""
-    out = [M.pool_predict(pool, images[start : start + _PREDICT_CHUNK])
-           for start in range(0, len(images), _PREDICT_CHUNK)]
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+def accuracy(pool: ClassifierPool, dataset: Dataset, sample_size: int | None = None, rng=None) -> float:
+    """Fraction of correct predictions on the clean view of a sampled subset (or the full split)."""
+    return perturbed_accuracy(pool, dataset, None, sample_size, rng)
 
 
-def _subset(dataset: Dataset, sample_size, rng) -> np.ndarray:
+def perturbed_accuracy(pool: ClassifierPool, dataset: Dataset, spec: PerturbationSpec | None,
+                       sample_size: int | None = None, rng=None, placement_seed: int = 0,
+                       target: int | None = None) -> float:
+    """Fraction of a subset rendered under ``spec`` (None: the clean view) that
+    the pool classifies as its label, or as ``target`` when given (a
+    fixed-class patch's hit rate).  The subset is ``sample_size`` distinct
+    samples drawn with ``rng``, or the whole split when either is None or it
+    covers the split; predictions run in chunks of ``_PREDICT_CHUNK``."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     if sample_size is None or sample_size >= len(dataset) or rng is None:
-        return np.arange(len(dataset))
-    return rng.choice(len(dataset), size=sample_size, replace=False)
-
-
-def accuracy(pool: ClassifierPool, dataset: Dataset, sample_size: int | None = None, rng=None) -> float:
-    """Fraction of correct predictions over a sampled subset (or the full split)."""
-    idx = _subset(dataset, sample_size, rng)
-    return float(np.mean(predictions(pool, dataset.images[idx]) == dataset.labels[idx]))
-
-
-def perturbed_accuracy(
-    pool: ClassifierPool,
-    dataset: Dataset,
-    spec: PerturbationSpec,
-    sample_size: int | None = None,
-    rng=None,
-    placement_seed: int = 0,
-) -> float:
-    """Accuracy after applying a given perturbation to the evaluation split."""
-    idx = _subset(dataset, sample_size, rng)
-    view = PerturbedView(dataset, spec, seed=placement_seed)
-    images = view.materialize(idx)
-    return float(np.mean(predictions(pool, images) == dataset.labels[idx]))
-
-
-def target_class_rate(
-    pool: ClassifierPool,
-    dataset: Dataset,
-    spec: PerturbationSpec,
-    target_class: int,
-    sample_size: int | None = None,
-    rng=None,
-    placement_seed: int = 0,
-) -> float:
-    """Fraction of perturbed inputs predicted as the attack's fixed class."""
-    idx = _subset(dataset, sample_size, rng)
-    view = PerturbedView(dataset, spec, seed=placement_seed)
-    images = view.materialize(idx)
-    return float(np.mean(predictions(pool, images) == target_class))
+        idx = np.arange(len(dataset))
+    else:
+        idx = rng.choice(len(dataset), size=sample_size, replace=False)
+    images = PerturbedView(dataset, spec, seed=placement_seed).materialize(idx)
+    predicted = np.concatenate([M.pool_predict(pool, images[start : start + _PREDICT_CHUNK])
+                                for start in range(0, len(images), _PREDICT_CHUNK)])
+    return float(np.mean(predicted == (dataset.labels[idx] if target is None else target)))
 
 
 def craft_attack(pool: ClassifierPool, dataset: Dataset, attack_config, rng) -> PerturbationSpec:

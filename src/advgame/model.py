@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,7 @@ def pack_array(arr: np.ndarray) -> bytes:
 
 def unpack_array(blob: bytes, off: int) -> tuple[np.ndarray, int]:
     """Inverse of :func:`pack_array` at ``off``, in the default dtype; returns
-    the array and the offset just past it."""
+    the array and the offset just past it; a NaN or inf value is malformed."""
     (rank,) = struct.unpack_from("<I", blob, off)
     shape = struct.unpack_from(f"<{rank}I", blob, off + 4)
     off += 4 + 4 * rank
@@ -57,6 +58,8 @@ def unpack_array(blob: bytes, off: int) -> tuple[np.ndarray, int]:
     if off + 4 * n > len(blob):
         raise ValueError(f"payload is {len(blob) - off} bytes, shape {shape} needs {4 * n}")
     arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite value in payload")
     return arr.astype(T.get_default_dtype()), off + 4 * n
 
 
@@ -85,6 +88,16 @@ class ConvSpec:
     channels: int
     kernel: int = 3
     stride: int = 1
+
+
+class ParamSpec(NamedTuple):
+    """One parameter: its name, shape, whether SGD trains it, and its initial
+    value, U(-b, b) with b = sqrt(1 / fan_in) when ``fan_in`` is set, else ``fill``."""
+    name: str
+    shape: tuple[int, ...]
+    trainable: bool = True
+    fan_in: int = 0
+    fill: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,23 @@ class ModelConfig:
     def feature_size(self) -> int:
         c, h, w = self.conv_output_shape()
         return c * h * w
+
+    def param_specs(self) -> list[ParamSpec]:
+        """Every parameter in build and checkpoint order: the one place that decides
+        their names, shapes, trainability and initialization."""
+        specs, in_c = [], self.input_shape[0]
+        for i, conv in enumerate(self.conv_layers):
+            c = (conv.channels,)
+            specs += [ParamSpec(f"conv{i}.weight", (conv.channels, in_c, conv.kernel, conv.kernel),
+                                fan_in=in_c * conv.kernel * conv.kernel), ParamSpec(f"conv{i}.bias", c)]
+            if self.batchnorm:
+                specs += [ParamSpec(f"bn{i}.gamma", c, fill=1.0), ParamSpec(f"bn{i}.beta", c),
+                          ParamSpec(f"bn{i}.running_mean", c, False),
+                          ParamSpec(f"bn{i}.running_var", c, False, fill=1.0)]
+            in_c = conv.channels
+        fan_in = self.feature_size()
+        return specs + [ParamSpec("fc.weight", (fan_in, self.num_classes), fan_in=fan_in),
+                        ParamSpec("fc.bias", (self.num_classes,))]
 
     def check_input_shape(self, image_shape, num_classes: int) -> None:
         if tuple(image_shape) != self.input_shape or num_classes != self.num_classes:
@@ -169,32 +199,18 @@ def paper_vgg_config(num_classes: int = 10) -> ModelConfig:
 
 
 def build_model(config: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Initialize parameters: fan-in-scaled uniform weights, zero biases.
-
-    Conv weights are drawn from U(-b, b) with b = sqrt(1 / (C*k*k)); dense
-    weights use b = sqrt(1 / fan_in).  Batch-norm starts at gamma=1, beta=0
-    with zero running mean and unit running variance.
-    """
+    """Initialize the parameters of :meth:`ModelConfig.param_specs`, drawing the
+    fan-in-scaled uniform ones in its order; biases start at zero."""
     rng = np.random.default_rng(seed)
     dtype = T.get_default_dtype()
     params: dict[str, Tensor] = {}
-    in_c = config.input_shape[0]
-    for i, spec in enumerate(config.conv_layers):
-        bound = np.sqrt(1.0 / (in_c * spec.kernel * spec.kernel))
-        w = rng.uniform(-bound, bound, (spec.channels, in_c, spec.kernel, spec.kernel))
-        params[f"conv{i}.weight"] = Tensor(w.astype(dtype), requires_grad=True)
-        params[f"conv{i}.bias"] = Tensor(np.zeros(spec.channels, dtype=dtype), requires_grad=True)
-        if config.batchnorm:
-            params[f"bn{i}.gamma"] = Tensor(np.ones(spec.channels, dtype=dtype), requires_grad=True)
-            params[f"bn{i}.beta"] = Tensor(np.zeros(spec.channels, dtype=dtype), requires_grad=True)
-            params[f"bn{i}.running_mean"] = Tensor(np.zeros(spec.channels, dtype=dtype))
-            params[f"bn{i}.running_var"] = Tensor(np.ones(spec.channels, dtype=dtype))
-        in_c = spec.channels
-    fan_in = config.feature_size()
-    bound = np.sqrt(1.0 / fan_in)
-    w = rng.uniform(-bound, bound, (fan_in, config.num_classes))
-    params["fc.weight"] = Tensor(w.astype(dtype), requires_grad=True)
-    params["fc.bias"] = Tensor(np.zeros(config.num_classes, dtype=dtype), requires_grad=True)
+    for spec in config.param_specs():
+        if spec.fan_in:
+            bound = np.sqrt(1.0 / spec.fan_in)
+            value = rng.uniform(-bound, bound, spec.shape).astype(dtype)
+        else:
+            value = np.full(spec.shape, spec.fill, dtype=dtype)
+        params[spec.name] = Tensor(value, requires_grad=spec.trainable)
     return params
 
 
@@ -344,12 +360,16 @@ def _decode_checkpoint(blob: bytes, off: int) -> tuple[tuple[ModelConfig, dict[s
     off += cfg_len
     (count,) = struct.unpack_from("<I", blob, off)
     off += 4
+    specs = config.param_specs()
+    if count != len(specs):
+        raise ValueError(f"{count} tensors where the config has {len(specs)}")
     params: dict[str, Tensor] = {}
-    for _ in range(count):
+    for spec in specs:
         (name_len,) = struct.unpack_from("<I", blob, off)
         off += 4
         name = blob[off : off + name_len].decode("utf-8")
         data, off = unpack_array(blob, off + name_len)
-        trainable = not name.endswith(("running_mean", "running_var"))
-        params[name] = Tensor(data, requires_grad=trainable)
+        if name != spec.name or data.shape != spec.shape:
+            raise ValueError(f"tensor {name!r} of shape {data.shape} where the config has {spec.name!r} {spec.shape}")
+        params[name] = Tensor(data, requires_grad=spec.trainable)
     return (config, params), off

@@ -361,6 +361,8 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
             gcols = (g2 @ kernel.data.reshape(F, -1)).reshape(B, -1)
             gx = np.zeros((B, Hp * Wp * C), dtype=inp.data.dtype)
             back = idx.ravel()[::-1]
+            # one add.at per image: one call over the batch is bit-identical but slower, 3-8x with a (slice, back)
+            # index, 1.5-3x with a flat one (the loop: 0.43, 0.56, 8.6 ms at 64x8x8x8, 64x3x16x16, 4x64x32x32)
             for b in range(B):
                 np.add.at(gx[b], back, gcols[b, ::-1])
             _accumulate(inp, gx.reshape(B, Hp, Wp, C)[:, pad : pad + H, pad : pad + W].transpose(0, 3, 1, 2))

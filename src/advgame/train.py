@@ -163,6 +163,9 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
         t0 = time.perf_counter()
         try:
             for _ in range(cfg.inner_steps):
+                # ``loss`` stays bound until the next step replaces it: freeing it each step cut fp-exact-patch's
+                # peak RSS from 109 to 81 MB, but the heap was returned and faulted back every step (minor faults
+                # 33k -> 350k-590k, sys 0.1 -> 1-1.6 s, run_s +0.6-1.9 s); freeing it after the loop kept the peak
                 loss = batch_loss(state, sampler.next_indices(cfg.batch_size), step)
                 # the gradients are not bound to a name, so they are freed before the next step
                 T.sgd_momentum_step(params, T.backward(loss, wrt=trainable), velocity, _lr_at(cfg, step),

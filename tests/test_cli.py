@@ -1,10 +1,14 @@
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advgame
 from advgame import attack as A
@@ -366,6 +370,48 @@ class TestCorruptArtifacts:
                 assert main(args) == 3, f"{len(broken)} of {len(blob)} bytes"
         assert not (tmp_path / "out.ppm").exists()
 
+    @pytest.mark.parametrize("command", ["attack", "eval"])
+    def test_non_finite_checkpoint_value_is_3(self, tmp_path, capsys, command):
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        path = ckpts / "checkpoint_0001.ckpt"
+        mc = M.tiny_config(side=8, num_classes=3)
+        M.save_checkpoint(path, mc, M.build_model(mc, 0))
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", np.nan))
+        where = ["--checkpoint", str(path)] if command == "attack" else ["--checkpoint-dir", str(ckpts)]
+        assert main([command, *desk_args(tmp_path), *where]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    # the universal epsilon is the f64 at offset 9, the patch theta_max the one at 21
+    @pytest.mark.parametrize("kind,at,value", [
+        ("universal", -4, struct.pack("<f", np.nan)),
+        ("universal", 9, struct.pack("<d", np.nan)),
+        ("universal", 9, struct.pack("<d", np.inf)),
+        ("patch", -4, struct.pack("<f", np.nan)),
+        ("patch", 21, struct.pack("<d", np.inf)),
+    ], ids=["nan-value", "nan-epsilon", "inf-epsilon", "nan-patch-value", "inf-theta-max"])
+    def test_non_finite_perturbation_is_3_without_ppm(self, tmp_path, capsys, kind, at, value):
+        path, ppm = tmp_path / "x.pert", tmp_path / "out.ppm"
+        spec = D.PerturbationSpec("universal", np.zeros((3, 2, 2)), epsilon=0.1) if kind == "universal" \
+            else D.gray_patch(3, 4, 0.5, 0.0)
+        A.save_perturbation(path, spec)
+        blob = path.read_bytes()
+        at %= len(blob)
+        path.write_bytes(blob[:at] + value + blob[at + len(value):])
+        assert main(["export-ppm", "--in", str(path), "--out", str(ppm)]) == 3
+        assert not ppm.exists()
+
+    @pytest.mark.parametrize("old,new", [(b"[16, 3, 2]", b"[17, 3, 2]"), (b"fc.bias", b"fc.biaz")],
+                             ids=["conv-width", "tensor-name"])
+    def test_checkpoint_disagreeing_with_its_config_is_3_before_any_write(self, tmp_path, capsys, old, new):
+        path = tmp_path / "checkpoint_0001.ckpt"
+        mc = M.tiny_config(side=8, num_classes=3)
+        M.save_checkpoint(path, mc, M.build_model(mc, 0))
+        path.write_bytes(path.read_bytes().replace(old, new))
+        assert main(["attack", *desk_args(tmp_path), "--checkpoint", str(path)]) == 3
+        assert "where the config has" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("blob", [bytes(5), bytes([10]) + bytes(3072)], ids=["truncated", "label-10"])
     def test_corrupt_cifar_file_is_3(self, tmp_path, capsys, blob):
         path = tmp_path / "data_batch.bin"
@@ -373,3 +419,34 @@ class TestCorruptArtifacts:
         args = desk_args(tmp_path, **{"image-side": 32, "classes": 10, "data": "cifar10", "data-path": str(path)})
         assert main(["train-sgd", *args]) == 3
         assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def valid_artifacts(tmp_path_factory):
+    """A small checkpoint that fits ``desk_args``' data, and a universal and a patch ``.pert``."""
+    root = tmp_path_factory.mktemp("valid")
+    mc = M.ModelConfig("tiny", (3, 8, 8), 3, (M.ConvSpec(2, 3, 4),), batchnorm=True)
+    M.save_checkpoint(root / "model.ckpt", mc, M.build_model(mc, 0))
+    xi = np.random.default_rng(0).uniform(-0.1, 0.1, (3, 4, 4))
+    A.save_perturbation(root / "universal.pert", D.PerturbationSpec("universal", xi, epsilon=0.1))
+    A.save_perturbation(root / "patch.pert", D.gray_patch(3, 4, 0.4, 0.3))
+    return root
+
+
+class TestArtifactFuzz:
+    @pytest.mark.parametrize("name", ["model.ckpt", "universal.pert", "patch.pert"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_one_overwritten_byte_gets_an_exit_code(self, valid_artifacts, name, data):
+        blob = (valid_artifacts / name).read_bytes()
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        value = data.draw(st.integers(0, 255), label="byte")
+        with tempfile.TemporaryDirectory() as tmp:
+            broken, ppm = Path(tmp) / name, Path(tmp) / "out.ppm"
+            broken.write_bytes(blob[:at] + bytes([value]) + blob[at + 1:])
+            if name.endswith(".ckpt"):
+                code = main(["attack", *desk_args(Path(tmp), **{"attack-iterations": 1}), "--checkpoint", str(broken)])
+            else:
+                code = main(["export-ppm", "--in", str(broken), "--out", str(ppm)])
+                assert ppm.exists() == (code == 0)
+            assert code in (0, 2, 3, 4)

@@ -276,6 +276,11 @@ class TestPerturbedView:
         assert np.array_equal(got, overlay(ds.images[idx], spec.xi, spec.chi, placements))
         assert np.array_equal(got, overlay_reference(ds.images[idx], spec.xi, spec.chi, placements, ds.images[idx])[0])
 
+    def test_clean_view_returns_a_copy(self):
+        ds = make_synthetic(2, 2, 8, seed=9)
+        got = clean_view(ds).materialize(np.array([1, 0, 3]))
+        assert np.array_equal(got, ds.images[[1, 0, 3]]) and not np.shares_memory(got, ds.images)
+
     def test_index_out_of_range(self):
         ds = make_synthetic(2, 2, 8, seed=9)
         with pytest.raises(IndexError):

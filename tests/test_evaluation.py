@@ -13,7 +13,6 @@ from advgame.evaluation import (
     evaluate_checkpoint_series,
     format_rows,
     perturbed_accuracy,
-    target_class_rate,
     write_csv,
 )
 from advgame.model import ModelConfig, build_model, save_checkpoint, single_pool
@@ -70,6 +69,19 @@ class TestAccuracy:
         rng = np.random.default_rng(0)
         assert accuracy(single_pool(cfg, params), ds, sample_size=8, rng=rng) == 1.0
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["defaults", "sample-8"])
+    def test_equals_clean_view_score(self, sampled):
+        ds = D.make_synthetic(4, 10, 8, seed=4)
+        mc = M.tiny_config(side=8, num_classes=4)
+        pool = single_pool(mc, build_model(mc, 7))
+
+        def subset():
+            return {"sample_size": 8, "rng": np.random.default_rng(3)} if sampled else {}
+
+        clean = accuracy(pool, ds, **subset())
+        assert clean == perturbed_accuracy(pool, ds, None, **subset())
+        assert 0.0 < clean < 1.0
+
     def test_empty_dataset_rejected(self):
         cfg, params = perfect_classifier()
         empty = Dataset(np.zeros((0, 1, 2, 2)), np.zeros(0), 4)
@@ -101,8 +113,18 @@ class TestAdvAccuracy:
         cfg, params = constant_classifier()
         ds = onehot_dataset()
         spec = D.PerturbationSpec("universal", np.zeros(ds.image_shape), epsilon=0.1)
-        assert target_class_rate(single_pool(cfg, params), ds, spec, target_class=0) == 1.0
-        assert target_class_rate(single_pool(cfg, params), ds, spec, target_class=1) == 0.0
+        assert perturbed_accuracy(single_pool(cfg, params), ds, spec, target=0) == 1.0
+        assert perturbed_accuracy(single_pool(cfg, params), ds, spec, target=1) == 0.0
+
+    def test_patch_target_scores_the_forced_class(self):
+        # a full-image, unrotated patch of the one-hot image of class 2 turns every sample into it
+        cfg, params = perfect_classifier()
+        pool, ds = single_pool(cfg, params), onehot_dataset(copies=5)
+        spec = D.PerturbationSpec("patch", np.eye(4)[2].reshape(1, 2, 2), chi=1.0, theta_max=0.0)
+        assert perturbed_accuracy(pool, ds, spec, target=2) == 1.0
+        assert perturbed_accuracy(pool, ds, spec, target=0) == 0.0
+        assert perturbed_accuracy(pool, ds, spec) == 0.25
+        assert perturbed_accuracy(pool, ds, spec, 8, np.random.default_rng(1), placement_seed=3, target=2) == 1.0
 
 
 class TestCsv:
