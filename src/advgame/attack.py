@@ -76,7 +76,7 @@ class PgdConfig:
 
 def project_linf(xi: np.ndarray, epsilon: float) -> np.ndarray:
     """Coordinatewise clamp onto the max-norm ball of radius epsilon."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN fails it too
         raise ValueError("epsilon must be positive")
     return np.clip(xi, -epsilon, epsilon)
 

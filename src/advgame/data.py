@@ -10,7 +10,6 @@ patch attack differentiates through it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4 or len(self.labels) != len(self.images):
             raise ValueError("images must be [N,C,H,W] with one label per image")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        # written so that a NaN, which fails every comparison, fails the check
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
@@ -144,7 +144,8 @@ class PerturbationSpec:
     Universal: ``xi`` is image-shaped with max-norm at most ``epsilon``.
     Patch: ``xi`` is C x P x P with pixels in [0, 1]; ``mask`` is the disc of
     diameter P; ``chi`` is the overlay diameter as a fraction of the image
-    side and ``theta_max`` the rotation bound in radians.
+    side and ``theta_max`` the rotation bound in radians.  A NaN or Inf in
+    ``xi`` raises :class:`~advgame.tensor.NonFiniteError`.
     """
     kind: str
     xi: np.ndarray
@@ -155,6 +156,8 @@ class PerturbationSpec:
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi)
+        if not np.all(np.isfinite(self.xi)):
+            raise T.NonFiniteError("perturbation contains non-finite values")
         if self.kind == "universal":
             if self.epsilon is None or not 0 < self.epsilon < np.inf:
                 raise ValueError("universal perturbation needs a finite epsilon > 0")
@@ -190,6 +193,8 @@ def gray_patch(channels: int, side: int, chi: float, theta_max: float) -> Pertur
 
 def apply_universal(x: np.ndarray, xi: np.ndarray, epsilon: float) -> np.ndarray:
     """Add the shared perturbation and clip back to valid pixel range."""
+    if not np.all(np.isfinite(xi)):
+        raise T.NonFiniteError("perturbation contains non-finite values")
     if np.abs(xi).max(initial=0.0) > epsilon:
         raise ValueError("perturbation exceeds its epsilon budget")
     return np.clip(x + xi, 0.0, 1.0)
@@ -206,8 +211,16 @@ def sample_placements(rng: np.random.Generator, count: int, side: int, chi: floa
 
 def _overlay_gather(images_shape, patch_side: int, chi: float, placements: np.ndarray):
     """Bilinear gather plan for the K pixel centers inside the warped discs:
-    their ``bidx, ridx, cidx``; the patch ``rows`` and ``cols`` (each 4K) of
-    their neighbors, stacked in corner order 00, 01, 10, 11; weights [4, K]."""
+    their ``bidx, ridx, cidx`` in ``np.nonzero`` order over [B, H, W]; the
+    patch ``rows`` and ``cols`` (each 4K) of their neighbors, stacked in
+    corner order 00, 01, 10, 11; weights [4, K].
+
+    The rotated grid is evaluated only on a window of each image, of side
+    ``min(H, ceil(chi * H) + 3)`` starting at ``floor(a - r) - 1`` (and
+    likewise for columns), clipped to the image: a disc of radius ``r``
+    centered at ``(a, b)`` covers no pixel center outside it, and every
+    covered pixel gets the same formulas, so the same bits, as on the full
+    grid."""
     B, C, H, W = images_shape
     if placements.shape != (B, 3):
         raise ValueError(f"need one (a, b, theta) row per image, got {placements.shape}")
@@ -217,21 +230,26 @@ def _overlay_gather(images_shape, patch_side: int, chi: float, placements: np.nd
        np.any(placements[:, 1] < radius - 1e-9) or np.any(placements[:, 1] > W - radius + 1e-9):
         raise ValueError("patch placement out of bounds")
     P = patch_side
-    ys, xs = np.meshgrid(np.arange(H) + 0.5, np.arange(W) + 0.5, indexing="ij")
+    side = int(np.ceil(scaled)) + 3
+    wh, ww = min(H, side), min(W, side)
+    r0 = np.clip(np.floor(placements[:, 0] - radius).astype(np.int64) - 1, 0, H - wh)
+    c0 = np.clip(np.floor(placements[:, 1] - radius).astype(np.int64) - 1, 0, W - ww)
     a = placements[:, 0][:, None, None]
     b = placements[:, 1][:, None, None]
     theta = placements[:, 2][:, None, None]
-    dy = ys[None] - a
-    dx = xs[None] - b
+    dy = (r0[:, None, None] + np.arange(wh)[:, None]) + 0.5 - a  # [B, wh, 1]
+    dx = (c0[:, None, None] + np.arange(ww)) + 0.5 - b  # [B, 1, ww]
     # rotate the sampling grid by -theta so the rendered patch appears rotated by +theta
     ry = np.cos(theta) * dy + np.sin(theta) * dx
     rx = -np.sin(theta) * dy + np.cos(theta) * dx
     qy = ry * (P / scaled) + P / 2.0
     qx = rx * (P / scaled) + P / 2.0
     inside = (qy - P / 2.0) ** 2 + (qx - P / 2.0) ** 2 <= (P / 2.0) ** 2
-    bidx, ridx, cidx = np.nonzero(inside)
-    u = qy[bidx, ridx, cidx] - 0.5
-    v = qx[bidx, ridx, cidx] - 0.5
+    bidx, wr, wc = np.nonzero(inside)
+    ridx = r0[bidx] + wr
+    cidx = c0[bidx] + wc
+    u = qy[bidx, wr, wc] - 0.5
+    v = qx[bidx, wr, wc] - 0.5
     i0 = np.floor(u).astype(np.int64)
     j0 = np.floor(v).astype(np.int64)
     fu = u - i0
@@ -249,22 +267,33 @@ def _overlay_gather(images_shape, patch_side: int, chi: float, placements: np.nd
 def overlay_patch_op(images: np.ndarray, patch: Tensor, chi: float, placements: np.ndarray) -> Tensor:
     """Render the patch on a [B, C, H, W] batch, one (a, b, theta) row each:
     pixels whose centers fall inside the warped disc take the bilinear sample,
-    its four taps summed in corner order; all others pass through.  The patch
-    gradient is one ``np.add.at`` over the stacked neighbors, corner by corner."""
+    its four taps summed in corner order; all others pass through.
+
+    The taps are one flat ``take`` from the patch's [C, P*P] pixels, in
+    [C, 4K] order (channel, then corner, then pixel), and the covered pixels
+    are written through one flat index into the output.  The patch gradient
+    is one ``np.add.at`` over the same [C, 4K] order, corner by corner."""
     images = np.asarray(images)
-    bidx, ridx, cidx, rows, cols, weights = _overlay_gather(images.shape, patch.shape[1], chi, placements)
-    C, K = patch.shape[0], len(bidx)
-    # tap by tap, so one [C, K] tap is alive beside the sum: a [C, 4K] gather raised peak memory
-    taps = (w * patch.data[:, r, c] for r, c, w in zip(rows.reshape(4, K), cols.reshape(4, K), weights))
+    C, H, W = images.shape[1:]
+    P = patch.shape[1]
+    bidx, ridx, cidx, rows, cols, weights = _overlay_gather(images.shape, P, chi, placements)
+    K = len(bidx)
+    taps = rows * P + cols  # [4K] offsets into one channel of the patch
+    pixels = np.arange(C)[:, None] * (H * W) + ((bidx * C * H + ridx) * W + cidx)  # [C, K] offsets into the batch
+    # in the weights' float64 whatever the patch dtype: the four terms are summed before one rounding into the output
+    weighted = patch.data.reshape(C, P * P).take(taps, axis=1).astype(weights.dtype, copy=False)
+    weighted *= weights.reshape(4 * K)
+    weighted = weighted.reshape(C, 4, K)
     out = images.copy()
-    out[bidx, :, ridx, cidx] = functools.reduce(np.add, taps).T
+    out.reshape(-1)[pixels] = weighted[:, 0] + weighted[:, 1] + weighted[:, 2] + weighted[:, 3]
 
     def bwd(g):
         if patch.requires_grad:
-            gp = np.zeros_like(patch.data)
-            gsel = g[bidx, :, ridx, cidx].T  # [C, K]
-            np.add.at(gp, (np.arange(C)[:, None], rows, cols), (weights * gsel[:, None, :]).reshape(C, 4 * K))
-            T._accumulate(patch, gp)
+            gp = np.zeros(patch.size, dtype=patch.dtype)
+            gsel = g.reshape(-1).take(pixels)  # [C, K]
+            flat_taps = np.arange(C)[:, None] * (P * P) + taps  # [C, 4K]
+            np.add.at(gp, flat_taps.reshape(-1), (weights * gsel[:, None, :]).reshape(-1))
+            T._accumulate(patch, gp.reshape(patch.shape))
 
     return T._node(out, (patch,), bwd)
 

@@ -315,14 +315,14 @@ def pool_expected_loss(pool: ClassifierPool, batch, labels, target: int | None =
     return term if lam == 1.0 else T.add(T.mul(expected(labels), 1.0 - lam), term)
 
 
-def pool_probabilities(pool: ClassifierPool, batch) -> np.ndarray:
-    """Average per-member softmax probabilities over the pool."""
-    return sum(np.exp(T.log_softmax(logits.data)) for logits in _member_logits(pool, batch)) / len(pool)
-
-
 def pool_predict(pool: ClassifierPool, batch) -> np.ndarray:
-    """Argmax of the averaged probability vectors; ties go to the lowest class id."""
-    return np.argmax(pool_probabilities(pool, batch), axis=1)
+    """Argmax of the members' softmax probabilities averaged over the pool;
+    ties go to the lowest class id.  Scoring runs no loss for ``backward`` to
+    check, so a NaN or Inf probability raises ``NonFiniteError`` here."""
+    probs = sum(np.exp(T.log_softmax(logits.data)) for logits in _member_logits(pool, batch)) / len(pool)
+    if not np.all(np.isfinite(probs)):
+        raise T.NonFiniteError("class probabilities are not finite")
+    return np.argmax(probs, axis=1)
 
 
 def single_pool(config: ModelConfig, params: dict[str, Tensor]) -> ClassifierPool:

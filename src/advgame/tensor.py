@@ -14,13 +14,19 @@ broadcasts.
 
 A closure keeps only what its backward reads.  ``conv2d`` converts between
 images and im2col columns through one int window index per padded geometry
-(height, width, channels, kernel, stride), cached for the life of the
-process and independent of the batch size: a ``take`` gathers the columns,
-and a per-image ``np.add.at`` over the reversed index scatters their
-gradients back in the (ky, kx) order a per-tap loop would add them, so
-the output and both gradients keep the bits of the NCHW reference the tests
-compare against.  Its backward keeps the columns only for a kernel that
-requires a gradient and never keeps the padded input.
+(height, width, channels, kernel, stride, buffer layout), cached for the
+life of the process and independent of the batch size: a ``take`` gathers
+the columns, and a per-image ``np.add.at`` over the reversed index scatters
+their gradients back in the (ky, kx) order a per-tap loop would add them,
+so the output and both gradients keep the bits of the NCHW reference the
+tests compare against.  Its backward keeps the columns only for a kernel
+that requires a gradient and never keeps the padded input.
+
+Finiteness is checked at the edges of a graph, not at every node: a
+``Tensor`` built by a caller (an input batch, a parameter, a perturbation)
+rejects NaN and Inf, :func:`backward` rejects a non-finite loss, and
+:func:`sgd_momentum_step` rejects a parameter the update made non-finite.
+An op's output is not scanned; a NaN or Inf it produces reaches the loss.
 """
 
 from __future__ import annotations
@@ -31,7 +37,10 @@ import numpy as np
 
 
 class NonFiniteError(FloatingPointError):
-    """Raised when a tensor would contain NaN or Inf values."""
+    """A NaN or Inf where the engine checks for one: in a caller-built
+    :class:`Tensor`, in the loss given to :func:`backward`, or in a parameter
+    after :func:`sgd_momentum_step`.  Outside the engine, scoring's class
+    probabilities and every perturbation are checked too."""
 
 
 _DEFAULT_DTYPE = np.float64
@@ -53,6 +62,10 @@ def get_default_dtype():
 class Tensor:
     """An n-dimensional array plus the bookkeeping needed for backprop.
 
+    A tensor built by a caller rejects NaN and Inf values; an op's output
+    (built with parents) is not scanned, since a non-finite value there
+    reaches the loss that :func:`backward` checks.
+
     ``grad`` is cleared by :func:`backward`, then created (as a plain
     ndarray, with the dtype and layout of ``data``) by the first gradient
     contribution; it stays ``None`` on a node the loss does not reach.
@@ -64,7 +77,7 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
-        if not np.all(np.isfinite(arr)):
+        if not _parents and not np.all(np.isfinite(arr)):
             raise NonFiniteError("tensor contains non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -145,6 +158,8 @@ def backward(loss: Tensor, wrt: Mapping[str, Tensor] | None = None) -> dict[str,
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not np.isfinite(loss.data).all():
+        raise NonFiniteError("loss is not finite")
     order = _topo_order(loss)
     for node in (*order, *(wrt or {}).values()):
         node.grad = None
@@ -269,22 +284,26 @@ def _conv_pad(k: int, padding: str) -> int:
 _CONV_LOOP_MAX_HW = 64
 _CONV_LOOP_MAX_C = 3
 
-# (Hp, Wp, C, k, stride) -> window index: one read-only entry per padded geometry, whatever the
-# batch size, so a model adds at most one entry per conv layer
-_WINDOW_INDEX: dict[tuple[int, int, int, int, int], np.ndarray] = {}
+# (Hp, Wp, C, k, stride, channels_last) -> window index: one read-only entry per padded geometry and buffer
+# layout, whatever the batch size, so a model adds at most one entry per conv layer
+_WINDOW_INDEX: dict[tuple[int, int, int, int, int, bool], np.ndarray] = {}
 
 
-def _window_index(Hp: int, Wp: int, C: int, k: int, stride: int) -> np.ndarray:
-    """Read-only int index [Ho*Wo, C*k*k] into one flattened channel-last
-    padded image [Hp, Wp, C]: row (ho, wo), column (c, ky, kx) holds the
-    offset of pixel (ho*stride + ky, wo*stride + kx, c)."""
-    key = (Hp, Wp, C, k, stride)
+def _window_index(Hp: int, Wp: int, C: int, k: int, stride: int, channels_last: bool) -> np.ndarray:
+    """Read-only int index [Ho*Wo, C*k*k] into one flattened padded image,
+    channel-last [Hp, Wp, C] or channel-first [C, Hp, Wp]: row (ho, wo),
+    column (c, ky, kx) holds the offset of pixel (ho*stride + ky,
+    wo*stride + kx) of channel c."""
+    key = (Hp, Wp, C, k, stride, channels_last)
     idx = _WINDOW_INDEX.get(key)
     if idx is None:
         Ho, Wo = (Hp - k) // stride + 1, (Wp - k) // stride + 1
         ys = np.arange(Ho)[:, None, None, None, None] * stride + np.arange(k)[:, None]
         xs = np.arange(Wo)[:, None, None, None] * stride + np.arange(k)
-        idx = ((ys * Wp + xs) * C + np.arange(C)[:, None, None]).reshape(Ho * Wo, C * k * k)
+        cs = np.arange(C)[:, None, None]
+        pixels = ys * Wp + xs
+        idx = pixels * C + cs if channels_last else cs * (Hp * Wp) + pixels
+        idx = idx.reshape(Ho * Wo, C * k * k)
         idx.flags.writeable = False
         _WINDOW_INDEX[key] = idx
     return idx
@@ -293,10 +312,13 @@ def _window_index(Hp: int, Wp: int, C: int, k: int, stride: int) -> np.ndarray:
 def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """2-d cross-correlation over [B,C,H,W] with kernel [F,C,k,k].
 
-    The input is copied once into a zero-padded channel-last buffer
-    [B, Hp, Wp, C].  im2col gathers its columns through the window index of
-    the padded geometry (:func:`_window_index`), built once and shared by
-    every batch size: rows (b, ho, wo), columns (c, ky, kx).  For small
+    The input is copied once into a zero-padded buffer in its own memory
+    order, so the copy never transposes: channel-first [B, C, Hp, Wp] for a
+    C-contiguous batch (the image layer), channel-last [B, Hp, Wp, C]
+    otherwise (a GEMM layer's output, whose memory is NHWC).  im2col gathers
+    its columns through the window index of the padded geometry and layout
+    (:func:`_window_index`), built once and shared by every batch size:
+    rows (b, ho, wo), columns (c, ky, kx) in either layout.  For small
     spatial inputs the forward's accumulation order over (c, ky, kx) is
     fixed, so the result is bit-identical to a nested-loop evaluation in the
     same order; larger inputs take an im2col/GEMM forward.
@@ -329,9 +351,11 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     Ho = (Hp - k) // stride + 1
     Wo = (Wp - k) // stride + 1
 
-    x = np.zeros((B, Hp, Wp, C), dtype=inp.data.dtype)
-    x[:, pad : pad + H, pad : pad + W] = inp.data.transpose(0, 2, 3, 1)
-    idx = _window_index(Hp, Wp, C, k, stride)
+    channels_last = not inp.data.flags.c_contiguous
+    x = np.zeros((B, Hp, Wp, C) if channels_last else (B, C, Hp, Wp), dtype=inp.data.dtype)
+    x_nchw = x.transpose(0, 3, 1, 2) if channels_last else x
+    x_nchw[:, :, pad : pad + H, pad : pad + W] = inp.data
+    idx = _window_index(Hp, Wp, C, k, stride, channels_last)
     loop = H * W <= _CONV_LOOP_MAX_HW and C <= _CONV_LOOP_MAX_C
     cols = None
     if kernel.requires_grad or not loop:
@@ -342,7 +366,7 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
         for c in range(C):
             for ky in range(k):
                 for kx in range(k):
-                    patch = x[:, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride, c]
+                    patch = x_nchw[:, c, ky : ky + stride * Ho : stride, kx : kx + stride * Wo : stride]
                     out += patch[:, None] * kernel.data[None, :, c, ky, kx, None, None]
         out = out + bias.data[None, :, None, None]
     else:
@@ -365,7 +389,8 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
             # index, 1.5-3x with a flat one (the loop: 0.43, 0.56, 8.6 ms at 64x8x8x8, 64x3x16x16, 4x64x32x32)
             for b in range(B):
                 np.add.at(gx[b], back, gcols[b, ::-1])
-            _accumulate(inp, gx.reshape(B, Hp, Wp, C)[:, pad : pad + H, pad : pad + W].transpose(0, 3, 1, 2))
+            gx = gx.reshape(B, Hp, Wp, C).transpose(0, 3, 1, 2) if channels_last else gx.reshape(B, C, Hp, Wp)
+            _accumulate(inp, gx[:, :, pad : pad + H, pad : pad + W])
 
     return _node(out, (inp, kernel, bias), bwd)
 
@@ -463,7 +488,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# optimizer step and gradient-check oracle
+# optimizer step
 # ---------------------------------------------------------------------------
 
 def sgd_momentum_step(
@@ -479,6 +504,7 @@ def sgd_momentum_step(
     v <- momentum * v + (grad + weight_decay * param); param <- param - lr * v.
     Parameters missing from ``grads`` are left untouched; ``velocity`` is
     updated in place, ``grads`` only read, with the formula's exact bits.
+    A parameter the update leaves non-finite raises :class:`NonFiniteError`.
     """
     if lr < 0:
         raise ValueError("lr must be nonnegative")
@@ -498,25 +524,5 @@ def sgd_momentum_step(
         v += step
         np.multiply(v, lr, out=step)
         p.data -= step
-
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
-    for i in range(x.size):
-        xp = x.copy().reshape(-1)
-        xm = x.copy().reshape(-1)
-        xp[i] += h
-        xm[i] -= h
-        flat[i] = (f(xp.reshape(x.shape)) - f(xm.reshape(x.shape))) / (2.0 * h)
-    return grad
-
-
-def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max abs difference scaled by max(1, largest numeric entry)."""
-    scale = max(1.0, float(np.abs(numeric).max(initial=0.0)))
-    return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
+        if not np.isfinite(p.data).all():
+            raise NonFiniteError(f"parameter {name!r} is not finite after the update")

@@ -42,6 +42,11 @@ class TestProjectLinf:
     def test_inside_ball_identity(self):
         assert project_linf(np.array([-0.05]), 0.2)[0] == -0.05
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, np.nan])
+    def test_nonpositive_or_nan_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="positive"):
+            project_linf(np.zeros(3), epsilon)
+
     def test_idempotent(self):
         x = np.random.default_rng(0).uniform(-1, 1, 20)
         once = project_linf(x, 0.3)

@@ -266,6 +266,24 @@ class TestExitCodes:
         assert metrics[0] == "iter,split,clean_acc,adv_acc,attack,seconds"
         assert [line.split(",")[:2] for line in metrics[1:]] == [["1", "train"]]
 
+    # parameters that overflow within a step or two; the last case crafts no attack, so only scoring reads the
+    # overflowed classifier
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,extra,message", [
+        pytest.param("train-sgd", {}, "loss is not finite", id="sgd"),
+        pytest.param("train-at", {}, "loss is not finite", id="at"),
+        pytest.param("train-fp", {"fp-mode": "approximate", "attack-kind": "universal"}, "loss is not finite",
+                     id="fp-approximate-universal"),
+        pytest.param("train-fp", {"fp-mode": "exact", "attack-kind": "patch"}, "loss is not finite",
+                     id="fp-exact-patch"),
+        pytest.param("train-fp", {"outer-iterations": 1, "inner-steps": 1, "attack-iterations": 0},
+                     "class probabilities are not finite", id="fp-scoring-only"),
+    ])
+    def test_overflowing_learning_rate_is_4_before_any_artifact(self, tmp_path, capsys, command, extra, message):
+        assert main([command, *desk_args(tmp_path, **{"learning-rate": "1e200", **extra})]) == 4
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["config.txt"]
+
     def test_console_script_runs(self, tmp_path):
         src = str(Path(advgame.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -20,7 +20,8 @@ from advgame.data import (
     sample_placements,
     to_ppm_bytes,
 )
-from advgame.tensor import Tensor, backward, finite_difference_gradient, mul, relative_gradient_error, tensor_sum
+from advgame.tensor import NonFiniteError, Tensor, backward, mul, tensor_sum
+from gradcheck import finite_difference_gradient, relative_gradient_error
 
 
 def cifar_fixture_bytes(rng):
@@ -94,6 +95,8 @@ class TestSynthetic:
             Dataset(np.full((1, 1, 2, 2), 1.5), np.zeros(1), 2)
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 1, 2, 2)), np.array([5]), 2)
+        with pytest.raises(ValueError, match="pixel values"):
+            Dataset(np.array([0.5, np.nan, 0.5, 0.5]).reshape(1, 1, 2, 2), np.zeros(1), 2)
 
 
 class TestApplyUniversal:
@@ -110,6 +113,10 @@ class TestApplyUniversal:
         with pytest.raises(ValueError):
             apply_universal(np.zeros((1, 1, 2, 2)), np.full((1, 2, 2), 0.3), 0.2)
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteError):
+            apply_universal(np.zeros((1, 1, 2, 2)), np.array([0.0, np.nan, 0.0, 0.0]).reshape(1, 2, 2), 0.2)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 0.3))
     def test_bounded_displacement(self, seed, eps):
@@ -121,12 +128,46 @@ class TestApplyUniversal:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def overlay_gather_full_grid(images_shape, patch_side, chi, placements):
+    """``_overlay_gather`` evaluated on every pixel of every image: the
+    rotated sampling grid over the whole [B, H, W], then ``np.nonzero``."""
+    B, C, H, W = images_shape
+    scaled = chi * H
+    P = patch_side
+    ys, xs = np.meshgrid(np.arange(H) + 0.5, np.arange(W) + 0.5, indexing="ij")
+    a = placements[:, 0][:, None, None]
+    b = placements[:, 1][:, None, None]
+    theta = placements[:, 2][:, None, None]
+    dy = ys[None] - a
+    dx = xs[None] - b
+    ry = np.cos(theta) * dy + np.sin(theta) * dx
+    rx = -np.sin(theta) * dy + np.cos(theta) * dx
+    qy = ry * (P / scaled) + P / 2.0
+    qx = rx * (P / scaled) + P / 2.0
+    inside = (qy - P / 2.0) ** 2 + (qx - P / 2.0) ** 2 <= (P / 2.0) ** 2
+    bidx, ridx, cidx = np.nonzero(inside)
+    u = qy[bidx, ridx, cidx] - 0.5
+    v = qx[bidx, ridx, cidx] - 0.5
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    fu = u - i0
+    fv = v - j0
+    i1 = np.clip(i0 + 1, 0, P - 1)
+    j1 = np.clip(j0 + 1, 0, P - 1)
+    i0 = np.clip(i0, 0, P - 1)
+    j0 = np.clip(j0, 0, P - 1)
+    rows = np.concatenate([i0, i0, i1, i1])
+    cols = np.concatenate([j0, j1, j0, j1])
+    weights = np.stack([(1 - fu) * (1 - fv), (1 - fu) * fv, fu * (1 - fv), fu * fv])
+    return bidx, ridx, cidx, rows, cols, weights
+
+
 def overlay_reference(images, patch, chi, placements, g):
     """The overlay as four bilinear terms summed 00 + 01 + 10 + 11, and the
     gradient of ``sum(g * out)`` in the patch as four scatters in that order.
-    Only the covered pixels come from ``_overlay_gather``; their neighbors and
+    The covered pixels come from the full-grid gather; their neighbors and
     weights are recomputed here from the placements."""
-    bidx, ridx, cidx = D._overlay_gather(images.shape, patch.shape[1], chi, placements)[:3]
+    bidx, ridx, cidx = overlay_gather_full_grid(images.shape, patch.shape[1], chi, placements)[:3]
     P, scale = patch.shape[1], patch.shape[1] / (chi * images.shape[2])
     a, b, theta = placements[bidx].T
     dy, dx = ridx + 0.5 - a, cidx + 0.5 - b
@@ -225,6 +266,29 @@ class TestApplyPatch:
         assert out.data.dtype == want_out.dtype and np.array_equal(out.data, want_out)
         assert patch.grad.dtype == want_grad.dtype and np.array_equal(patch.grad, want_grad)
 
+    # random sides, chi up to 1, placements drawn inside or pinned to an edge (within the 1e-9 the bounds check
+    # allows), patch sides below and above the image side, float32 and float64 placements
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_windowed_gather_equals_full_grid(self, dtype):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            side = int(rng.integers(4, 33))
+            chi = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
+            patch_side = int(rng.integers(2, 2 * side))
+            batch = int(rng.integers(1, 6))
+            placements = sample_placements(rng, batch, side, chi, np.deg2rad(rng.uniform(0, 90)))
+            radius = chi * side / 2.0
+            for col in (0, 1):
+                edge = rng.random(batch) < 0.4
+                placements[edge, col] = rng.choice([radius - 1e-9, radius, side - radius, side - radius + 1e-9],
+                                                   edge.sum())
+            placements = placements.astype(dtype)
+            shape = (batch, 3, side, side)
+            got = D._overlay_gather(shape, patch_side, chi, placements)
+            want = overlay_gather_full_grid(shape, patch_side, chi, placements)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
 
 class TestPerturbationSpec:
     def test_universal_budget_enforced(self):
@@ -234,6 +298,17 @@ class TestPerturbationSpec:
     def test_patch_range_enforced(self):
         with pytest.raises(ValueError):
             PerturbationSpec("patch", np.full((1, 4, 4), 1.5), chi=0.5, theta_max=0.0)
+
+    @pytest.mark.parametrize("kind,fields,value", [
+        pytest.param("universal", {"epsilon": 0.2}, np.nan, id="universal-nan"),
+        pytest.param("universal", {"epsilon": 0.2}, np.inf, id="universal-inf"),
+        pytest.param("patch", {"chi": 0.5, "theta_max": 0.0}, np.nan, id="patch-nan"),
+    ])
+    def test_non_finite_rejected(self, kind, fields, value):
+        xi = np.full((1, 4, 4), 0.1)
+        xi[0, 2, 3] = value
+        with pytest.raises(NonFiniteError):
+            PerturbationSpec(kind, xi, **fields)
 
     def test_disc_mask_diameter(self):
         mask = disc_mask(8)

@@ -13,7 +13,6 @@ from advgame.model import (
     load_checkpoint,
     pool_expected_loss,
     pool_predict,
-    pool_probabilities,
     save_checkpoint,
     single_pool,
     tiny_config,
@@ -205,7 +204,8 @@ class TestPool:
     def test_predict_invariant_to_rescaling(self):
         cfg, pool = self._pool_of([26, 27])
         x = np.random.default_rng(10).random((5, 1, 6, 6))
-        base = pool_probabilities(pool, x)
+        base = sum(np.exp(T.log_softmax(forward(cfg, m.params, x, "infer").data)) for m in pool) / len(pool)
+        assert np.array_equal(pool_predict(pool, x), np.argmax(base, axis=1))
         assert np.array_equal(np.argmax(base, axis=1), np.argmax(3.7 * base, axis=1))
 
     def test_snapshot_immutable_under_training(self):

@@ -13,14 +13,13 @@ from advgame.tensor import (
     clip,
     conv2d,
     dense,
-    finite_difference_gradient,
     mul,
-    relative_gradient_error,
     relu,
     sgd_momentum_step,
     softmax_cross_entropy,
     tensor_sum,
 )
+from gradcheck import finite_difference_gradient, relative_gradient_error
 
 
 def conv2d_oracle(x, kernel, bias, stride, padding):
@@ -173,7 +172,7 @@ def conv2d_nchw_reference(x, kernel, bias, stride, padding, g):
 
 
 class TestConv2dBits:
-    """The channel-last buffer gives the NCHW reference's bits on both paths."""
+    """Either padded buffer layout gives the NCHW reference's bits on both paths."""
 
     @pytest.mark.parametrize("dtype,kernel_grad", [
         pytest.param(dtype, kernel_grad, id=dtype.__name__ + ("" if kernel_grad else "-const-kernel"))
@@ -181,12 +180,21 @@ class TestConv2dBits:
     ])
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 3, 12, 12), (2, 8, 8, 8), (2, 3, 9, 12)],
-                             ids=["loop-C3", "gemm-C3", "gemm-C8", "gemm-C3-9x12"])
-    def test_equals_nchw_reference(self, shape, stride, padding, dtype, kernel_grad):
+    # the input in either memory order: C-contiguous NCHW (the image layer, a channel-first buffer) and NHWC
+    # memory (a GEMM layer's output, a channel-last buffer)
+    @pytest.mark.parametrize("shape,nhwc_memory", [
+        pytest.param(shape, nhwc, id=name + ("-nhwc-memory" if nhwc else ""))
+        for nhwc in (False, True)
+        for shape, name in [((2, 3, 8, 8), "loop-C3"), ((2, 3, 12, 12), "gemm-C3"), ((2, 8, 8, 8), "gemm-C8"),
+                            ((2, 3, 9, 12), "gemm-C3-9x12")]
+    ])
+    def test_equals_nchw_reference(self, shape, nhwc_memory, stride, padding, dtype, kernel_grad):
         # a constant kernel and bias are the attack's case: only the input needs a gradient
         rng = np.random.default_rng(17)
         x0 = rng.standard_normal(shape).astype(dtype)
+        if nhwc_memory:
+            x0 = x0.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+            assert not x0.flags.c_contiguous
         k0 = rng.standard_normal((5, shape[1], 3, 3)).astype(dtype)
         b0 = rng.standard_normal(5).astype(dtype)
         x = Tensor(x0, requires_grad=True)
@@ -209,12 +217,15 @@ class TestConv2dBits:
         rng = np.random.default_rng(5)
         k = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
         b = Tensor(np.zeros(4), requires_grad=True)
-        for batch in (2, 5):
-            x = Tensor(rng.standard_normal((batch, 3, 12, 12)), requires_grad=True)
-            backward(tensor_sum(conv2d(x, k, b, 2, "same")))
-        # padded 14x14, 6x6 windows of 3 channels x 3x3 taps
-        assert list(T._WINDOW_INDEX) == [(14, 14, 3, 3, 2)]
-        assert T._WINDOW_INDEX[(14, 14, 3, 3, 2)].shape == (6 * 6, 3 * 3 * 3)
+        for nhwc_memory in (False, True):
+            for batch in (2, 5):
+                x0 = rng.standard_normal((batch, 12, 12, 3) if nhwc_memory else (batch, 3, 12, 12))
+                x = Tensor(x0.transpose(0, 3, 1, 2) if nhwc_memory else x0, requires_grad=True)
+                backward(tensor_sum(conv2d(x, k, b, 2, "same")))
+        # padded 14x14, 6x6 windows of 3 channels x 3x3 taps; the last key is the buffer's layout, channel-last
+        # for the NHWC-memory input
+        assert list(T._WINDOW_INDEX) == [(14, 14, 3, 3, 2, False), (14, 14, 3, 3, 2, True)]
+        assert all(idx.shape == (6 * 6, 3 * 3 * 3) for idx in T._WINDOW_INDEX.values())
 
 
 class TestRelu:
@@ -475,6 +486,11 @@ class TestSgdMomentum:
         sgd_momentum_step(params, {"p": np.array([0.5])}, vel, lr=0.1)
         assert np.allclose(params["p"].data, [0.95])
 
+    def test_overflowing_update_rejected(self):
+        params = self._param([1.0, 1e308])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'p' is not finite"):
+            sgd_momentum_step(params, {"p": np.array([0.0, -1e308])}, {}, lr=10.0)
+
     def test_zero_grad_identity(self):
         params = self._param([1.0, -2.0])
         sgd_momentum_step(params, {"p": np.zeros(2)}, {}, lr=0.1, momentum=0.9)
@@ -550,6 +566,13 @@ class TestTensorInvariants:
             Tensor([1.0, np.nan])
         with pytest.raises(NonFiniteError):
             Tensor([np.inf])
+
+    def test_backward_rejects_a_loss_that_overflows_inside_an_op(self):
+        with np.errstate(over="ignore"):
+            loss = tensor_sum(mul(Tensor([1e308], requires_grad=True), 10.0))  # an op's output is not scanned
+        assert np.isinf(loss.item())
+        with pytest.raises(NonFiniteError, match="loss is not finite"):
+            backward(loss)
 
     def test_default_dtype_switch(self):
         T.set_default_dtype(np.float32)
