@@ -1,8 +1,12 @@
 """Attack crafting: universal max-norm perturbations, adversarial patches,
 and per-sample PGD examples for the adversarial-training baseline.
 
-Every attack ascends the expected loss of a classifier pool: the snapshot
-pool in exact-mode play, otherwise the live classifier as a pool of one.
+:func:`craft` is the only entry that makes a perturbation: it plays the one
+attack its config names, :func:`learn_universal` or :func:`learn_patch`.
+Both run the same ascent loop, :func:`_ascend`, which draws the batches;
+each passes only its start point and its step.  Every attack ascends the
+expected loss of a classifier pool: the snapshot pool in exact-mode play,
+otherwise the live classifier as a pool of one.
 
 The universal update averages per-sample gradient SIGNS over the batch
 (sign-then-average, not sign-of-average) before the max-norm projection;
@@ -105,20 +109,39 @@ def universal_step(
     return project_linf(xi + alpha * signs.mean(axis=0), epsilon)
 
 
+def craft(pool: ClassifierPool, dataset: D.Dataset, config: UniversalAttackConfig | PatchAttackConfig,
+          rng: np.random.Generator) -> PerturbationSpec:
+    """Craft the one perturbation ``config`` names against ``pool`` on ``dataset``."""
+    if isinstance(config, UniversalAttackConfig):
+        return learn_universal(pool, dataset, config, rng)
+    if isinstance(config, PatchAttackConfig):
+        return learn_patch(pool, dataset, config, rng)
+    raise TypeError(f"unsupported attack config {type(config).__name__}")
+
+
+def _ascend(xi: np.ndarray, dataset: D.Dataset, config, rng: np.random.Generator, step) -> np.ndarray:
+    """The one ascent loop: ``config.iterations`` times ``xi = step(xi, images,
+    labels)`` on batches of ``min(config.batch_size, len(dataset))`` drawn
+    without replacement on ``rng`` (no draw at zero iterations)."""
+    if config.iterations > 0:
+        size = min(config.batch_size, len(dataset))
+        sampler = D.BatchSampler(len(dataset), rng)
+        for _ in range(config.iterations):
+            idx = sampler.next_indices(size)
+            xi = step(xi, dataset.images[idx], dataset.labels[idx])
+    return xi
+
+
 def learn_universal(
     pool: ClassifierPool,
     dataset: D.Dataset,
     config: UniversalAttackConfig,
     rng: np.random.Generator,
 ) -> PerturbationSpec:
-    """Craft a universal perturbation by iterated sign ascent over random batches."""
+    """Craft a universal perturbation by iterated sign ascent from zero."""
     xi = np.zeros(dataset.image_shape, dtype=T.get_default_dtype())
-    if config.iterations > 0:
-        size = min(config.batch_size, len(dataset))
-        sampler = D.BatchSampler(len(dataset), rng)
-        for _ in range(config.iterations):
-            idx = sampler.next_indices(size)
-            xi = universal_step(xi, pool, dataset.images[idx], dataset.labels[idx], config.alpha, config.epsilon)
+    xi = _ascend(xi, dataset, config, rng,
+                 lambda xi, x, y: universal_step(xi, pool, x, y, config.alpha, config.epsilon))
     return PerturbationSpec("universal", xi, epsilon=config.epsilon)
 
 
@@ -162,22 +185,17 @@ def learn_patch(
     rng: np.random.Generator,
 ) -> PerturbationSpec:
     """Craft a patch by gradient ascent from a mid-gray disc, resampling
+    placements freshly at every step, after the step's batch."""
+    channels, side = dataset.image_shape[:2]
+    mask = D.disc_mask(config.patch_side)
 
-    placements freshly at every step."""
-    channels = dataset.image_shape[0]
-    side = dataset.image_shape[1]
-    spec = D.gray_patch(channels, config.patch_side, config.chi, config.theta_max)
-    xi = spec.xi
-    if config.iterations > 0:
-        size = min(config.batch_size, len(dataset))
-        sampler = D.BatchSampler(len(dataset), rng)
-        for _ in range(config.iterations):
-            idx = sampler.next_indices(size)
-            placements = sample_placements(
-                rng, size * config.placements_per_step, side, config.chi, config.theta_max
-            )
-            xi = patch_step(xi, pool, dataset.images[idx], dataset.labels[idx], config, placements, spec.mask)
-    return PerturbationSpec("patch", xi, mask=spec.mask, chi=config.chi, theta_max=config.theta_max)
+    def step(xi, x, y):
+        placements = sample_placements(rng, len(y) * config.placements_per_step, side, config.chi, config.theta_max)
+        return patch_step(xi, pool, x, y, config, placements, mask)
+
+    xi = D.gray_patch(channels, config.patch_side, config.chi, config.theta_max).xi
+    xi = _ascend(xi, dataset, config, rng, step)
+    return PerturbationSpec("patch", xi, chi=config.chi, theta_max=config.theta_max)
 
 
 def pgd_per_sample(
@@ -190,7 +208,9 @@ def pgd_per_sample(
     """Per-sample projected gradient ascent inside the max-norm ball."""
     x = np.asarray(batch)
     if config.random_init:
-        adv = np.clip(x + rng.uniform(-config.epsilon, config.epsilon, x.shape), 0.0, 1.0)
+        # the draw is float64; cast, so that a float32 batch stays float32
+        noise = rng.uniform(-config.epsilon, config.epsilon, x.shape).astype(x.dtype, copy=False)
+        adv = np.clip(x + noise, 0.0, 1.0)
     else:
         adv = x.copy()
     for _ in range(config.steps):

@@ -216,7 +216,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         else:
             build_model_config(cfg).check_input_shape((cfg.channels, cfg.image_side, cfg.image_side), cfg.classes)
             D.check_synthetic(cfg.classes, cfg.per_class, cfg.image_side)
-        build_train_config(cfg)
+        build_train_config(cfg, "fp")
         build_attack_config(cfg, iterations=cfg.eval_attack_iterations)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -286,7 +286,9 @@ def build_pgd_config(cfg: ExperimentConfig) -> PgdConfig:
     return PgdConfig(cfg.epsilon, step, cfg.pgd_steps, cfg.pgd_random_init)
 
 
-def build_train_config(cfg: ExperimentConfig) -> TR.TrainConfig:
+def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
+    """The ``TrainConfig`` of ``train-<algorithm>``: FP crafts the training
+    attack, the SGD and AT baselines score the ``eval_attack_iterations`` one."""
     try:
         milestones = tuple(int(s) for s in cfg.lr_milestones.split(",")) if cfg.lr_milestones else ()
     except ValueError as exc:
@@ -300,10 +302,9 @@ def build_train_config(cfg: ExperimentConfig) -> TR.TrainConfig:
         lr_milestones=milestones,
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,
-        attack=build_attack_config(cfg),
+        attack=build_attack_config(cfg, iterations=None if algorithm == "fp" else cfg.eval_attack_iterations),
         pgd=build_pgd_config(cfg),
         weighting=cfg.weighting,
-        eval_attack_iterations=cfg.eval_attack_iterations,
         eval_sample_size=cfg.eval_sample_size,
         seed=cfg.seed,
     )
@@ -322,7 +323,7 @@ def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(train_ds)} training images")
     out_dir = _prepare_run(cfg, "config.txt")
     model_cfg = build_model_config(cfg)
-    tcfg = build_train_config(cfg)
+    tcfg = build_train_config(cfg, algorithm)
     rows = []
 
     def on_outer(n, params, row):
@@ -348,8 +349,7 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
     out_dir = _prepare_run(cfg, "attack_config.txt")
     pool = M.single_pool(model_cfg, params)
     rng = np.random.default_rng((cfg.seed, 8))
-    attack_cfg = build_attack_config(cfg)
-    spec = E.craft_attack(pool, train_ds, attack_cfg, rng)
+    spec = A.craft(pool, train_ds, build_attack_config(cfg), rng)
     dest = Path(out_path) if out_path else out_dir / f"attack_{cfg.attack_kind}.pert"
     A.save_perturbation(dest, spec)
     eval_ds = splits.get("test", train_ds)

@@ -1,8 +1,11 @@
 """Datasets, perturbation specs, and lazily perturbed dataset views.
 
-A perturbed dataset is never materialized whole: a :class:`PerturbedView`
-stores only the base-dataset reference and the perturbation itself, so its
-footprint is a single image regardless of dataset size.  Patches are
+A :class:`PerturbationSpec` is checked once, when it is built: finite
+values, the universal budget, the patch's shape and pixel range; nothing
+downstream checks it again.  A perturbed dataset is never materialized
+whole: a :class:`PerturbedView` stores only the base-dataset reference and
+the perturbation itself, so its footprint is a single image regardless of
+dataset size.  A universal view adds ``xi`` and clips to [0, 1]; patches are
 rendered by one differentiable graph op, :func:`overlay_patch_op`
 (inverse-mapped bilinear sampling): views take its output array, and the
 patch attack differentiates through it.
@@ -131,10 +134,11 @@ def synthetic_splits(classes: int, per_class: int, side: int, seed: int, channel
 # ---------------------------------------------------------------------------
 
 def disc_mask(side: int) -> np.ndarray:
-    """Binary disc of diameter ``side`` over pixel centers."""
+    """Boolean disc of diameter ``side`` over pixel centers; boolean, so a
+    product with it keeps the other factor's dtype."""
     ys, xs = np.meshgrid(np.arange(side) + 0.5, np.arange(side) + 0.5, indexing="ij")
     r = side / 2.0
-    return ((ys - r) ** 2 + (xs - r) ** 2 <= r * r).astype(np.float64)
+    return (ys - r) ** 2 + (xs - r) ** 2 <= r * r
 
 
 @dataclass
@@ -142,15 +146,14 @@ class PerturbationSpec:
     """Either a universal additive perturbation or a placeable patch.
 
     Universal: ``xi`` is image-shaped with max-norm at most ``epsilon``.
-    Patch: ``xi`` is C x P x P with pixels in [0, 1]; ``mask`` is the disc of
-    diameter P; ``chi`` is the overlay diameter as a fraction of the image
-    side and ``theta_max`` the rotation bound in radians.  A NaN or Inf in
-    ``xi`` raises :class:`~advgame.tensor.NonFiniteError`.
+    Patch: ``xi`` is C x P x P with pixels in [0, 1], rendered through the
+    disc of diameter P; ``chi`` is the overlay diameter as a fraction of the
+    image side and ``theta_max`` the rotation bound in radians.  A NaN or Inf
+    in ``xi`` raises :class:`~advgame.tensor.NonFiniteError`.
     """
     kind: str
     xi: np.ndarray
     epsilon: float | None = None
-    mask: np.ndarray | None = None
     chi: float | None = None
     theta_max: float | None = None
 
@@ -172,8 +175,6 @@ class PerturbationSpec:
                 raise ValueError("patch needs 0 < chi <= 1")
             if self.theta_max is None or not 0 <= self.theta_max < np.inf:
                 raise ValueError("patch needs a finite theta_max >= 0")
-            if self.mask is None:
-                self.mask = disc_mask(self.xi.shape[1])
         else:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
 
@@ -190,15 +191,6 @@ def gray_patch(channels: int, side: int, chi: float, theta_max: float) -> Pertur
 # ---------------------------------------------------------------------------
 # perturbation application
 # ---------------------------------------------------------------------------
-
-def apply_universal(x: np.ndarray, xi: np.ndarray, epsilon: float) -> np.ndarray:
-    """Add the shared perturbation and clip back to valid pixel range."""
-    if not np.all(np.isfinite(xi)):
-        raise T.NonFiniteError("perturbation contains non-finite values")
-    if np.abs(xi).max(initial=0.0) > epsilon:
-        raise ValueError("perturbation exceeds its epsilon budget")
-    return np.clip(x + xi, 0.0, 1.0)
-
 
 def sample_placements(rng: np.random.Generator, count: int, side: int, chi: float, theta_max: float) -> np.ndarray:
     """Draw (a, b, theta) rows; centers keep the scaled disc fully inside."""
@@ -330,7 +322,7 @@ class PerturbedView:
         if self.spec is None:
             return x
         if self.spec.kind == "universal":
-            return apply_universal(x, self.spec.xi, self.spec.epsilon)
+            return np.clip(x + self.spec.xi, 0.0, 1.0)
         rng = np.random.default_rng((self.seed, draw))
         placements = sample_placements(rng, len(indices), x.shape[2], self.spec.chi, self.spec.theta_max)
         return overlay_patch_op(x, Tensor(self.spec.xi), self.spec.chi, placements).data

@@ -1,10 +1,11 @@
 """Accuracy and adversarial accuracy with held-out, freshly crafted attacks.
 
 Adversarial accuracy never reuses a training-time perturbation: each call
-crafts a new one against the classifier under evaluation from an
-independent RNG stream, so the number reported is robustness to an unseen
-attack.  Every classifier is scored as a :class:`~advgame.model.ClassifierPool`,
-the live one as a pool of one, and every score is one function,
+crafts a new one through :func:`~advgame.attack.craft`, the only entry that
+makes one, against the classifier under evaluation from an independent RNG
+stream, so the number reported is robustness to an unseen attack.  Every
+classifier is scored as a :class:`~advgame.model.ClassifierPool`, the live
+one as a pool of one, and every score is one function,
 :func:`perturbed_accuracy`: clean accuracy is its clean view (:func:`accuracy`)
 and a fixed-class patch's hit rate its ``target``.
 """
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import attack as A
 from . import model as M
-from .attack import PatchAttackConfig, UniversalAttackConfig
 from .data import Dataset, PerturbationSpec, PerturbedView
 from .model import ClassifierPool, CorruptFileError, load_checkpoint, single_pool
 
@@ -32,21 +32,17 @@ _PREDICT_CHUNK = 256
 @dataclass(frozen=True)
 class MetricsRow:
     """One outer iteration's record (or one checkpoint's on one split); ``spec``
-    is the perturbation ``adv_acc`` was scored under, None for no attack."""
+    is the perturbation ``adv_acc`` was scored under."""
     iteration: int
     split: str
     clean_acc: float
     adv_acc: float
-    spec: PerturbationSpec | None
+    spec: PerturbationSpec
     seconds: float
 
     def __post_init__(self):
         if not (0.0 <= self.clean_acc <= 1.0 and 0.0 <= self.adv_acc <= 1.0):
             raise ValueError("accuracies must lie in [0, 1]")
-
-    @property
-    def attack(self) -> str:
-        return "none" if self.spec is None else self.spec.kind
 
 
 def format_rows(rows, timing: str = "zero") -> str:
@@ -56,7 +52,7 @@ def format_rows(rows, timing: str = "zero") -> str:
     lines = [CSV_HEADER]
     for r in rows:
         seconds = r.seconds if timing == "real" else 0.0
-        lines.append(f"{r.iteration},{r.split},{r.clean_acc:.6f},{r.adv_acc:.6f},{r.attack},{seconds:.6f}")
+        lines.append(f"{r.iteration},{r.split},{r.clean_acc:.6f},{r.adv_acc:.6f},{r.spec.kind},{seconds:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -90,14 +86,6 @@ def perturbed_accuracy(pool: ClassifierPool, dataset: Dataset, spec: Perturbatio
     return float(np.mean(predicted == (dataset.labels[idx] if target is None else target)))
 
 
-def craft_attack(pool: ClassifierPool, dataset: Dataset, attack_config, rng) -> PerturbationSpec:
-    if isinstance(attack_config, UniversalAttackConfig):
-        return A.learn_universal(pool, dataset, attack_config, rng)
-    if isinstance(attack_config, PatchAttackConfig):
-        return A.learn_patch(pool, dataset, attack_config, rng)
-    raise TypeError(f"unsupported attack config {type(attack_config).__name__}")
-
-
 def evaluate_checkpoint_series(
     checkpoint_dir,
     splits: dict[str, Dataset],
@@ -120,7 +108,7 @@ def evaluate_checkpoint_series(
         pool = single_pool(config, params)
         rng = np.random.default_rng((seed, 5, iteration))
         t0 = time.perf_counter()
-        spec = craft_attack(pool, splits["train"], attack_config, rng)
+        spec = A.craft(pool, splits["train"], attack_config, rng)
         for split in SPLIT_ORDER:
             if split not in splits:
                 continue

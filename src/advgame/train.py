@@ -2,15 +2,15 @@
 and a matrix-game best-response harness.
 
 FP, SGD and AT run one loop, :func:`_play`: K optimizer steps on a batch
-loss, then an attack crafted against the classifier (or, in exact mode, the
-pool of its snapshots) and scored in a metrics row.  Each entry point hands
-the loop its batch loss, its attack and that attack's RNG stream.
-``fp_train`` passes the mixture loss over all pooled views and the training
-attack on ``(seed, 2)``, and the attack joins the pool.  ``sgd_train``
-passes the same loss, whose pool stays the clean view, and the evaluation
-attack on ``(seed, 2)``.  ``at_train`` passes the half clean, half PGD loss
-(PGD on ``(seed, 2)``) and the evaluation attack on ``(seed, 7)``.  So FP
-with a zero attack steps exactly as SGD while its pool is the clean view
+loss, then the one attack the config names (``TrainConfig.attack``),
+crafted through :func:`~advgame.attack.craft` against the classifier (or,
+in exact mode, the pool of its snapshots) and scored in a metrics row.
+Each entry point hands the loop its batch loss and the attack's RNG stream.
+``fp_train`` passes the mixture loss over all pooled views and ``(seed,
+2)``, and the attack joins the pool.  ``sgd_train`` passes the same loss,
+whose pool stays the clean view, and ``(seed, 2)``.  ``at_train`` passes
+the half clean, half PGD loss (PGD on ``(seed, 2)``) and ``(seed, 7)``.  So
+FP with a zero attack steps exactly as SGD while its pool is the clean view
 alone, and so does AT with zero PGD steps, whose two halves are then the
 same clean cross-entropy.
 """
@@ -18,7 +18,7 @@ same clean cross-entropy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +43,13 @@ class TrainConfig:
     inner_steps: int                        # K
     batch_size: int
     learning_rate: float
+    attack: UniversalAttackConfig | PatchAttackConfig   # crafted after every outer iteration
     lr_decay: float = 0.1
     lr_milestones: tuple[int, ...] = ()     # global step indices
     momentum: float = 0.9
     weight_decay: float = 0.0002
-    attack: UniversalAttackConfig | PatchAttackConfig | None = None
     pgd: PgdConfig | None = None
     weighting: str = "literal"
-    eval_attack_iterations: int | None = None   # None: same as attack.iterations
     eval_sample_size: int | None = 2000
     seed: int = 0
 
@@ -61,15 +60,12 @@ class TrainConfig:
             raise ValueError("eval_sample_size must be >= 1")
         if self.learning_rate < 0 or self.lr_decay < 0 or not (0.0 <= self.momentum < 1.0):
             raise ValueError("invalid train config")
+        if self.weight_decay < 0 or self.seed < 0:
+            raise ValueError("weight_decay and seed must be >= 0")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
             raise ValueError("lr milestones must be strictly increasing")
         if self.weighting not in ("literal", "uniform"):
             raise ValueError("weighting must be 'literal' or 'uniform'")
-
-    def eval_attack(self):
-        if self.attack is None or self.eval_attack_iterations is None:
-            return self.attack
-        return replace(self.attack, iterations=self.eval_attack_iterations)
 
 
 @dataclass
@@ -130,18 +126,19 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate * cfg.lr_decay**passed
 
 
-def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_loss, attack,
+def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_loss,
           attack_stream: int, mode: str | None, on_step, on_outer) -> tuple[FPState, list[MetricsRow]]:
     """The one training loop behind FP, SGD and AT.
 
     Each of the N outer iterations takes K momentum-SGD steps on
     ``batch_loss(state, indices, step)`` over batches drawn on stream
-    ``(seed, 1)``, then crafts ``attack`` (unless None) on stream
-    ``(seed, attack_stream)`` and scores the classifier on the clean data
-    and under that attack.  ``mode=None`` is a baseline, which only scores
-    the attack; ``"approximate"`` and ``"exact"`` play the game, adding it
-    to ``state.views``, and exact mode attacks the pool of classifier
-    snapshots taken at the start and after each iteration's inner steps.
+    ``(seed, 1)``, then crafts the config's one attack, ``cfg.attack``,
+    through :func:`~advgame.attack.craft` on stream ``(seed,
+    attack_stream)`` and scores the classifier on the clean data and under
+    that attack.  ``mode=None`` is a baseline, which only scores the
+    attack; ``"approximate"`` and ``"exact"`` play the game, adding it to
+    ``state.views``, and exact mode attacks the pool of classifier snapshots
+    taken at the start and after each iteration's inner steps.
     Every other attack, and all scoring, target the live classifier as a
     pool of one (:func:`~advgame.model.single_pool`) built up front.
     ``on_outer(n, params, row)`` ends each iteration and is the only exit for
@@ -177,7 +174,7 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
             if state.classifier_pool is not None:
                 state.classifier_pool.add(ClassifierSnapshot.freeze(n, model_config, params))
                 target = state.classifier_pool
-            spec = E.craft_attack(target, dataset, attack, attack_rng) if attack is not None else None
+            spec = A.craft(target, dataset, cfg.attack, attack_rng)
         except (ValueError, FloatingPointError) as exc:
             raise TrainingError(f"outer iteration {n}: {exc}") from exc
         if mode is not None:
@@ -185,8 +182,7 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
             state.views.append(PerturbedView(dataset, spec, seed=view_seed))
         eval_rng = np.random.default_rng((cfg.seed, 3, n))
         clean = E.accuracy(classifier, dataset, cfg.eval_sample_size, eval_rng)
-        adv = clean if spec is None else E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size,
-                                                              eval_rng, placement_seed=n)
+        adv = E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size, eval_rng, placement_seed=n)
         row = MetricsRow(n, dataset.split, clean, adv, spec, time.perf_counter() - t0)
         report.append(row)
         if on_outer is not None:
@@ -213,9 +209,7 @@ def fp_train(
     """
     if mode not in ("approximate", "exact"):
         raise ValueError("mode must be 'approximate' or 'exact'")
-    if cfg.attack is None:
-        raise ValueError("fp_train needs an attack config")
-    return _play(model_config, dataset, cfg, classifier_pool_loss, cfg.attack, 2, mode, on_step, on_outer)
+    return _play(model_config, dataset, cfg, classifier_pool_loss, 2, mode, on_step, on_outer)
 
 
 def sgd_train(
@@ -226,8 +220,7 @@ def sgd_train(
     on_outer=None,
 ) -> tuple[dict[str, Tensor], list[MetricsRow]]:
     """Plain stochastic gradient descent on the clean dataset, N*K steps."""
-    state, report = _play(model_config, dataset, cfg, classifier_pool_loss, cfg.eval_attack(), 2, None,
-                          on_step, on_outer)
+    state, report = _play(model_config, dataset, cfg, classifier_pool_loss, 2, None, on_step, on_outer)
     return state.params, report
 
 
@@ -251,8 +244,7 @@ def at_train(
         ce_adv = T.softmax_cross_entropy(M.forward(model_config, state.params, adv, "train"), y)
         return T.add(T.mul(ce_clean, 0.5), T.mul(ce_adv, 0.5))
 
-    state, report = _play(model_config, dataset, cfg, half_adversarial_loss, cfg.eval_attack(), 7, None,
-                          on_step, on_outer)
+    state, report = _play(model_config, dataset, cfg, half_adversarial_loss, 7, None, on_step, on_outer)
     return state.params, report
 
 

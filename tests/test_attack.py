@@ -130,7 +130,7 @@ class TestLearnUniversal:
         spec = learn_universal(single_pool(cfg, params), dataset, config, np.random.default_rng(3))
         x, y = dataset.images, dataset.labels
         clean = softmax_cross_entropy(forward(cfg, params, x, "infer"), y).item()
-        adv_x = D.apply_universal(x, spec.xi, spec.epsilon)
+        adv_x = D.PerturbedView(dataset, spec).materialize(np.arange(len(dataset)))
         adv = softmax_cross_entropy(forward(cfg, params, adv_x, "infer"), y).item()
         assert adv >= clean
 
@@ -159,15 +159,15 @@ class TestPatchStep:
         params0 = {k: Tensor(np.zeros_like(v.data), requires_grad=v.requires_grad) for k, v in params.items()}
         spec = D.gray_patch(3, 8, config.chi, config.theta_max)
         out = patch_step(spec.xi, single_pool(cfg, params0), dataset.images[:4], dataset.labels[:4],
-                         config, placements, spec.mask)
+                         config, placements, D.disc_mask(8))
         assert np.array_equal(out, spec.xi)
 
     def test_masked_pixels_never_change(self, desk):
         cfg, params, dataset, config, placements = self._setup(desk)
         spec = D.gray_patch(3, 8, config.chi, config.theta_max)
         out = patch_step(spec.xi, single_pool(cfg, params), dataset.images[:4], dataset.labels[:4],
-                         config, placements, spec.mask)
-        outside = spec.mask == 0.0
+                         config, placements, D.disc_mask(8))
+        outside = ~D.disc_mask(8)
         assert np.array_equal(out[:, outside], spec.xi[:, outside])
 
     def test_targeted_line_search_decreases_target_loss(self, desk):
@@ -186,7 +186,7 @@ class TestPatchStep:
                 return -patch_objective(single_pool(cfg, params), Tensor(xi), batch, labels, config, placements).item()
 
             before = target_loss(spec.xi)
-            stepped = patch_step(spec.xi, single_pool(cfg, params), batch, labels, config, placements, spec.mask)
+            stepped = patch_step(spec.xi, single_pool(cfg, params), batch, labels, config, placements, D.disc_mask(8))
             if target_loss(stepped) < before:
                 decreased = True
                 break
@@ -205,7 +205,7 @@ class TestPatchStep:
             return real_forward(*args, **kwargs)
 
         monkeypatch.setattr(M, "forward", counted)
-        patch_step(spec.xi, pool, batch, labels, config, placements, spec.mask)
+        patch_step(spec.xi, pool, batch, labels, config, placements, D.disc_mask(8))
         assert len(forwards) == 2
         # the value is still (1 - lambda) * loss(labels) - lambda * loss(target)
         got = patch_objective(pool, Tensor(spec.xi), batch, labels, config, placements).item()
@@ -223,7 +223,7 @@ class TestPatchStep:
             placements = D.sample_placements(rng, 8, 8, config.chi, config.theta_max)
             idx = rng.integers(0, len(dataset), 4)
             xi = patch_step(xi, single_pool(cfg, params), dataset.images[idx], dataset.labels[idx],
-                            config, placements, spec.mask)
+                            config, placements, D.disc_mask(8))
             assert xi.min() >= 0.0 and xi.max() <= 1.0
 
 
@@ -233,6 +233,31 @@ class TestLearnPatch:
         config = PatchAttackConfig(8, 0.5, 0.0, alpha=0.1, iterations=0)
         spec = learn_patch(single_pool(cfg, params), dataset, config, np.random.default_rng(0))
         assert np.all(spec.xi == 0.5) and spec.kind == "patch"
+
+
+class TestFloat32:
+    """A float32 run stays float32 through both attacks that step an image-shaped array."""
+
+    @pytest.fixture
+    def desk32(self):
+        T.set_default_dtype(np.float32)
+        try:
+            cfg = tiny_config(side=8)
+            yield cfg, build_model(cfg, 0), D.make_synthetic(10, 12, 8, seed=0)
+        finally:
+            T.set_default_dtype(np.float64)
+
+    def test_learn_patch(self, desk32):
+        cfg, params, dataset = desk32
+        config = PatchAttackConfig(8, 0.5, 0.0, alpha=0.1, iterations=2, batch_size=8)
+        spec = learn_patch(single_pool(cfg, params), dataset, config, np.random.default_rng(0))
+        assert spec.xi.dtype == np.float32
+
+    def test_pgd_random_init(self, desk32):
+        cfg, params, dataset = desk32
+        out = pgd_per_sample(single_pool(cfg, params), dataset.images[:4], dataset.labels[:4],
+                             PgdConfig(0.1, 0.025, 2, random_init=True), np.random.default_rng(0))
+        assert out.dtype == np.float32
 
 
 class TestPgd:
@@ -314,7 +339,6 @@ class TestContainer:
         assert loaded.kind == "patch"
         assert loaded.chi == 0.4 and abs(loaded.theta_max - np.deg2rad(20)) < 1e-15
         assert np.allclose(loaded.xi, spec.xi)
-        assert np.array_equal(loaded.mask, spec.mask)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.pert"

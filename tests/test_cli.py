@@ -7,14 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import advgame
 from advgame import attack as A
 from advgame import cli as C
 from advgame import data as D
-from advgame import evaluation as E
 from advgame import model as M
 from advgame.cli import ConfigError, ExperimentConfig, main, parse_config
 
@@ -173,6 +172,20 @@ class TestTrainEvalPipeline:
         assert main(["train-at", *desk_args(tmp_path, **{"pgd-steps": 1})]) == 0
         assert (tmp_path / "run" / "metrics.csv").exists()
 
+    # FP crafts the training attack, the baselines the evaluation attack; each once per outer iteration
+    @pytest.mark.parametrize("command,iterations", [("train-fp", 2), ("train-sgd", 3), ("train-at", 3)])
+    def test_each_trainer_crafts_its_configs_attack(self, tmp_path, capsys, monkeypatch, command, iterations):
+        craft, configs = A.craft, []
+
+        def recorded(pool, dataset, config, rng):
+            configs.append(config)
+            return craft(pool, dataset, config, rng)
+
+        monkeypatch.setattr(A, "craft", recorded)
+        args = desk_args(tmp_path, **{"attack-iterations": 2, "eval-attack-iterations": 3, "pgd-steps": 1})
+        assert main([command, *args]) == 0
+        assert [c.iterations for c in configs] == [iterations, iterations]
+
     def test_rerun_byte_identical(self, tmp_path):
         assert main(["train-sgd", *desk_args(tmp_path, **{"output-dir": str(tmp_path / "a")})]) == 0
         assert main(["train-sgd", *desk_args(tmp_path, **{"output-dir": str(tmp_path / "b")})]) == 0
@@ -249,7 +262,7 @@ class TestExitCodes:
         assert not ppm.exists()
 
     def test_numeric_failure_keeps_finished_iterations(self, tmp_path, capsys, monkeypatch):
-        craft, calls = E.craft_attack, []
+        craft, calls = A.craft, []
 
         def failing_second_call(*args):
             calls.append(1)
@@ -257,7 +270,7 @@ class TestExitCodes:
                 raise FloatingPointError("overflow in the attack")
             return craft(*args)
 
-        monkeypatch.setattr(E, "craft_attack", failing_second_call)
+        monkeypatch.setattr(A, "craft", failing_second_call)
         assert main(["train-fp", *desk_args(tmp_path, **{"outer-iterations": 3})]) == 4
         run = tmp_path / "run"
         assert (run / "checkpoint_0001.ckpt").exists() and (run / "perturbation_0001.pert").exists()
@@ -319,6 +332,8 @@ class TestExitCodes:
         ["--attack-kind", "patch", "--patch-theta-max-deg", "-5"],
         ["--pgd-step-size", "nan"],
         ["--config", "learning_rate = inf"],
+        ["--seed", "-1"],
+        ["--weight-decay", "-1"],
     ], ids=" ".join)
     def test_out_of_range_value_is_2_before_any_write(self, tmp_path, capsys, extra):
         if extra[0] == "--config":  # the case's text is the config file's
@@ -326,6 +341,12 @@ class TestExitCodes:
             extra = ["--config", str(path)]
         assert main(["train-fp", *desk_args(tmp_path), *extra]) == 2
         assert not (tmp_path / "run" / "config.txt").exists()
+
+    @pytest.mark.parametrize("command", [["attack", "--checkpoint", "unread.ckpt"], ["eval"]], ids=lambda c: c[0])
+    def test_negative_seed_is_2_before_any_write(self, tmp_path, capsys, command):
+        assert main([command[0], *desk_args(tmp_path), "--seed", "-1", *command[1:]]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_cifar_set_smaller_than_batch_is_2_before_any_write(self, tmp_path, capsys):
         path = tmp_path / "data_batch.bin"
@@ -468,3 +489,20 @@ class TestArtifactFuzz:
                 code = main(["export-ppm", "--in", str(broken), "--out", str(ppm)])
                 assert ppm.exists() == (code == 0)
             assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(record=st.integers(0, 39), position=st.integers(0, 3072), value=st.integers(0, 255))
+    @example(record=0, position=0, value=200)  # a label byte past the last class
+    def test_one_overwritten_cifar_byte_is_0_or_3(self, record, position, value):
+        blob = bytearray((np.arange(40 * 3073) % 251).astype(np.uint8).tobytes())
+        blob[::3073] = bytes(i % 10 for i in range(40))  # the label bytes
+        blob[record * 3073 + position] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data_batch.bin"
+            path.write_bytes(blob)
+            args = desk_args(Path(tmp), **{"image-side": 32, "classes": 10, "data": "cifar10", "data-path": str(path),
+                                            "outer-iterations": 1, "inner-steps": 1, "eval-attack-iterations": 1,
+                                            "eval-sample-size": 8})
+            code = main(["train-sgd", *args])
+            assert code in (0, 3)
+            assert (Path(tmp) / "run").exists() == (code == 0)

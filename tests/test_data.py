@@ -10,7 +10,6 @@ from advgame.data import (
     Dataset,
     PerturbationSpec,
     PerturbedView,
-    apply_universal,
     clean_view,
     disc_mask,
     gray_patch,
@@ -100,22 +99,23 @@ class TestSynthetic:
 
 
 class TestApplyUniversal:
+    """A universal view applies ``xi``: it adds it and clips to [0, 1]; the
+    budget and finiteness are checked when the spec is built
+    (``TestPerturbationSpec``)."""
+
+    @staticmethod
+    def render(x, xi, eps):
+        ds = Dataset(x, np.zeros(len(x)), 2)
+        return PerturbedView(ds, PerturbationSpec("universal", xi, epsilon=eps)).materialize(np.arange(len(x)))
+
     def test_zero_identity(self):
         x = np.random.default_rng(0).random((2, 3, 4, 4))
-        assert np.array_equal(apply_universal(x, np.zeros((3, 4, 4)), 0.1), x)
+        assert np.array_equal(self.render(x, np.zeros((3, 4, 4)), 0.1), x)
 
     def test_clipping(self):
         x = np.full((1, 1, 2, 2), 0.9)
-        out = apply_universal(x, np.full((1, 2, 2), 0.2), 0.2)
+        out = self.render(x, np.full((1, 2, 2), 0.2), 0.2)
         assert np.all(out == 1.0)
-
-    def test_budget_checked(self):
-        with pytest.raises(ValueError):
-            apply_universal(np.zeros((1, 1, 2, 2)), np.full((1, 2, 2), 0.3), 0.2)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            apply_universal(np.zeros((1, 1, 2, 2)), np.array([0.0, np.nan, 0.0, 0.0]).reshape(1, 2, 2), 0.2)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 0.3))
@@ -123,7 +123,7 @@ class TestApplyUniversal:
         rng = np.random.default_rng(seed)
         x = rng.random((2, 1, 3, 3))
         xi = rng.uniform(-eps, eps, (1, 3, 3))
-        out = apply_universal(x, xi, eps)
+        out = self.render(x, xi, eps)
         assert np.all(np.abs(out - x) <= eps + 1e-12)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -317,7 +317,7 @@ class TestPerturbationSpec:
 
     def test_gray_patch(self):
         spec = gray_patch(3, 8, 0.4, np.deg2rad(20))
-        assert np.all(spec.xi == 0.5) and spec.mask.shape == (8, 8)
+        assert np.all(spec.xi == 0.5) and spec.xi.shape == (3, 8, 8)
 
 
 class TestPerturbedView:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from advgame import attack as A
 from advgame import data as D
 from advgame import evaluation as E
 from advgame import model as M
@@ -9,7 +10,6 @@ from advgame.data import Dataset
 from advgame.evaluation import (
     MetricsRow,
     accuracy,
-    craft_attack,
     evaluate_checkpoint_series,
     format_rows,
     perturbed_accuracy,
@@ -95,7 +95,7 @@ class TestAdvAccuracy:
         mc = M.tiny_config(side=8, num_classes=4)
         pool = single_pool(mc, build_model(mc, 5))
         clean = accuracy(pool, ds)
-        spec = craft_attack(pool, ds, UniversalAttackConfig(0.1, 0.01, 0), np.random.default_rng(0))
+        spec = A.craft(pool, ds, UniversalAttackConfig(0.1, 0.01, 0), np.random.default_rng(0))
         adv = perturbed_accuracy(pool, ds, spec)
         assert adv == clean
         assert np.all(spec.xi == 0.0)
@@ -105,8 +105,8 @@ class TestAdvAccuracy:
         mc = M.tiny_config(side=8, num_classes=4)
         pool = single_pool(mc, build_model(mc, 6))
         cfg = UniversalAttackConfig(16 / 255, 0.01, 5, batch_size=8)
-        pooled = craft_attack(pool, ds, cfg, np.random.default_rng(1))
-        fresh = craft_attack(pool, ds, cfg, np.random.default_rng(2))
+        pooled = A.craft(pool, ds, cfg, np.random.default_rng(1))
+        fresh = A.craft(pool, ds, cfg, np.random.default_rng(2))
         assert not np.array_equal(pooled.xi, fresh.xi)
 
     def test_target_class_rate_for_constant_model(self):
@@ -135,12 +135,12 @@ class TestCsv:
         assert text == "iter,split,clean_acc,adv_acc,attack,seconds\n1,train,0.500000,0.250000,universal,0.000000\n"
 
     def test_real_timing_mode(self):
-        rows = [MetricsRow(1, "test", 1.0, 1.0, None, 2.0)]
+        rows = [MetricsRow(1, "test", 1.0, 1.0, D.gray_patch(1, 4, 0.5, 0.0), 2.0)]
         assert "2.000000" in format_rows(rows, timing="real")
 
     def test_accuracy_range_validated(self):
         with pytest.raises(ValueError):
-            MetricsRow(0, "train", 1.5, 0.0, None, 0.0)
+            MetricsRow(0, "train", 1.5, 0.0, D.gray_patch(1, 4, 0.5, 0.0), 0.0)
 
     def test_write_lf_endings(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -5,11 +5,15 @@
 Each argument is a directory that holds the ``advgame`` package (a
 checkout's ``src``).  Both trees run the same desk set of commands, each
 command in its own process with BLAS pinned to one thread, into a temporary
-directory per tree.  Every ``.ckpt``, ``.pert``, ``metrics.csv`` and
-``eval.csv`` one tree writes is compared with the file of the same relative
-path from the other.  Exit 0 when all of them are identical; exit 1, listing
-the files that differ or exist on one side only, or the command that did not
-exit 0; exit 2 when an argument holds no ``advgame`` package.
+directory per tree, and then ``tools/f64_game.py``, which writes the float64
+parameters and last perturbation of four in-process desk games as ``.f64``
+files under ``f64/``: the ``.ckpt`` and ``.pert`` payloads are f32, so only
+these show a float64 change below f32 precision.  Every ``.ckpt``,
+``.pert``, ``.f64``, ``metrics.csv`` and ``eval.csv`` one tree writes is
+compared with the file of the same relative path from the other.  Exit 0
+when all of them are identical; exit 1, listing the files that differ or
+exist on one side only, or the command that did not exit 0; exit 2 when an
+argument holds no ``advgame`` package.
 
 The desk set:
 
@@ -27,6 +31,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+F64_GAME = Path(__file__).resolve().parent / "f64_game.py"
 
 DESK = ["--seed", "3", "--per-class", "30", "--outer-iterations", "3", "--inner-steps", "40",
         "--batch-size", "32", "--attack-iterations", "30", "--eval-attack-iterations", "30",
@@ -55,19 +61,19 @@ COMMANDS = [
 
 
 def is_artifact(path: Path) -> bool:
-    return path.suffix in (".ckpt", ".pert") or path.name in ("metrics.csv", "eval.csv")
+    return path.suffix in (".ckpt", ".pert", ".f64") or path.name in ("metrics.csv", "eval.csv")
 
 
 def run_desk_set(src: Path, work: Path) -> list[str]:
-    """Run every command of the desk set from ``src`` inside ``work``; returns
-    one line per command that did not exit 0."""
+    """Run every command of the desk set and the float64 games from ``src``
+    inside ``work``; returns one line per command that did not exit 0."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
     env.pop("ADVGAME_OUTPUT_DIR", None)
     failures = []
-    for out_dir, args in COMMANDS:
-        cmd = [sys.executable, "-m", "advgame.cli", *args, "--output-dir", out_dir]
-        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+    runs = [(out_dir, ["-m", "advgame.cli", *args, "--output-dir", out_dir]) for out_dir, args in COMMANDS]
+    for out_dir, args in [*runs, ("f64", [str(F64_GAME), "f64"])]:
+        done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             failures.append(f"{src}: {out_dir} exited {done.returncode}: {done.stderr.strip()}")
     return failures
