@@ -232,7 +232,7 @@ def save_perturbation(path, spec: PerturbationSpec) -> None:
         header = struct.pack("<Bd", 0, spec.epsilon)
     else:
         header = struct.pack("<BIdd", 1, spec.patch_side, spec.chi, spec.theta_max)
-    write_artifact(path, CONTAINER_MAGIC, CONTAINER_VERSION, header + pack_array(spec.xi))
+    write_artifact(path, CONTAINER_MAGIC, CONTAINER_VERSION, [header, *pack_array(spec.xi)])
 
 
 def load_perturbation(path) -> PerturbationSpec:

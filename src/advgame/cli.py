@@ -288,7 +288,8 @@ def build_pgd_config(cfg: ExperimentConfig) -> PgdConfig:
 
 def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
     """The ``TrainConfig`` of ``train-<algorithm>``: FP crafts the training
-    attack, the SGD and AT baselines score the ``eval_attack_iterations`` one."""
+    attack, the SGD and AT baselines score the ``eval_attack_iterations`` one;
+    only AT builds, and so checks, the PGD config."""
     try:
         milestones = tuple(int(s) for s in cfg.lr_milestones.split(",")) if cfg.lr_milestones else ()
     except ValueError as exc:
@@ -303,7 +304,7 @@ def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,
         attack=build_attack_config(cfg, iterations=None if algorithm == "fp" else cfg.eval_attack_iterations),
-        pgd=build_pgd_config(cfg),
+        pgd=build_pgd_config(cfg) if algorithm == "at" else None,
         weighting=cfg.weighting,
         eval_sample_size=cfg.eval_sample_size,
         seed=cfg.seed,
@@ -321,9 +322,12 @@ def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
     train_ds = load_splits(cfg)["train"]
     if cfg.batch_size > len(train_ds):
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(train_ds)} training images")
+    try:
+        tcfg = build_train_config(cfg, algorithm)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = _prepare_run(cfg, "config.txt")
     model_cfg = build_model_config(cfg)
-    tcfg = build_train_config(cfg, algorithm)
     rows = []
 
     def on_outer(n, params, row):

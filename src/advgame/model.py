@@ -36,16 +36,21 @@ class InputShapeError(ValueError):
     """Images whose shape, or labels whose class count, differ from the model's."""
 
 
-def write_artifact(path, magic: bytes, version: int, payload: bytes) -> None:
-    """Write a binary artifact: magic, little-endian u32 version, payload."""
+def write_artifact(path, magic: bytes, version: int, parts) -> None:
+    """Write a binary artifact: magic, little-endian u32 version, then the
+    payload's parts in order, each straight to the file: ``bytes`` as they
+    are, an array as its values in little-endian f32.  No part is joined to
+    another, so a payload is never copied whole."""
     with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<I", version) + payload)
+        fh.write(magic + struct.pack("<I", version))
+        for part in parts:
+            fh.write(part if isinstance(part, bytes) else np.ascontiguousarray(part, dtype="<f4"))
 
 
-def pack_array(arr: np.ndarray) -> bytes:
-    """Frame an array as u32 rank, u32 dims, then its values as little-endian f32."""
-    return (struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-            + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+def pack_array(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Frame an array for :func:`write_artifact`: u32 rank and u32 dims, then
+    the array, which the writer stores as little-endian f32."""
+    return struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr
 
 
 def unpack_array(blob: bytes, off: int) -> tuple[np.ndarray, int]:
@@ -342,11 +347,11 @@ def single_pool(config: ModelConfig, params: dict[str, Tensor]) -> ClassifierPoo
 def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor]) -> None:
     """Write a versioned checkpoint: header, config, then named f32 tensors."""
     cfg = config.to_json().encode("utf-8")
-    blob = bytearray(struct.pack("<I", len(cfg)) + cfg + struct.pack("<I", len(params)))
+    parts = [struct.pack("<I", len(cfg)) + cfg + struct.pack("<I", len(params))]
     for name, p in params.items():
         encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded)) + encoded + pack_array(p.data)
-    write_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes(blob))
+        parts += [struct.pack("<I", len(encoded)) + encoded, *pack_array(p.data)]
+    write_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, parts)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:

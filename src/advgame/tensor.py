@@ -22,6 +22,15 @@ so the output and both gradients keep the bits of the NCHW reference the
 tests compare against.  Its backward keeps the columns only for a kernel
 that requires a gradient and never keeps the padded input.
 
+Every array is released at its last use.  An op whose inputs all need no
+gradient keeps neither its inputs nor its backward, so an inference forward
+frees each activation once the next op has read it.  :func:`backward`
+drops an interior node's gradient once that node's backward has used it;
+leaves keep theirs, and the buffers of the ``wrt`` tensors go to the
+caller, so parameter gradients live no longer than the optimizer step
+that reads them.  The graph itself, with the arrays its closures saved,
+lives as long as the loss it ends in.
+
 Finiteness is checked at the edges of a graph, not at every node: a
 ``Tensor`` built by a caller (an input batch, a parameter, a perturbation)
 rejects NaN and Inf, :func:`backward` rejects a non-finite loss, and
@@ -63,22 +72,26 @@ class Tensor:
     """An n-dimensional array plus the bookkeeping needed for backprop.
 
     A tensor built by a caller rejects NaN and Inf values; an op's output
-    (built with parents) is not scanned, since a non-finite value there
-    reaches the loss that :func:`backward` checks.
+    (built by :func:`_node`, which always passes a parents tuple, empty
+    when no input requires a gradient) is not scanned, since a non-finite
+    value there reaches the loss that :func:`backward` checks.
 
     ``grad`` is cleared by :func:`backward`, then created (as a plain
     ndarray, with the dtype and layout of ``data``) by the first gradient
     contribution; it stays ``None`` on a node the loss does not reach.
+    After the pass only a leaf not named in ``wrt`` still holds it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backward_fn=None):
+    def __init__(self, data, requires_grad: bool = False, *, _parents=None, _backward_fn=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
-        if not _parents and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor contains non-finite values")
+        if _parents is None:
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteError("tensor contains non-finite values")
+            _parents = ()
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -109,8 +122,13 @@ def _as_tensor(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires, _parents=parents, _backward_fn=backward_fn if requires else None)
+    """An op's output, never scanned for finiteness.  It keeps its parents
+    and ``backward_fn`` (with what the closure saved) only when a parent
+    requires a gradient; otherwise it holds its data alone, so nothing it
+    was computed from outlives the op."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
+    return Tensor(data, _parents=())
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -150,17 +168,22 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor, wrt: Mapping[str, Tensor] | None = None) -> dict[str, np.ndarray] | None:
     """Backpropagate from a scalar loss through its graph.
 
-    Populates ``grad`` on every grad-requiring node reachable from ``loss``
-    (consumers' contributions are summed).  With ``wrt`` given, returns a
-    mapping name -> gradient array, the tensors' own ``grad`` buffers;
-    tensors the loss does not depend on get zeros, even when an earlier pass
-    gave them a gradient.
+    Sums every consumer's contribution into the ``grad`` of each
+    grad-requiring node reachable from ``loss``.  An interior node's
+    ``grad`` is dropped as soon as its backward has passed it on, so after
+    the pass only leaves hold one; the graph and what its closures saved
+    stay until ``loss`` goes.  With ``wrt`` given, returns a mapping name ->
+    gradient array and hands the tensors' own ``grad`` buffers over: the
+    tensors are left with ``grad`` ``None``, so the gradients live as long
+    as the caller keeps the mapping.  Tensors the loss does not depend on
+    get zeros, even when an earlier pass gave them a gradient.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise NonFiniteError("loss is not finite")
     order = _topo_order(loss)
+    targets = {id(p) for p in (wrt or {}).values()}
     for node in (*order, *(wrt or {}).values()):
         node.grad = None
     if loss.requires_grad:
@@ -168,9 +191,14 @@ def backward(loss: Tensor, wrt: Mapping[str, Tensor] | None = None) -> dict[str,
         for node in reversed(order):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                if id(node) not in targets:
+                    node.grad = None
     if wrt is None:
         return None
-    return {name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in wrt.items()}
+    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in wrt.items()}
+    for p in wrt.values():
+        p.grad = None
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -160,16 +160,20 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
         t0 = time.perf_counter()
         try:
             for _ in range(cfg.inner_steps):
-                # ``loss`` stays bound until the next step replaces it: freeing it each step cut fp-exact-patch's
-                # peak RSS from 109 to 81 MB, but the heap was returned and faulted back every step (minor faults
-                # 33k -> 350k-590k, sys 0.1 -> 1-1.6 s, run_s +0.6-1.9 s); freeing it after the loop kept the peak
+                # ``loss`` (the step's graph) stays bound until the next step replaces it: freeing it after each
+                # step cut peak RSS further (sgd-vgg 458 -> 422 MB, fp-exact-patch 99 -> 71 MB), but glibc returned
+                # the heap and faulted it back every step (fp-exact-patch minor faults 51k -> 176k, sys 0.14 ->
+                # 0.47 s, wall +18%; fp-universal faults 25k -> 195k, wall +14%)
                 loss = batch_loss(state, sampler.next_indices(cfg.batch_size), step)
-                # the gradients are not bound to a name, so they are freed before the next step
+                # ``backward`` hands the gradients over and they are bound to no name, so they go with the step
                 T.sgd_momentum_step(params, T.backward(loss, wrt=trainable), velocity, _lr_at(cfg, step),
                                     cfg.momentum, cfg.weight_decay)
                 step += 1
                 if on_step is not None:
                     on_step(step, params)
+            # the last step's graph goes before the attack and the scoring (peak RSS: sgd-vgg 481 -> 458 MB,
+            # fp-exact-patch 107 -> 99 MB)
+            loss = None
             target = classifier
             if state.classifier_pool is not None:
                 state.classifier_pool.add(ClassifierSnapshot.freeze(n, model_config, params))

@@ -342,6 +342,17 @@ class TestExitCodes:
         assert main(["train-fp", *desk_args(tmp_path), *extra]) == 2
         assert not (tmp_path / "run" / "config.txt").exists()
 
+    def test_patch_game_trains_without_a_max_norm_budget(self, tmp_path):
+        assert main(["train-fp", *desk_args(tmp_path, **{"attack-kind": "patch", "epsilon-pixels": 0})]) == 0
+        assert len(list((tmp_path / "run").glob("perturbation_*.pert"))) == 2
+
+    @pytest.mark.parametrize("kind,message", [("universal", "invalid universal attack config"),
+                                              ("patch", "invalid pgd config")])
+    def test_at_without_a_budget_is_2_before_any_write(self, tmp_path, capsys, kind, message):
+        assert main(["train-at", *desk_args(tmp_path, **{"attack-kind": kind, "epsilon-pixels": 0})]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", [["attack", "--checkpoint", "unread.ckpt"], ["eval"]], ids=lambda c: c[0])
     def test_negative_seed_is_2_before_any_write(self, tmp_path, capsys, command):
         assert main([command[0], *desk_args(tmp_path), "--seed", "-1", *command[1:]]) == 2

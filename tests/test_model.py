@@ -1,3 +1,7 @@
+import struct
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -128,6 +132,51 @@ class TestForward:
         assert not np.array_equal(before, params["bn0.running_mean"].data)
 
 
+class TestScoringMemory:
+    """An inference forward through constants keeps no graph, so each
+    activation goes once the next op has read it."""
+
+    @staticmethod
+    def stack(depth):
+        return ModelConfig("stack", (3, 16, 16), 4, (ConvSpec(16, 3, 1),) * depth, batchnorm=True)
+
+    def test_conv_outputs_are_collected_once_forward_returns(self, monkeypatch):
+        cfg = self.stack(3)
+        params = build_model(cfg, 0)
+        x = np.random.default_rng(0).random((4, 3, 16, 16))
+        conv2d, outputs = T.conv2d, []
+
+        def recorded(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "conv2d", recorded)
+        logits = forward(cfg, single_pool(cfg, params).members[0].params, x, "infer")
+        assert logits.shape == (4, 4)
+        assert len(outputs) == 3 and all(ref() is None for ref in outputs)
+        # a forward through trainable parameters keeps them for backward
+        logits = forward(cfg, params, x, "train")
+        assert len(outputs) == 6 and all(ref() is not None for ref in outputs[3:])
+
+    def test_peak_does_not_grow_with_depth(self):
+        def peak(depth):
+            cfg = self.stack(depth)
+            params = single_pool(cfg, build_model(cfg, 0)).members[0].params
+            x = np.random.default_rng(0).random((8, 3, 16, 16))
+            forward(cfg, params, x)  # builds the cached window indices
+            tracemalloc.start()
+            try:
+                forward(cfg, params, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        activation = 8 * 16 * 16 * 16 * 8  # bytes of one [8, 16, 16, 16] float64 activation
+        # kept activations would add at least three per layer: the conv, batchnorm and relu outputs
+        assert peak(8) <= peak(2) + activation // 4
+
+
 class TestPool:
     def _pool_of(self, seeds, cfg=None):
         cfg = cfg or small_config()
@@ -253,6 +302,20 @@ class TestCheckpoint:
         assert cfg2 == cfg
         save_checkpoint(second, cfg2, params2)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_bytes_are_the_framed_f32_payload(self, tmp_path):
+        cfg = tiny_config(side=8)
+        params = build_model(cfg, 98)
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(path, cfg, params)
+        text = cfg.to_json().encode("utf-8")
+        expected = M.CHECKPOINT_MAGIC + struct.pack("<II", M.CHECKPOINT_VERSION, len(text)) + text
+        expected += struct.pack("<I", len(params))
+        for name, p in params.items():
+            arr = p.data
+            expected += struct.pack(f"<I{len(name)}sI{arr.ndim}I", len(name), name.encode(), arr.ndim, *arr.shape)
+            expected += arr.astype("<f4").tobytes()
+        assert path.read_bytes() == expected
 
     def test_values_survive_f32_precision(self, tmp_path):
         cfg = tiny_config(side=8)

@@ -357,6 +357,19 @@ class TestBackward:
         assert np.array_equal(grads["x"], [0.0, 0.0])
         assert np.array_equal(grads["y"], [6.0])
 
+    def test_only_leaves_keep_a_gradient_and_wrt_buffers_go_to_the_caller(self):
+        # dyadic values, so every gradient is exact: h = relu(x @ w + b) = [[3.25, 0], [0, 5.75]], dL/dh = 2h
+        x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        w = Tensor([[1.0, 0.5], [-1.0, 2.0]], requires_grad=True)
+        hidden = relu(dense(x, w, Tensor([0.25, -0.5])))
+        loss = tensor_sum(mul(hidden, hidden))
+        grads = backward(loss, wrt={"w": w})
+        interior = [node for node in T._topo_order(loss) if node._backward_fn is not None]
+        assert len(interior) == 4 and all(node.grad is None for node in interior)
+        assert np.array_equal(x.grad, [[6.5, -6.5], [5.75, 23.0]])
+        assert w.grad is None
+        assert np.array_equal(grads["w"], [[6.5, 5.75], [-13.0, 34.5]])
+
     @pytest.mark.parametrize("op", [add, mul])
     def test_elementwise_ops_do_not_broadcast(self, op):
         with pytest.raises(ValueError):

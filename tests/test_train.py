@@ -221,6 +221,17 @@ class TestFpTrain:
             fp_train(mc, ds, cfg)
 
 
+@pytest.mark.parametrize("trainer", ["sgd", "fp", "at"])
+def test_no_parameter_holds_a_gradient_between_steps(trainer):
+    ds = small_dataset()
+    mc = tiny_config(side=8, num_classes=ds.num_classes)
+    cfg = desk_cfg(outer_iterations=2, inner_steps=3, pgd=PgdConfig(16 / 255, 4 / 255, 1))
+    held = []
+    run = {"sgd": sgd_train, "fp": fp_train, "at": at_train}[trainer]
+    run(mc, ds, cfg, on_step=lambda s, params: held.append([n for n, p in params.items() if p.grad is not None]))
+    assert held == [[]] * 6
+
+
 class TestSgdTrain:
     def test_zero_lr_leaves_params(self):
         ds = small_dataset()
