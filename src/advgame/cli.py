@@ -211,10 +211,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.patch_target_class >= cfg.classes:
         raise ConfigError(f"patch_target_class {cfg.patch_target_class} is not one of the {cfg.classes} classes")
     try:
+        model_config = build_model_config(cfg)
+        if model_config.batchnorm and cfg.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2 for {cfg.model}, whose batchnorm trains on batch statistics")
         if cfg.data == "cifar10":
-            build_model_config(cfg).check_input_shape(D.CIFAR_SHAPE, D.CIFAR_CLASSES)
+            model_config.check_input_shape(D.CIFAR_SHAPE, D.CIFAR_CLASSES)
         else:
-            build_model_config(cfg).check_input_shape((cfg.channels, cfg.image_side, cfg.image_side), cfg.classes)
+            model_config.check_input_shape((cfg.channels, cfg.image_side, cfg.image_side), cfg.classes)
             D.check_synthetic(cfg.classes, cfg.per_class, cfg.image_side)
         build_train_config(cfg, "fp")
         build_attack_config(cfg, iterations=cfg.eval_attack_iterations)

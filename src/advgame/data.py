@@ -307,9 +307,6 @@ class PerturbedView:
     spec: PerturbationSpec | None
     seed: int = 0
 
-    def __len__(self) -> int:
-        return len(self.base)
-
     @property
     def labels(self) -> np.ndarray:
         return self.base.labels

@@ -5,14 +5,15 @@ FP, SGD and AT run one loop, :func:`_play`: K optimizer steps on a batch
 loss, then the one attack the config names (``TrainConfig.attack``),
 crafted through :func:`~advgame.attack.craft` against the classifier (or,
 in exact mode, the pool of its snapshots) and scored in a metrics row.
-Each entry point hands the loop its batch loss and the attack's RNG stream.
-``fp_train`` passes the mixture loss over all pooled views and ``(seed,
-2)``, and the attack joins the pool.  ``sgd_train`` passes the same loss,
-whose pool stays the clean view, and ``(seed, 2)``.  ``at_train`` passes
-the half clean, half PGD loss (PGD on ``(seed, 2)``) and ``(seed, 7)``.  So
-FP with a zero attack steps exactly as SGD while its pool is the clean view
-alone, and so does AT with zero PGD steps, whose two halves are then the
-same clean cross-entropy.
+Every batch loss is one :func:`mixture_loss`.  ``fp_train`` and
+``sgd_train`` mix the pooled views by :func:`dataset_weights` (FP's attack,
+on ``(seed, 2)``, joins the pool; SGD's stays the clean view); ``at_train``
+mixes the clean and PGD batches half and half (PGD on ``(seed, 2)``, attack
+on ``(seed, 7)``).  So FP with a zero attack steps exactly as SGD only while
+its pool is the clean view alone (outer iteration 1): the split weights
+round otherwise.  AT with zero PGD steps and no random start does so in the
+trainable parameters only, as its second train-mode forward advances the
+batchnorm running buffers again.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class TrainConfig:
             raise ValueError("invalid train config")
         if self.weight_decay < 0 or self.seed < 0:
             raise ValueError("weight_decay and seed must be >= 0")
-        if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
-            raise ValueError("lr milestones must be strictly increasing")
+        if list(self.lr_milestones) != sorted(set(self.lr_milestones)) or min(self.lr_milestones, default=0) < 0:
+            raise ValueError("lr milestones must be strictly increasing step indices >= 0")
         if self.weighting not in ("literal", "uniform"):
             raise ValueError("weighting must be 'literal' or 'uniform'")
 
@@ -94,31 +95,29 @@ def dataset_weights(n: int, mode: str = "literal") -> np.ndarray:
         return np.full(count, 1.0 / count)
     if mode != "literal":
         raise ValueError("mode must be 'literal' or 'uniform'")
-    if n <= 1:
-        return np.ones(1)
     harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, n + 1))])  # H_0..H_n
-    weights = np.empty(n)
-    weights[0] = 1.0 + harmonic[n]
-    for j in range(1, n):
-        weights[j] = harmonic[n] - harmonic[j]
+    weights = harmonic[n] - harmonic[:count]   # (H_n - H_j + [j = 0]) / (n + 1)
+    weights[0] += 1.0
     return weights / (n + 1)
 
 
-def classifier_pool_loss(state: FPState, indices: np.ndarray, draw: int = 0) -> Tensor:
-    """Weighted loss of the current classifier over every pooled dataset view.
-
-    One index batch is materialized under each view and the per-view
-    cross-entropies are combined with :func:`dataset_weights`.
-    """
-    weights = dataset_weights(len(state.views), state.weighting)
-    labels = state.views[0].labels[indices]
+def mixture_loss(config: ModelConfig, params: dict[str, Tensor], batches, labels, weights) -> Tensor:
+    """The one training loss, sum_j w_j * CE(train-mode forward of batch j), over ``batches`` in order."""
     total = None
-    for view, w in zip(state.views, weights):
-        batch = view.materialize(indices, draw=draw)
-        ce = T.softmax_cross_entropy(M.forward(state.config, state.params, batch, "train"), labels)
+    for w, batch in zip(weights, batches):
+        ce = T.softmax_cross_entropy(M.forward(config, params, batch, "train"), labels)
         term = T.mul(ce, float(w))
         total = term if total is None else T.add(total, term)
     return total
+
+
+def classifier_pool_loss(state: FPState, indices: np.ndarray, draw: int = 0) -> Tensor:
+    """The mixture loss over the pool of perturbed views (not of classifiers; the benchmark's trace
+    counts forwards under this name): one index batch rendered under each view, weighted by
+    :func:`dataset_weights`."""
+    batches = (view.materialize(indices, draw=draw) for view in state.views)
+    return mixture_loss(state.config, state.params, batches, state.views[0].labels[indices],
+                        dataset_weights(len(state.views), state.weighting))
 
 
 def _lr_at(cfg: TrainConfig, step: int) -> float:
@@ -202,15 +201,10 @@ def fp_train(
     on_step=None,
     on_outer=None,
 ) -> tuple[FPState, list[MetricsRow]]:
-    """Alternating best responses between the classifier and the perturbation player.
-
-    Each outer iteration runs K steps of SGD on the weighted mixture of all
-    pooled dataset views, then crafts the next perturbation against the
-    current classifier (approximate mode) or the uniform pool of snapshots
-    (exact mode, which also snapshots the classifier each iteration).  The
-    reported adversarial accuracy uses the freshly crafted perturbation,
-    which has not yet been trained on.
-    """
+    """Alternating best responses between the classifier and the perturbation player: each
+    outer iteration runs K steps of SGD on the weighted mixture of all pooled views, then crafts
+    the next perturbation against the current classifier (approximate mode) or the uniform pool
+    of its snapshots (exact mode).  ``adv_acc`` scores that fresh, not yet trained-on perturbation."""
     if mode not in ("approximate", "exact"):
         raise ValueError("mode must be 'approximate' or 'exact'")
     return _play(model_config, dataset, cfg, classifier_pool_loss, 2, mode, on_step, on_outer)
@@ -236,7 +230,11 @@ def at_train(
     on_outer=None,
 ) -> tuple[dict[str, Tensor], list[MetricsRow]]:
     """Adversarial training: per-batch PGD examples against the current
-    classifier, descending on the half clean, half adversarial loss."""
+    classifier, descending on the half clean, half adversarial mixture.  PGD
+    runs first, as its infer-mode forwards read the batchnorm running buffers
+    that the mixture's train-mode forwards advance.  With zero PGD steps and
+    no random start it equals SGD in the trainable parameters only: both
+    halves advance the running buffers."""
     if cfg.pgd is None:
         raise ValueError("at_train needs a pgd config")
     pgd_rng = np.random.default_rng((cfg.seed, 2))
@@ -244,9 +242,7 @@ def at_train(
     def half_adversarial_loss(state: FPState, indices: np.ndarray, step: int) -> Tensor:
         x, y = dataset.images[indices], dataset.labels[indices]
         adv = A.pgd_per_sample(M.single_pool(model_config, state.params), x, y, cfg.pgd, pgd_rng)
-        ce_clean = T.softmax_cross_entropy(M.forward(model_config, state.params, x, "train"), y)
-        ce_adv = T.softmax_cross_entropy(M.forward(model_config, state.params, adv, "train"), y)
-        return T.add(T.mul(ce_clean, 0.5), T.mul(ce_adv, 0.5))
+        return mixture_loss(model_config, state.params, (x, adv), y, dataset_weights(2, "uniform"))
 
     state, report = _play(model_config, dataset, cfg, half_adversarial_loss, 7, None, on_step, on_outer)
     return state.params, report

@@ -342,6 +342,20 @@ class TestExitCodes:
         assert main(["train-fp", *desk_args(tmp_path), *extra]) == 2
         assert not (tmp_path / "run" / "config.txt").exists()
 
+    @pytest.mark.parametrize("command", ["train-fp", "train-sgd", "train-at"])
+    @pytest.mark.parametrize("extra,message", [
+        (["--model", "paper-vgg", "--image-side", "32", "--batch-size", "1"], "batch_size must be >= 2"),
+        (["--lr-milestones=-5,10"], "lr milestones"),
+        (["--config", "lr_milestones = -5,10"], "lr milestones"),
+    ], ids=["batchnorm-batch-1", "milestone-flag", "milestone-file"])
+    def test_untrainable_config_is_2_before_any_write(self, tmp_path, capsys, command, extra, message):
+        if extra[0] == "--config":  # the case's text is the config file's
+            (path := tmp_path / "case.cfg").write_text(extra[1] + "\n")
+            extra = ["--config", str(path)]
+        assert main([command, *desk_args(tmp_path), *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "config.txt").exists()
+
     def test_patch_game_trains_without_a_max_norm_budget(self, tmp_path):
         assert main(["train-fp", *desk_args(tmp_path, **{"attack-kind": "patch", "epsilon-pixels": 0})]) == 0
         assert len(list((tmp_path / "run").glob("perturbation_*.pert"))) == 2

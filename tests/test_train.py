@@ -41,6 +41,22 @@ def weights_oracle(n):
     return acc / (n + 1)
 
 
+def weights_per_view(n, mode):
+    """Reference for ``dataset_weights``' bits: the ``n <= 1`` case and one
+    subtraction per view."""
+    count = max(n, 1)
+    if mode == "uniform":
+        return np.full(count, 1.0 / count)
+    if n <= 1:
+        return np.ones(1)
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, n + 1))])
+    weights = np.empty(n)
+    weights[0] = 1.0 + harmonic[n]
+    for j in range(1, n):
+        weights[j] = harmonic[n] - harmonic[j]
+    return weights / (n + 1)
+
+
 def small_dataset(seed=0, classes=4, per_class=8, side=8):
     return D.make_synthetic(classes, per_class, side, seed=seed)
 
@@ -59,11 +75,20 @@ def desk_cfg(**kw):
     return TrainConfig(**base)
 
 
+def bn_config(num_classes):
+    """The tiny model's two strided convs with batchnorm: four running buffers."""
+    return M.ModelConfig("bn", (3, 8, 8), num_classes, (M.ConvSpec(8, 3, 2), M.ConvSpec(16, 3, 2)), batchnorm=True)
+
+
+def model_configs(ds):
+    return [tiny_config(side=8, num_classes=ds.num_classes), bn_config(ds.num_classes)]
+
+
 def param_digest(params):
+    """One hash over every parameter, batchnorm running buffers included."""
     h = hashlib.sha256()
     for name in sorted(params):
-        if params[name].requires_grad:
-            h.update(params[name].data.tobytes())
+        h.update(params[name].data.tobytes())
     return h.hexdigest()
 
 
@@ -84,6 +109,11 @@ class TestDatasetWeights:
             assert np.allclose(w, weights_oracle(n), rtol=0, atol=1e-12)
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(w >= 0)
+
+    @pytest.mark.parametrize("mode", ["literal", "uniform"])
+    def test_bits_equal_the_per_view_loop(self, mode):
+        for n in range(0, 201):
+            assert np.array_equal(dataset_weights(n, mode), weights_per_view(n, mode)), n
 
     def test_uniform_equal_and_normalized(self):
         for n in range(0, 20):
@@ -151,13 +181,24 @@ class TestReductionIdentities:
     @pytest.mark.parametrize("mode", ["approximate", "exact"])
     def test_fp_with_zero_attack_equals_sgd_bitwise(self, mode):
         ds = small_dataset()
-        mc = tiny_config(side=8, num_classes=ds.num_classes)
         cfg = desk_cfg(inner_steps=25)
-        fp_digests, sgd_digests = [], []
-        _, fp_report = fp_train(mc, ds, cfg, mode=mode, on_step=lambda s, p: fp_digests.append(param_digest(p)))
-        _, sgd_report = sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_digests.append(param_digest(p)))
-        assert fp_digests == sgd_digests and len(fp_digests) == 25
-        assert E.format_rows(fp_report) == E.format_rows(sgd_report)
+        for mc in model_configs(ds):
+            fp_digests, sgd_digests = [], []
+            _, fp_report = fp_train(mc, ds, cfg, mode=mode, on_step=lambda s, p: fp_digests.append(param_digest(p)))
+            _, sgd_report = sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_digests.append(param_digest(p)))
+            assert fp_digests == sgd_digests and len(fp_digests) == 25, mc.name
+            assert E.format_rows(fp_report) == E.format_rows(sgd_report), mc.name
+
+    def test_fp_equals_sgd_only_while_the_pool_is_the_clean_view(self):
+        ds = small_dataset()
+        cfg = desk_cfg(outer_iterations=2, inner_steps=3)
+        for mc in model_configs(ds):
+            fp_digests, sgd_digests = [], []
+            fp_train(mc, ds, cfg, on_step=lambda s, p: fp_digests.append(param_digest(p)))
+            sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_digests.append(param_digest(p)))
+            assert fp_digests[:3] == sgd_digests[:3], mc.name
+            # from the first step on two views the split weights round otherwise
+            assert all(f != s for f, s in zip(fp_digests[3:], sgd_digests[3:])) and len(fp_digests) == 6, mc.name
 
     def test_at_with_zero_pgd_equals_sgd_bitwise(self):
         ds = small_dataset()
@@ -167,6 +208,18 @@ class TestReductionIdentities:
         at_train(mc, ds, cfg, on_step=lambda s, p: at_digests.append(param_digest(p)))
         sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_digests.append(param_digest(p)))
         assert at_digests == sgd_digests and len(at_digests) == 25
+
+    def test_at_with_zero_pgd_on_batchnorm_differs_from_sgd_only_in_running_buffers(self):
+        ds = small_dataset()
+        mc = bn_config(ds.num_classes)
+        cfg = desk_cfg(inner_steps=5, pgd=PgdConfig(16 / 255, 0.01, 0, random_init=False))
+        at_params, sgd_params = [], []
+        at_train(mc, ds, cfg, on_step=lambda s, p: at_params.append({n: t.data.copy() for n, t in p.items()}))
+        sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_params.append({n: t.data.copy() for n, t in p.items()}))
+        buffers = {"bn0.running_mean", "bn0.running_var", "bn1.running_mean", "bn1.running_var"}
+        for at_step, sgd_step in zip(at_params, sgd_params):
+            assert {n for n in at_step if not np.array_equal(at_step[n], sgd_step[n])} == buffers
+        assert len(at_params) == 5
 
 
 class TestFpTrain:

@@ -18,8 +18,13 @@ argument holds no ``advgame`` package.
 The desk set:
 
 * ``train-fp``: approximate/universal, exact/patch, exact targeted patch at
-  lambda 0.5, and float32 at side 8 (the conv loop path);
-* ``train-sgd``: the tiny model and the paper's VGG; ``train-at``;
+  lambda 0.5, float32 at side 8 (the conv loop path), and the paper's VGG
+  over two outer iterations, so the second mixes two views through
+  batchnorm;
+* ``train-sgd``: the tiny model and the paper's VGG;
+* ``train-at``: the tiny model, and the paper's VGG at one PGD step, whose
+  infer-mode forwards read the batchnorm running buffers that the mixture's
+  train-mode forwards then advance;
 * ``attack`` and ``eval`` on the tiny SGD checkpoint, each with a universal
   and a (targeted, lambda 0.5) patch perturbation.
 """
@@ -53,6 +58,8 @@ COMMANDS = [
     ("sgd", ["train-sgd", *DESK]),
     ("sgd-vgg", ["train-sgd", *VGG]),
     ("at", ["train-at", *DESK, "--pgd-steps", "2"]),
+    ("fp-vgg", ["train-fp", *VGG, "--outer-iterations", "2"]),
+    ("at-vgg", ["train-at", *VGG, "--pgd-steps", "1"]),
     ("attack-universal", ["attack", *DESK, "--checkpoint", SGD_CHECKPOINT, "--kind", "universal"]),
     ("attack-patch", ["attack", *DESK, "--checkpoint", SGD_CHECKPOINT, "--kind", "patch", *TARGETED]),
     ("eval-universal", ["eval", *DESK, "--checkpoint-dir", "sgd", "--attack-kind", "universal"]),
