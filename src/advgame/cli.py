@@ -14,13 +14,14 @@ first artifact: training as ``config.txt``, ``attack`` as
 checkpoints were trained intact.
 A single CIFAR-10 file as ``data_path`` is only a ``train`` split: ``eval``
 writes ``train`` rows alone and ``attack`` scores the training images.
-The ``ADVGAME_OUTPUT_DIR`` environment variable overrides ``output_dir``.
+Each setting has one flag, named after its field, and takes its value from the
+profile preset, then the ``--config`` file, then the flags, the later winning.
+``CHOICES`` lists the allowed values of every enumerated setting.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -37,14 +38,12 @@ from . import train as TR
 from .attack import PatchAttackConfig, PgdConfig, UniversalAttackConfig
 from .tensor import NonFiniteError
 
-OUTPUT_DIR_ENV = "ADVGAME_OUTPUT_DIR"
-
 
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, unparsable value, ...)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Every experiment knob as a flat key-value record.
 
@@ -53,15 +52,15 @@ class ExperimentConfig:
     """
     profile: str = "desk"
     # data
-    data: str = "synthetic"            # synthetic | cifar10
+    data: str = "synthetic"
     data_path: str = ""
     classes: int = 10
     per_class: int = 100
     image_side: int = 16
     channels: int = 3
     # model
-    model: str = "tiny"                # tiny | paper-vgg
-    precision: str = "float64"         # float64 | float32
+    model: str = "tiny"
+    precision: str = "float64"
     # training loop
     outer_iterations: int = 8
     inner_steps: int = 300
@@ -71,10 +70,10 @@ class ExperimentConfig:
     lr_milestones: str = ""            # comma-separated global step indices
     momentum: float = 0.9
     weight_decay: float = 0.0002
-    weighting: str = "literal"         # literal | uniform
-    fp_mode: str = "approximate"       # approximate | exact
+    weighting: str = "literal"
+    fp_mode: str = "approximate"
     # perturbation loop
-    attack_kind: str = "universal"     # universal | patch
+    attack_kind: str = "universal"
     epsilon_pixels: float = 16.0       # max-norm budget in [0,255] pixel units
     attack_alpha: float = 0.002
     attack_iterations: int = 1000
@@ -93,7 +92,7 @@ class ExperimentConfig:
     eval_sample_size: int = 2000
     seed: int = 0
     output_dir: str = "runs/experiment"
-    csv_timing: str = "zero"           # zero | real
+    csv_timing: str = "zero"
 
     @property
     def epsilon(self) -> float:
@@ -126,6 +125,18 @@ PROFILES = {
         "eval_attack_iterations": 20_000,
         "eval_sample_size": 10_000,
     },
+}
+
+# The allowed values of each enumerated setting: ``validate_config`` checks them and ``--help`` shows them
+CHOICES = {
+    "profile": tuple(PROFILES),
+    "data": ("synthetic", "cifar10"),
+    "model": ("tiny", "paper-vgg"),
+    "precision": ("float64", "float32"),
+    "weighting": ("literal", "uniform"),
+    "fp_mode": ("approximate", "exact"),
+    "attack_kind": ("universal", "patch"),
+    "csv_timing": ("zero", "real"),
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -167,7 +178,8 @@ def read_config_file(path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = stripped.split("=", 1)
-        key = key.strip()
+        if (key := key.strip()) in values:
+            raise ConfigError(f"{path}:{lineno}: {key} is set twice")
         values[key] = _parse_value(key, raw)
     return values
 
@@ -175,41 +187,25 @@ def read_config_file(path) -> dict:
 def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Resolve a config: profile preset, then file values, then flag overrides."""
     file_values = read_config_file(path) if path else {}
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
+    if unknown := sorted(overrides.keys() - _FIELD_TYPES.keys()):
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     profile = overrides.get("profile", file_values.get("profile", "desk"))
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}; choices: {sorted(PROFILES)}")
-    cfg = ExperimentConfig(profile=profile, **PROFILES[profile])
-    for source in (file_values, overrides):
-        for key, value in source.items():
-            if key == "profile":
-                continue
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-    if env_dir := os.environ.get(OUTPUT_DIR_ENV):
-        cfg.output_dir = env_dir
+    cfg = ExperimentConfig(**{**PROFILES.get(profile, {}), **file_values, **overrides})
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.data not in ("synthetic", "cifar10"):
-        raise ConfigError(f"unknown data source {cfg.data!r}")
+    for key, allowed in CHOICES.items():
+        if (value := getattr(cfg, key)) not in allowed:
+            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
     if cfg.data == "cifar10" and not cfg.data_path:
         raise ConfigError("missing required key data_path for data = cifar10")
-    if cfg.model not in ("tiny", "paper-vgg"):
-        raise ConfigError(f"unknown model {cfg.model!r}")
-    if cfg.precision not in ("float64", "float32"):
-        raise ConfigError("precision must be float64 or float32")
-    if cfg.attack_kind not in ("universal", "patch"):
-        raise ConfigError(f"unknown attack kind {cfg.attack_kind!r}")
-    if cfg.csv_timing not in ("zero", "real"):
-        raise ConfigError("csv_timing must be 'zero' or 'real'")
-    if cfg.fp_mode not in ("approximate", "exact"):
-        raise ConfigError("fp_mode must be 'approximate' or 'exact'")
-    if cfg.patch_target_class >= cfg.classes:
-        raise ConfigError(f"patch_target_class {cfg.patch_target_class} is not one of the {cfg.classes} classes")
+    if cfg.patch_target_class != -1 and not 0 <= cfg.patch_target_class < cfg.classes:
+        raise ConfigError(f"patch_target_class must be -1 or in [0, {cfg.classes}), got {cfg.patch_target_class}")
+    if cfg.pgd_step_size != -1 and not cfg.pgd_step_size > 0:
+        raise ConfigError(f"pgd_step_size must be -1 (epsilon / 4) or > 0, got {cfg.pgd_step_size}")
     try:
         model_config = build_model_config(cfg)
         if model_config.batchnorm and cfg.batch_size < 2:
@@ -220,7 +216,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             model_config.check_input_shape((cfg.channels, cfg.image_side, cfg.image_side), cfg.classes)
             D.check_synthetic(cfg.classes, cfg.per_class, cfg.image_side)
         build_train_config(cfg, "fp")
-        build_attack_config(cfg, iterations=cfg.eval_attack_iterations)
+        build_attack_config(cfg, cfg.eval_attack_iterations)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -262,13 +258,12 @@ def build_model_config(cfg: ExperimentConfig) -> M.ModelConfig:
     return M.paper_vgg_config(num_classes=cfg.classes)
 
 
-def build_attack_config(cfg: ExperimentConfig, iterations: int | None = None):
-    iters = cfg.attack_iterations if iterations is None else iterations
+def build_attack_config(cfg: ExperimentConfig, iterations: int):
     if cfg.attack_kind == "universal":
         return UniversalAttackConfig(
             epsilon=cfg.epsilon,
             alpha=cfg.attack_alpha,
-            iterations=iters,
+            iterations=iterations,
             batch_size=cfg.attack_batch_size,
         )
     return PatchAttackConfig(
@@ -276,17 +271,12 @@ def build_attack_config(cfg: ExperimentConfig, iterations: int | None = None):
         chi=cfg.patch_chi,
         theta_max=float(np.deg2rad(cfg.patch_theta_max_deg)),
         alpha=cfg.attack_alpha,
-        iterations=iters,
+        iterations=iterations,
         placements_per_step=cfg.patch_placements,
         batch_size=cfg.attack_batch_size,
         target_class=None if cfg.patch_target_class < 0 else cfg.patch_target_class,
         lam=cfg.patch_lambda,
     )
-
-
-def build_pgd_config(cfg: ExperimentConfig) -> PgdConfig:
-    step = cfg.pgd_step_size if cfg.pgd_step_size > 0 else cfg.epsilon / 4.0
-    return PgdConfig(cfg.epsilon, step, cfg.pgd_steps, cfg.pgd_random_init)
 
 
 def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
@@ -306,8 +296,9 @@ def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
         lr_milestones=milestones,
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,
-        attack=build_attack_config(cfg, iterations=None if algorithm == "fp" else cfg.eval_attack_iterations),
-        pgd=build_pgd_config(cfg) if algorithm == "at" else None,
+        attack=build_attack_config(cfg, cfg.attack_iterations if algorithm == "fp" else cfg.eval_attack_iterations),
+        pgd=PgdConfig(cfg.epsilon, cfg.pgd_step_size if cfg.pgd_step_size > 0 else cfg.epsilon / 4.0, cfg.pgd_steps,
+                      cfg.pgd_random_init) if algorithm == "at" else None,
         weighting=cfg.weighting,
         eval_sample_size=cfg.eval_sample_size,
         seed=cfg.seed,
@@ -356,7 +347,7 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
     out_dir = _prepare_run(cfg, "attack_config.txt")
     pool = M.single_pool(model_cfg, params)
     rng = np.random.default_rng((cfg.seed, 8))
-    spec = A.craft(pool, train_ds, build_attack_config(cfg), rng)
+    spec = A.craft(pool, train_ds, build_attack_config(cfg, cfg.attack_iterations), rng)
     dest = Path(out_path) if out_path else out_dir / f"attack_{cfg.attack_kind}.pert"
     A.save_perturbation(dest, spec)
     eval_ds = splits.get("test", train_ds)
@@ -377,7 +368,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint_dir: str | None) -> int:
     splits = load_splits(cfg)
     out_dir = _prepare_run(cfg, "eval_config.txt")
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else out_dir
-    attack_cfg = build_attack_config(cfg, iterations=cfg.eval_attack_iterations)
+    attack_cfg = build_attack_config(cfg, cfg.eval_attack_iterations)
     rows = E.evaluate_checkpoint_series(ckpt_dir, splits, attack_cfg, seed=cfg.seed,
                                         sample_size=cfg.eval_sample_size)
     dest = out_dir / "eval.csv"
@@ -416,18 +407,10 @@ def run_matrix_demo(game_name: str, iterations: int) -> int:
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    for f in fields(ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, default=None, metavar=f.type.upper())
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for f in fields(ExperimentConfig):
-        raw = getattr(args, f.name, None)
-        if raw is not None:
-            overrides[f.name] = _parse_value(f.name, str(raw))
-    return overrides
+    # the choices are shown, not enforced, so that a bad value exits 2 through ``validate_config``
+    for key, kind in _FIELD_TYPES.items():
+        metavar = "{" + ",".join(CHOICES[key]) + "}" if key in CHOICES else kind.upper()
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar=metavar)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,9 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="craft a perturbation against a checkpoint")
     _add_config_arguments(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--kind", dest="attack_kind", default=None)
-    p.add_argument("--target-class", dest="patch_target_class", default=None)
-    p.add_argument("--lambda", dest="patch_lambda", default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint series with fresh attacks")
@@ -472,16 +452,15 @@ def main(argv=None) -> int:
             return run_export_ppm(args.in_path, args.out_path)
         if args.command == "matrix-demo":
             return run_matrix_demo(args.game, args.iters)
-        cfg = parse_config(args.config, _collect_overrides(args))
+        overrides = {key: _parse_value(key, raw) for key in _FIELD_TYPES if (raw := getattr(args, key)) is not None}
+        cfg = parse_config(args.config, overrides)
         # every data and checkpoint loader reads the default dtype
         T.set_default_dtype(np.float32 if cfg.precision == "float32" else np.float64)
         if args.command.startswith("train-"):
             return run_training(cfg, args.command.removeprefix("train-"))
         if args.command == "attack":
             return run_attack(cfg, args.checkpoint, args.out)
-        if args.command == "eval":
-            return run_eval(cfg, args.checkpoint_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return run_eval(cfg, args.checkpoint_dir)
     except (ConfigError, M.InputShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -94,7 +94,9 @@ def evaluate_checkpoint_series(
     sample_size: int | None = 2000,
 ) -> list[MetricsRow]:
     """One row per numbered checkpoint per split; a fresh perturbation is crafted
-    per checkpoint on the train split and applied to every split."""
+    per checkpoint on the train split and applied to every split.  A split's clean
+    and then adversarial subsets come from one stream: below the split's size,
+    ``sample_size`` scores the two on different images."""
     files = sorted(Path(checkpoint_dir).glob("checkpoint_*.ckpt"))
     if not files:
         raise FileNotFoundError(f"no checkpoint_*.ckpt files in {checkpoint_dir}")

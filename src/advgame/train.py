@@ -143,6 +143,9 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
     ``on_outer(n, params, row)`` ends each iteration and is the only exit for
     its outputs; ``row.spec`` is what ``adv_acc`` scored (in the game, the new
     pool entry).  A ``TrainingError`` at iteration k skips its ``on_outer``.
+    ``clean_acc`` and then ``adv_acc`` draw their subsets from one stream,
+    ``(seed, 3, n)``: below the split's size, ``eval_sample_size`` scores the
+    two on different images (``cli attack`` re-seeds for one subset).
     """
     params = M.build_model(model_config, cfg.seed)
     state = FPState(model_config, params, [clean_view(dataset)], weighting=cfg.weighting)

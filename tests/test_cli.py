@@ -95,10 +95,29 @@ class TestParseConfig:
         echoed.write_text(cfg.to_text())
         assert parse_config(echoed) == cfg
 
-    def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(C.OUTPUT_DIR_ENV, str(tmp_path / "env_out"))
-        cfg = parse_config(None, {"output_dir": "ignored"})
-        assert cfg.output_dir == str(tmp_path / "env_out")
+    def test_environment_does_not_set_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ADVGAME_OUTPUT_DIR", str(tmp_path / "env_out"))
+        assert parse_config(None, {"output_dir": str(tmp_path / "flag")}).output_dir == str(tmp_path / "flag")
+        assert parse_config(None).output_dir == ExperimentConfig().output_dir
+
+    def test_key_set_twice_is_2_before_any_write(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("seed = 1\n# a comment\nseed = 2\n")
+        assert main(["train-sgd", *desk_args(tmp_path), "--config", str(path)]) == 2
+        assert f"{path}:3: seed is set twice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_is_frozen(self):
+        with pytest.raises(AttributeError):
+            ExperimentConfig().seed = 1
+
+    def test_help_shows_every_choice_table(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["train-fp", "--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        for key, allowed in C.CHOICES.items():
+            assert f"--{key.replace('_', '-')} {{{','.join(allowed)}}}\n" in out
 
 
 class TestMatrixDemo:
@@ -219,9 +238,18 @@ class TestAttackCommand:
         ckpt = self._trained_checkpoint(tmp_path)
         assert main([
             "attack", *desk_args(tmp_path), "--checkpoint", ckpt,
-            "--kind", "patch", "--target-class", "1", "--lambda", "1.0",
+            "--attack-kind", "patch", "--patch-target-class", "1", "--patch-lambda", "1.0",
         ]) == 0
         assert "target-class hit rate" in capsys.readouterr().out
+
+    # each setting has one flag, the one named after its field
+    @pytest.mark.parametrize("alias", [["--kind", "patch"], ["--target-class", "1"], ["--lambda", "1.0"]], ids=" ".join)
+    def test_alias_flags_are_unknown(self, tmp_path, capsys, alias):
+        with pytest.raises(SystemExit) as done:
+            main(["attack", *desk_args(tmp_path), "--checkpoint", "unread.ckpt", *alias])
+        assert done.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_export_ppm(self, tmp_path, capsys):
         ckpt = self._trained_checkpoint(tmp_path)
@@ -334,6 +362,15 @@ class TestExitCodes:
         ["--config", "learning_rate = inf"],
         ["--seed", "-1"],
         ["--weight-decay", "-1"],
+        ["--attack-kind", "patch", "--patch-target-class", "-5"],
+        ["--pgd-step-size", "0"],
+        ["--pgd-step-size", "-3"],
+        ["--profile", "foo"],
+        ["--data", "foo"],
+        ["--model", "foo"],
+        ["--precision", "float16"],
+        ["--attack-kind", "foo"],
+        ["--csv-timing", "foo"],
     ], ids=" ".join)
     def test_out_of_range_value_is_2_before_any_write(self, tmp_path, capsys, extra):
         if extra[0] == "--config":  # the case's text is the config file's

@@ -60,8 +60,8 @@ COMMANDS = [
     ("at", ["train-at", *DESK, "--pgd-steps", "2"]),
     ("fp-vgg", ["train-fp", *VGG, "--outer-iterations", "2"]),
     ("at-vgg", ["train-at", *VGG, "--pgd-steps", "1"]),
-    ("attack-universal", ["attack", *DESK, "--checkpoint", SGD_CHECKPOINT, "--kind", "universal"]),
-    ("attack-patch", ["attack", *DESK, "--checkpoint", SGD_CHECKPOINT, "--kind", "patch", *TARGETED]),
+    ("attack-universal", ["attack", *DESK, "--checkpoint", SGD_CHECKPOINT, "--attack-kind", "universal"]),
+    ("attack-patch", ["attack", *DESK, "--checkpoint", SGD_CHECKPOINT, "--attack-kind", "patch", *TARGETED]),
     ("eval-universal", ["eval", *DESK, "--checkpoint-dir", "sgd", "--attack-kind", "universal"]),
     ("eval-patch", ["eval", *DESK, "--checkpoint-dir", "sgd", "--attack-kind", "patch"]),
 ]
@@ -76,7 +76,7 @@ def run_desk_set(src: Path, work: Path) -> list[str]:
     inside ``work``; returns one line per command that did not exit 0."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
-    env.pop("ADVGAME_OUTPUT_DIR", None)
+    env.pop("ADVGAME_OUTPUT_DIR", None)  # older trees let it override --output-dir
     failures = []
     runs = [(out_dir, ["-m", "advgame.cli", *args, "--output-dir", out_dir]) for out_dir, args in COMMANDS]
     for out_dir, args in [*runs, ("f64", [str(F64_GAME), "f64"])]:
