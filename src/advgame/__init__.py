@@ -3,7 +3,7 @@ and adversarial patches by playing a two-player zero-sum game.
 
 Subpackages:
     tensor      minimal reverse-mode autodiff engine on numpy arrays
-    model       conv/dense architectures, snapshots, classifier pools
+    model       conv/dense architectures, classifier pools, both players' mixtures
     data        datasets, perturbation specs, lazy perturbed views
     attack      universal / patch / per-sample attack crafting
     train       the game loop plus SGD and adversarial-training baselines

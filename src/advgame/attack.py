@@ -5,8 +5,8 @@ and per-sample PGD examples for the adversarial-training baseline.
 attack its config names, :func:`learn_universal` or :func:`learn_patch`.
 Both run the same ascent loop, :func:`_ascend`, which draws the batches;
 each passes only its start point and its step.  Every attack ascends the
-expected loss of a classifier pool: the snapshot pool in exact-mode play,
-otherwise the live classifier as a pool of one.
+uniform mixture loss (:func:`~advgame.model.pool_expected_loss`) of a pool:
+frozen copies in exact-mode play, otherwise the live classifier alone.
 
 The universal update averages per-sample gradient SIGNS over the batch
 (sign-then-average, not sign-of-average) before the max-norm projection;
@@ -24,7 +24,7 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .data import PerturbationSpec, overlay_patch_op, sample_placements
-from .model import ClassifierPool, pack_array, pool_expected_loss, read_artifact, unpack_array, write_artifact
+from .model import Classifier, pack_array, pool_expected_loss, read_artifact, unpack_array, write_artifact
 from .tensor import Tensor
 
 CONTAINER_MAGIC = b"AGPT"
@@ -87,7 +87,7 @@ def project_linf(xi: np.ndarray, epsilon: float) -> np.ndarray:
 
 def universal_step(
     xi: np.ndarray,
-    pool: ClassifierPool,
+    pool: list[Classifier],
     batch: np.ndarray,
     labels: np.ndarray,
     alpha: float,
@@ -109,7 +109,7 @@ def universal_step(
     return project_linf(xi + alpha * signs.mean(axis=0), epsilon)
 
 
-def craft(pool: ClassifierPool, dataset: D.Dataset, config: UniversalAttackConfig | PatchAttackConfig,
+def craft(pool: list[Classifier], dataset: D.Dataset, config: UniversalAttackConfig | PatchAttackConfig,
           rng: np.random.Generator) -> PerturbationSpec:
     """Craft the one perturbation ``config`` names against ``pool`` on ``dataset``."""
     if isinstance(config, UniversalAttackConfig):
@@ -133,7 +133,7 @@ def _ascend(xi: np.ndarray, dataset: D.Dataset, config, rng: np.random.Generator
 
 
 def learn_universal(
-    pool: ClassifierPool,
+    pool: list[Classifier],
     dataset: D.Dataset,
     config: UniversalAttackConfig,
     rng: np.random.Generator,
@@ -146,7 +146,7 @@ def learn_universal(
 
 
 def patch_objective(
-    pool: ClassifierPool,
+    pool: list[Classifier],
     patch: Tensor,
     batch: np.ndarray,
     labels: np.ndarray,
@@ -165,7 +165,7 @@ def patch_objective(
 
 def patch_step(
     xi: np.ndarray,
-    pool: ClassifierPool,
+    pool: list[Classifier],
     batch: np.ndarray,
     labels: np.ndarray,
     config: PatchAttackConfig,
@@ -179,7 +179,7 @@ def patch_step(
 
 
 def learn_patch(
-    pool: ClassifierPool,
+    pool: list[Classifier],
     dataset: D.Dataset,
     config: PatchAttackConfig,
     rng: np.random.Generator,
@@ -199,7 +199,7 @@ def learn_patch(
 
 
 def pgd_per_sample(
-    pool: ClassifierPool,
+    pool: list[Classifier],
     batch: np.ndarray,
     labels: np.ndarray,
     config: PgdConfig,

@@ -4,8 +4,8 @@ Adversarial accuracy never reuses a training-time perturbation: each call
 crafts a new one through :func:`~advgame.attack.craft`, the only entry that
 makes one, against the classifier under evaluation from an independent RNG
 stream, so the number reported is robustness to an unseen attack.  Every
-classifier is scored as a :class:`~advgame.model.ClassifierPool`, the live
-one as a pool of one, and every score is one function,
+classifier is scored as a pool, a list of :class:`~advgame.model.Classifier`,
+the live one as a pool of one, and every score is one function,
 :func:`perturbed_accuracy`: clean accuracy is its clean view (:func:`accuracy`)
 and a fixed-class patch's hit rate its ``target``.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from . import attack as A
 from . import model as M
 from .data import Dataset, PerturbationSpec, PerturbedView
-from .model import ClassifierPool, CorruptFileError, load_checkpoint, single_pool
+from .model import Classifier, CorruptFileError, load_checkpoint, single_pool
 
 CSV_HEADER = "iter,split,clean_acc,adv_acc,attack,seconds"
 SPLIT_ORDER = ("train", "valid", "test")
@@ -61,12 +61,12 @@ def write_csv(path, rows, timing: str = "zero") -> None:
         fh.write(format_rows(rows, timing))
 
 
-def accuracy(pool: ClassifierPool, dataset: Dataset, sample_size: int | None = None, rng=None) -> float:
+def accuracy(pool: list[Classifier], dataset: Dataset, sample_size: int | None = None, rng=None) -> float:
     """Fraction of correct predictions on the clean view of a sampled subset (or the full split)."""
     return perturbed_accuracy(pool, dataset, None, sample_size, rng)
 
 
-def perturbed_accuracy(pool: ClassifierPool, dataset: Dataset, spec: PerturbationSpec | None,
+def perturbed_accuracy(pool: list[Classifier], dataset: Dataset, spec: PerturbationSpec | None,
                        sample_size: int | None = None, rng=None, placement_seed: int = 0,
                        target: int | None = None) -> float:
     """Fraction of a subset rendered under ``spec`` (None: the clean view) that
@@ -95,8 +95,8 @@ def evaluate_checkpoint_series(
 ) -> list[MetricsRow]:
     """One row per numbered checkpoint per split; a fresh perturbation is crafted
     per checkpoint on the train split and applied to every split.  A split's clean
-    and then adversarial subsets come from one stream: below the split's size,
-    ``sample_size`` scores the two on different images."""
+    and adversarial accuracies score one subset, drawn by two generators seeded
+    alike."""
     files = sorted(Path(checkpoint_dir).glob("checkpoint_*.ckpt"))
     if not files:
         raise FileNotFoundError(f"no checkpoint_*.ckpt files in {checkpoint_dir}")
@@ -115,8 +115,9 @@ def evaluate_checkpoint_series(
             if split not in splits:
                 continue
             ds = splits[split]
-            sub_rng = np.random.default_rng((seed, 6, iteration, SPLIT_ORDER.index(split)))
-            clean = accuracy(pool, ds, sample_size, sub_rng)
-            adv = perturbed_accuracy(pool, ds, spec, sample_size, sub_rng, placement_seed=iteration)
+            subset = (seed, 6, iteration, SPLIT_ORDER.index(split))
+            clean = accuracy(pool, ds, sample_size, np.random.default_rng(subset))
+            adv = perturbed_accuracy(pool, ds, spec, sample_size, np.random.default_rng(subset),
+                                     placement_seed=iteration)
             rows.append(MetricsRow(iteration, split, clean, adv, spec, time.perf_counter() - t0))
     return rows

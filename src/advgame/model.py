@@ -1,19 +1,19 @@
-"""Classifier architectures, parameter handling, classifier pools, and the
+"""Classifier architectures, parameter handling, the game's mixtures, and the
 binary codec of checkpoints and perturbation containers.
 
 A model is described by a :class:`ModelConfig` (a stack of 3x3 conv blocks
 followed by one fully connected layer) and carried as a flat dict of named
-tensors.  A :class:`ClassifierPool` is the one classifier type attacks and
-scoring take: exact-mode play pools frozen snapshots, every other caller
-the live classifier as a pool of one (:func:`single_pool`).  Attacks
-differentiate the pool's average loss with respect to the input batch.
+tensors.  A pool, a plain ``list[Classifier]``, is the one classifier type
+attacks and scoring take (:func:`freeze`, :func:`single_pool`).  Both players'
+losses are one :func:`mixture_loss` weighted by :func:`mixture_weights`: the
+classifier's over the pooled views, the attacker's over the pool.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -253,43 +253,66 @@ def trainable_names(params: dict[str, Tensor]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# classifier pools
+# mixtures and classifier pools
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassifierSnapshot:
-    """Frozen copy of a classifier at one outer iteration."""
-    iteration: int
+class Classifier(NamedTuple):
+    """One member of a pool: a model config and the parameters it runs on."""
     config: ModelConfig
     params: dict[str, Tensor]
 
-    @staticmethod
-    def freeze(iteration: int, config: ModelConfig, params: dict[str, Tensor]) -> "ClassifierSnapshot":
-        """Read-only copies of the arrays, as constants."""
-        copies = {name: p.data.copy() for name, p in params.items()}
-        for arr in copies.values():
-            arr.setflags(write=False)
-        return ClassifierSnapshot(iteration, config, {name: Tensor(arr) for name, arr in copies.items()})
+
+def freeze(config: ModelConfig, params: dict[str, Tensor]) -> Classifier:
+    """The classifier as it is now: read-only copies of the arrays, as constants."""
+    copies = {name: p.data.copy() for name, p in params.items()}
+    for arr in copies.values():
+        arr.setflags(write=False)
+    return Classifier(config, {name: Tensor(arr) for name, arr in copies.items()})
 
 
-@dataclass
-class ClassifierPool:
-    """Ordered history of classifier snapshots with strictly increasing indices."""
-    members: list[ClassifierSnapshot] = field(default_factory=list)
+def single_pool(config: ModelConfig, params: dict[str, Tensor]) -> list[Classifier]:
+    """The live classifier as a pool of one, whose mixture is that classifier.
 
-    def add(self, snapshot: ClassifierSnapshot) -> None:
-        if self.members and snapshot.iteration <= self.members[-1].iteration:
-            raise ValueError("snapshot iterations must be strictly increasing")
-        self.members.append(snapshot)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+    The member wraps the live arrays, not copies, as constants: the optimizer
+    and batchnorm update them in place, so a pool built once follows
+    training, and nothing scored through it keeps a backward graph alive.
+    """
+    return [Classifier(config, {name: Tensor(p.data) for name, p in params.items()})]
 
 
-def _member_logits(pool: ClassifierPool, batch):
+def mixture_weights(n: int, mode: str = "literal") -> np.ndarray:
+    """Weights of a mixture over the plays 0..n-1, for either player.
+
+    Literal mode expands the nested average of historical losses, where the
+    i-th historical loss averages the first i plays (the 0th is the first
+    play alone): play j's aggregate weight collects a 1/i share from every
+    later historical term.  Uniform mode weights the plays equally.  n=0
+    (no play yet) puts weight 1 on the first.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    count = max(n, 1)
+    if mode == "uniform":
+        return np.full(count, 1.0 / count)
+    if mode != "literal":
+        raise ValueError("mode must be 'literal' or 'uniform'")
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, n + 1))])  # H_0..H_n
+    weights = harmonic[n] - harmonic[:count]   # (H_n - H_j + [j = 0]) / (n + 1)
+    weights[0] += 1.0
+    return weights / (n + 1)
+
+
+def mixture_loss(logits, labels, weights) -> Tensor:
+    """The one weighted cross-entropy sum, sum_j w_j * CE(logits_j, labels), over ``logits`` in order;
+    from a generator, each forward runs only as its term is added."""
+    total = None
+    for w, member in zip(weights, logits):
+        term = T.mul(T.softmax_cross_entropy(member, labels), float(w))
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def _member_logits(pool: list[Classifier], batch):
     """Each member's infer-mode logits on the batch, computed one at a time."""
     if len(pool) == 0:
         raise ValueError("classifier pool is empty")
@@ -297,30 +320,23 @@ def _member_logits(pool: ClassifierPool, batch):
     return (forward(m.config, m.params, x, "infer") for m in pool)
 
 
-def pool_expected_loss(pool: ClassifierPool, batch, labels, target: int | None = None, lam: float = 0.0) -> Tensor:
-    """Average cross-entropy over the pool members, differentiable in the batch.
-
-    Equals the expected loss of a classifier drawn uniformly from the pool,
-    which is exactly the objective the perturbation player maximizes.  At
-    ``lam`` > 0 it is ``(1 - lam) * loss(labels) - lam * loss(target)``
-    instead, the fixed-class patch objective; both cross-entropies read one
-    forward per member.
+def pool_expected_loss(pool: list[Classifier], batch, labels, target: int | None = None, lam: float = 0.0) -> Tensor:
+    """The pool's uniform mixture loss, differentiable in the batch: the expected
+    loss of a classifier drawn uniformly from the pool, which the perturbation
+    player maximizes.  At ``lam`` > 0 it is ``(1 - lam) * mixture(labels) - lam
+    * mixture(target)``, the fixed-class patch objective; both mixtures read one
+    forward per member.  Its input gradient has the bits of the scaled sum
+    ``(sum CE) * (1/n)``: backward hands each member the same 1/n, in order.
     """
     logits = list(_member_logits(pool, batch))
-
-    def expected(y):
-        total = T.softmax_cross_entropy(logits[0], y)
-        for member in logits[1:]:
-            total = T.add(total, T.softmax_cross_entropy(member, y))
-        return T.mul(total, 1.0 / len(pool))
-
+    weights = mixture_weights(len(pool), "uniform")
     if lam == 0.0:
-        return expected(labels)
-    term = T.mul(expected(np.full(len(labels), target, dtype=np.int64)), -lam)
-    return term if lam == 1.0 else T.add(T.mul(expected(labels), 1.0 - lam), term)
+        return mixture_loss(logits, labels, weights)
+    term = T.mul(mixture_loss(logits, np.full(len(labels), target, dtype=np.int64), weights), -lam)
+    return term if lam == 1.0 else T.add(T.mul(mixture_loss(logits, labels, weights), 1.0 - lam), term)
 
 
-def pool_predict(pool: ClassifierPool, batch) -> np.ndarray:
+def pool_predict(pool: list[Classifier], batch) -> np.ndarray:
     """Argmax of the members' softmax probabilities averaged over the pool;
     ties go to the lowest class id.  Scoring runs no loss for ``backward`` to
     check, so a NaN or Inf probability raises ``NonFiniteError`` here."""
@@ -328,16 +344,6 @@ def pool_predict(pool: ClassifierPool, batch) -> np.ndarray:
     if not np.all(np.isfinite(probs)):
         raise T.NonFiniteError("class probabilities are not finite")
     return np.argmax(probs, axis=1)
-
-
-def single_pool(config: ModelConfig, params: dict[str, Tensor]) -> ClassifierPool:
-    """The live classifier as a pool of one, whose mixture is that classifier.
-
-    The member wraps the live arrays, not copies, as constants: the optimizer
-    and batchnorm update them in place, so a pool built once follows
-    training, and nothing scored through it keeps a backward graph alive.
-    """
-    return ClassifierPool([ClassifierSnapshot(0, config, {name: Tensor(p.data) for name, p in params.items()})])
 
 
 # ---------------------------------------------------------------------------

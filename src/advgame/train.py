@@ -3,17 +3,18 @@ and a matrix-game best-response harness.
 
 FP, SGD and AT run one loop, :func:`_play`: K optimizer steps on a batch
 loss, then the one attack the config names (``TrainConfig.attack``),
-crafted through :func:`~advgame.attack.craft` against the classifier (or,
-in exact mode, the pool of its snapshots) and scored in a metrics row.
-Every batch loss is one :func:`mixture_loss`.  ``fp_train`` and
-``sgd_train`` mix the pooled views by :func:`dataset_weights` (FP's attack,
-on ``(seed, 2)``, joins the pool; SGD's stays the clean view); ``at_train``
-mixes the clean and PGD batches half and half (PGD on ``(seed, 2)``, attack
-on ``(seed, 7)``).  So FP with a zero attack steps exactly as SGD only while
-its pool is the clean view alone (outer iteration 1): the split weights
-round otherwise.  AT with zero PGD steps and no random start does so in the
-trainable parameters only, as its second train-mode forward advances the
-batchnorm running buffers again.
+crafted through :func:`~advgame.attack.craft` against the state's pool of
+classifiers and scored in a metrics row.  Both players' losses are one
+:func:`~advgame.model.mixture_loss` weighted by
+:func:`~advgame.model.mixture_weights`.  ``fp_train`` and ``sgd_train`` mix
+the pooled views by the config's weighting (FP's attack, on ``(seed, 2)``,
+joins the pool; SGD's stays the clean view); ``at_train`` mixes the clean
+and PGD batches half and half (PGD on ``(seed, 2)``, attack on ``(seed,
+7)``); the attacker mixes the pool's members uniformly.  So FP with a zero
+attack steps exactly as SGD only while its pool is the clean view alone
+(outer iteration 1): the split weights round otherwise.  AT with zero PGD
+steps and no random start does so in the trainable parameters only, as its
+second train-mode forward advances the batchnorm running buffers again.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import tensor as T
 from .attack import PatchAttackConfig, PgdConfig, UniversalAttackConfig
 from .data import BatchSampler, Dataset, PerturbedView, clean_view
 from .evaluation import MetricsRow
-from .model import ClassifierPool, ClassifierSnapshot, ModelConfig
+from .model import Classifier, ModelConfig
 from .tensor import Tensor
 
 
@@ -71,53 +72,23 @@ class TrainConfig:
 
 @dataclass
 class FPState:
-    """Growing state of the game: current classifier plus opponent history."""
+    """Growing state of the game: the current classifier, the pooled views it
+    trains on, and the pool of classifiers every attack targets (:func:`_play`)."""
     config: ModelConfig
     params: dict[str, Tensor]
     views: list[PerturbedView]              # views[0] is the clean dataset
-    classifier_pool: ClassifierPool | None = None
+    pool: list[Classifier]
     weighting: str = "literal"
 
 
-def dataset_weights(n: int, mode: str = "literal") -> np.ndarray:
-    """Per-dataset weights for the mixture loss over datasets 0..n-1.
-
-    Literal mode expands the nested average of historical losses, where the
-    i-th historical loss averages the first i datasets (the 0th is the clean
-    dataset alone): dataset j's aggregate weight collects a 1/i share from
-    every later historical term.  Uniform mode weights the datasets equally.
-    n=0 (no perturbations yet) puts weight 1 on the clean dataset.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    count = max(n, 1)
-    if mode == "uniform":
-        return np.full(count, 1.0 / count)
-    if mode != "literal":
-        raise ValueError("mode must be 'literal' or 'uniform'")
-    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, n + 1))])  # H_0..H_n
-    weights = harmonic[n] - harmonic[:count]   # (H_n - H_j + [j = 0]) / (n + 1)
-    weights[0] += 1.0
-    return weights / (n + 1)
-
-
-def mixture_loss(config: ModelConfig, params: dict[str, Tensor], batches, labels, weights) -> Tensor:
-    """The one training loss, sum_j w_j * CE(train-mode forward of batch j), over ``batches`` in order."""
-    total = None
-    for w, batch in zip(weights, batches):
-        ce = T.softmax_cross_entropy(M.forward(config, params, batch, "train"), labels)
-        term = T.mul(ce, float(w))
-        total = term if total is None else T.add(total, term)
-    return total
-
-
 def classifier_pool_loss(state: FPState, indices: np.ndarray, draw: int = 0) -> Tensor:
-    """The mixture loss over the pool of perturbed views (not of classifiers; the benchmark's trace
-    counts forwards under this name): one index batch rendered under each view, weighted by
-    :func:`dataset_weights`."""
-    batches = (view.materialize(indices, draw=draw) for view in state.views)
-    return mixture_loss(state.config, state.params, batches, state.views[0].labels[indices],
-                        dataset_weights(len(state.views), state.weighting))
+    """The classifier's mixture loss over the pool of perturbed views (not of classifiers; the benchmark's
+    trace counts forwards under this name): one index batch rendered under each view, each view's
+    train-mode forward run as its term is added, weighted by ``mixture_weights(len(views), weighting)``."""
+    logits = (M.forward(state.config, state.params, view.materialize(indices, draw=draw), "train")
+              for view in state.views)
+    weights = M.mixture_weights(len(state.views), state.weighting)
+    return M.mixture_loss(logits, state.views[0].labels[indices], weights)
 
 
 def _lr_at(cfg: TrainConfig, step: int) -> float:
@@ -136,24 +107,24 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
     attack_stream)`` and scores the classifier on the clean data and under
     that attack.  ``mode=None`` is a baseline, which only scores the
     attack; ``"approximate"`` and ``"exact"`` play the game, adding it to
-    ``state.views``, and exact mode attacks the pool of classifier snapshots
-    taken at the start and after each iteration's inner steps.
-    Every other attack, and all scoring, target the live classifier as a
-    pool of one (:func:`~advgame.model.single_pool`) built up front.
+    ``state.views``.  Every attack targets ``state.pool``: in exact mode
+    frozen copies (:func:`~advgame.model.freeze`) from the start, where the
+    untrained copy stays as fictitious play counts every past play, and after
+    each iteration's inner steps; otherwise the live classifier as a pool of
+    one, which all scoring targets.  ``fp_mode`` picks the members, not a
+    one-hot weighting, which would keep N copies (62 MB each for paper VGG).
     ``on_outer(n, params, row)`` ends each iteration and is the only exit for
     its outputs; ``row.spec`` is what ``adv_acc`` scored (in the game, the new
     pool entry).  A ``TrainingError`` at iteration k skips its ``on_outer``.
-    ``clean_acc`` and then ``adv_acc`` draw their subsets from one stream,
-    ``(seed, 3, n)``: below the split's size, ``eval_sample_size`` scores the
-    two on different images (``cli attack`` re-seeds for one subset).
+    ``clean_acc`` and ``adv_acc`` score one subset of ``eval_sample_size``
+    images, drawn by two generators seeded alike, ``(seed, 3, n)``.
     """
     params = M.build_model(model_config, cfg.seed)
-    state = FPState(model_config, params, [clean_view(dataset)], weighting=cfg.weighting)
-    if mode == "exact":
-        state.classifier_pool = ClassifierPool([ClassifierSnapshot.freeze(0, model_config, params)])
+    classifier = M.single_pool(model_config, params)
+    pool = [M.freeze(model_config, params)] if mode == "exact" else classifier
+    state = FPState(model_config, params, [clean_view(dataset)], pool, cfg.weighting)
     sampler = BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1)))
     attack_rng = np.random.default_rng((cfg.seed, attack_stream))
-    classifier = M.single_pool(model_config, params)
     trainable = {name: params[name] for name in M.trainable_names(params)}
     velocity: dict = {}
     report: list[MetricsRow] = []
@@ -176,19 +147,18 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
             # the last step's graph goes before the attack and the scoring (peak RSS: sgd-vgg 481 -> 458 MB,
             # fp-exact-patch 107 -> 99 MB)
             loss = None
-            target = classifier
-            if state.classifier_pool is not None:
-                state.classifier_pool.add(ClassifierSnapshot.freeze(n, model_config, params))
-                target = state.classifier_pool
-            spec = A.craft(target, dataset, cfg.attack, attack_rng)
+            if state.pool is not classifier:
+                state.pool.append(M.freeze(model_config, params))
+            spec = A.craft(state.pool, dataset, cfg.attack, attack_rng)
         except (ValueError, FloatingPointError) as exc:
             raise TrainingError(f"outer iteration {n}: {exc}") from exc
         if mode is not None:
             view_seed = int(np.random.SeedSequence((cfg.seed, 4, n)).generate_state(1)[0])
             state.views.append(PerturbedView(dataset, spec, seed=view_seed))
-        eval_rng = np.random.default_rng((cfg.seed, 3, n))
-        clean = E.accuracy(classifier, dataset, cfg.eval_sample_size, eval_rng)
-        adv = E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size, eval_rng, placement_seed=n)
+        subset = (cfg.seed, 3, n)
+        clean = E.accuracy(classifier, dataset, cfg.eval_sample_size, np.random.default_rng(subset))
+        adv = E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size, np.random.default_rng(subset),
+                                   placement_seed=n)
         row = MetricsRow(n, dataset.split, clean, adv, spec, time.perf_counter() - t0)
         report.append(row)
         if on_outer is not None:
@@ -206,8 +176,9 @@ def fp_train(
 ) -> tuple[FPState, list[MetricsRow]]:
     """Alternating best responses between the classifier and the perturbation player: each
     outer iteration runs K steps of SGD on the weighted mixture of all pooled views, then crafts
-    the next perturbation against the current classifier (approximate mode) or the uniform pool
-    of its snapshots (exact mode).  ``adv_acc`` scores that fresh, not yet trained-on perturbation."""
+    the next perturbation against ``state.pool``: the current classifier (approximate mode) or
+    the uniform mixture of its frozen copies, the untrained one included (exact mode).
+    ``adv_acc`` scores that fresh, not yet trained-on perturbation."""
     if mode not in ("approximate", "exact"):
         raise ValueError("mode must be 'approximate' or 'exact'")
     return _play(model_config, dataset, cfg, classifier_pool_loss, 2, mode, on_step, on_outer)
@@ -244,8 +215,9 @@ def at_train(
 
     def half_adversarial_loss(state: FPState, indices: np.ndarray, step: int) -> Tensor:
         x, y = dataset.images[indices], dataset.labels[indices]
-        adv = A.pgd_per_sample(M.single_pool(model_config, state.params), x, y, cfg.pgd, pgd_rng)
-        return mixture_loss(model_config, state.params, (x, adv), y, dataset_weights(2, "uniform"))
+        adv = A.pgd_per_sample(state.pool, x, y, cfg.pgd, pgd_rng)
+        logits = (M.forward(model_config, state.params, batch, "train") for batch in (x, adv))
+        return M.mixture_loss(logits, y, M.mixture_weights(2, "uniform"))
 
     state, report = _play(model_config, dataset, cfg, half_adversarial_loss, 7, None, on_step, on_outer)
     return state.params, report

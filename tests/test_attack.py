@@ -23,7 +23,7 @@ from advgame.attack import (
     save_perturbation,
     universal_step,
 )
-from advgame.model import ClassifierSnapshot, ClassifierPool, build_model, forward, single_pool, tiny_config
+from advgame.model import build_model, forward, freeze, single_pool, tiny_config
 from advgame.tensor import Tensor, softmax_cross_entropy
 
 
@@ -83,7 +83,7 @@ class TestUniversalStep:
 
     def test_pool_of_one_bit_identical_to_single(self, desk):
         cfg, params, dataset = desk
-        frozen = ClassifierPool([ClassifierSnapshot.freeze(0, cfg, params)])
+        frozen = [freeze(cfg, params)]
         xi = np.random.default_rng(1).uniform(-0.05, 0.05, dataset.image_shape)
         batch, labels = dataset.images[:6], dataset.labels[:6]
         via_frozen = universal_step(xi, frozen, batch, labels, 0.01, 0.1)
@@ -194,7 +194,7 @@ class TestPatchStep:
 
     def test_targeted_step_runs_one_forward_per_member(self, desk, monkeypatch):
         cfg, params, dataset, config, placements = self._setup(desk, lam=0.5, target_class=3)
-        pool = ClassifierPool([ClassifierSnapshot.freeze(i, cfg, params) for i in range(2)])
+        pool = [freeze(cfg, params) for _ in range(2)]
         batch, labels = dataset.images[:4], dataset.labels[:4]
         spec = D.gray_patch(3, 8, config.chi, config.theta_max)
         forwards = []

@@ -185,6 +185,14 @@ class TestCheckpointSeries:
         b = format_rows(evaluate_checkpoint_series(tmp_path, self._splits(), cfg, seed=7))
         assert a == b
 
+    def test_clean_and_adv_score_one_subset(self, tmp_path):
+        # untrained checkpoints under a zero perturbation score the same on the same images
+        self._write_checkpoints(tmp_path, count=3)
+        rows = evaluate_checkpoint_series(tmp_path, self._splits(), UniversalAttackConfig(0.05, 0.01, 0), seed=0,
+                                          sample_size=5)
+        assert len(rows) == 9 and all(not np.any(r.spec.xi) for r in rows)
+        assert [r.adv_acc for r in rows] == [r.clean_acc for r in rows]
+
     def test_missing_checkpoints_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             evaluate_checkpoint_series(tmp_path, self._splits(), UniversalAttackConfig(0.05, 0.01, 1), seed=0)

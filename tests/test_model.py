@@ -8,12 +8,11 @@ import pytest
 from advgame import model as M
 from advgame import tensor as T
 from advgame.model import (
-    ClassifierPool,
-    ClassifierSnapshot,
     ModelConfig,
     ConvSpec,
     build_model,
     forward,
+    freeze,
     load_checkpoint,
     pool_expected_loss,
     pool_predict,
@@ -152,7 +151,7 @@ class TestScoringMemory:
             return out
 
         monkeypatch.setattr(T, "conv2d", recorded)
-        logits = forward(cfg, single_pool(cfg, params).members[0].params, x, "infer")
+        logits = forward(cfg, single_pool(cfg, params)[0].params, x, "infer")
         assert logits.shape == (4, 4)
         assert len(outputs) == 3 and all(ref() is None for ref in outputs)
         # a forward through trainable parameters keeps them for backward
@@ -162,7 +161,7 @@ class TestScoringMemory:
     def test_peak_does_not_grow_with_depth(self):
         def peak(depth):
             cfg = self.stack(depth)
-            params = single_pool(cfg, build_model(cfg, 0)).members[0].params
+            params = single_pool(cfg, build_model(cfg, 0))[0].params
             x = np.random.default_rng(0).random((8, 3, 16, 16))
             forward(cfg, params, x)  # builds the cached window indices
             tracemalloc.start()
@@ -180,30 +179,25 @@ class TestScoringMemory:
 class TestPool:
     def _pool_of(self, seeds, cfg=None):
         cfg = cfg or small_config()
-        pool = ClassifierPool()
-        for i, s in enumerate(seeds):
-            pool.add(ClassifierSnapshot.freeze(i, cfg, build_model(cfg, s)))
-        return cfg, pool
+        return cfg, [freeze(cfg, build_model(cfg, s)) for s in seeds]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            pool_expected_loss(ClassifierPool(), np.zeros((1, 1, 6, 6)), np.array([0]))
+            pool_expected_loss([], np.zeros((1, 1, 6, 6)), np.array([0]))
         with pytest.raises(ValueError):
-            pool_predict(ClassifierPool(), np.zeros((1, 1, 6, 6)))
+            pool_predict([], np.zeros((1, 1, 6, 6)))
 
     def test_size_one_equals_single_loss(self):
         cfg, pool = self._pool_of([11])
         x = np.random.default_rng(4).random((2, 1, 6, 6))
         labels = np.array([0, 1])
-        single = softmax_cross_entropy(forward(cfg, pool.members[0].params, x, "infer"), labels)
+        single = softmax_cross_entropy(forward(cfg, pool[0].params, x, "infer"), labels)
         assert pool_expected_loss(pool, x, labels).item() == single.item()
 
     def test_duplicate_snapshots_equal_single(self):
         cfg = small_config()
         params = build_model(cfg, 12)
-        pool = ClassifierPool()
-        pool.add(ClassifierSnapshot.freeze(0, cfg, params))
-        pool.add(ClassifierSnapshot.freeze(1, cfg, params))
+        pool = [freeze(cfg, params), freeze(cfg, params)]
         x = np.random.default_rng(5).random((2, 1, 6, 6))
         labels = np.array([1, 2])
         single = softmax_cross_entropy(forward(cfg, params, x, "infer"), labels)
@@ -213,8 +207,8 @@ class TestPool:
         cfg, pool = self._pool_of([13, 14])
         x = np.random.default_rng(6).random((1, 1, 6, 6))
         labels = np.array([2])
-        l0 = softmax_cross_entropy(forward(cfg, pool.members[0].params, x, "infer"), labels).item()
-        l1 = softmax_cross_entropy(forward(cfg, pool.members[1].params, x, "infer"), labels).item()
+        l0 = softmax_cross_entropy(forward(cfg, pool[0].params, x, "infer"), labels).item()
+        l1 = softmax_cross_entropy(forward(cfg, pool[1].params, x, "infer"), labels).item()
         got = pool_expected_loss(pool, x, labels).item()
         assert abs(got - 0.5 * (l0 + l1)) < 1e-15
 
@@ -235,10 +229,46 @@ class TestPool:
         assert x.grad is not None and x.grad.shape == x.shape
         assert np.any(x.grad != 0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_bits_equal_the_scaled_sum(self, dtype):
+        """Each member's CE * (1/n) hands the batch the bits of one scaled sum (sum CE) * (1/n)."""
+
+        def scaled_sum(pool, batch, labels, target, lam):
+            logits = [forward(m.config, m.params, batch, "infer") for m in pool]
+
+            def expected(y):
+                total = softmax_cross_entropy(logits[0], y)
+                for member in logits[1:]:
+                    total = T.add(total, softmax_cross_entropy(member, y))
+                return T.mul(total, 1.0 / len(pool))
+
+            if lam == 0.0:
+                return expected(labels)
+            term = T.mul(expected(np.full(len(labels), target, dtype=np.int64)), -lam)
+            return term if lam == 1.0 else T.add(T.mul(expected(labels), 1.0 - lam), term)
+
+        def input_grad(loss_fn, pool, x, labels, lam):
+            leaf = Tensor(x, requires_grad=True)
+            backward(loss_fn(pool, leaf, labels, 1, lam))
+            return leaf.grad
+
+        T.set_default_dtype(dtype)
+        try:
+            x = np.random.default_rng(13).random((5, 1, 6, 6)).astype(dtype)
+            labels = np.array([0, 1, 2, 0, 2])
+            for n in (1, 3, 11):
+                _, pool = self._pool_of(range(40, 40 + n))
+                for lam in (0.0, 0.3, 0.5, 1.0):
+                    got = input_grad(pool_expected_loss, pool, x, labels, lam)
+                    assert got.dtype == dtype and np.any(got != 0)
+                    assert np.array_equal(got, input_grad(scaled_sum, pool, x, labels, lam)), (n, lam)
+        finally:
+            T.set_default_dtype(np.float64)
+
     def test_predict_single_is_argmax(self):
         cfg, pool = self._pool_of([25])
         x = np.random.default_rng(9).random((3, 1, 6, 6))
-        logits = forward(cfg, pool.members[0].params, x, "infer").data
+        logits = forward(cfg, pool[0].params, x, "infer").data
         assert np.array_equal(pool_predict(pool, x), np.argmax(logits, axis=1))
 
     def test_predict_averages_probabilities(self):
@@ -260,7 +290,7 @@ class TestPool:
     def test_snapshot_immutable_under_training(self):
         cfg = small_config()
         params = build_model(cfg, 30)
-        snap = ClassifierSnapshot.freeze(0, cfg, params)
+        snap = freeze(cfg, params)
         x = np.random.default_rng(11).random((2, 1, 6, 6))
         before = forward(cfg, snap.params, x, "infer").data.copy()
         # keep training the live params
@@ -273,7 +303,7 @@ class TestPool:
     def test_single_pool_follows_the_live_params(self):
         cfg = small_config()
         params = build_model(cfg, 31)
-        member = single_pool(cfg, params).members[0].params
+        member = single_pool(cfg, params)[0].params
         assert all(member[name].data is params[name].data for name in params)
         assert not any(p.requires_grad for p in member.values())
         x = np.random.default_rng(12).random((2, 1, 6, 6))
@@ -284,11 +314,6 @@ class TestPool:
         after = forward(cfg, member, x, "infer").data
         assert not np.array_equal(before, after)
         assert np.array_equal(after, forward(cfg, params, x, "infer").data)
-
-    def test_indices_strictly_increasing(self):
-        cfg, pool = self._pool_of([1, 2])
-        with pytest.raises(ValueError):
-            pool.add(ClassifierSnapshot.freeze(1, cfg, build_model(cfg, 3)))
 
 
 class TestCheckpoint:

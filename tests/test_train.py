@@ -10,7 +10,7 @@ from advgame import model as M
 from advgame import tensor as T
 from advgame import train as TR
 from advgame.attack import PgdConfig, UniversalAttackConfig
-from advgame.model import build_model, forward, tiny_config
+from advgame.model import build_model, forward, mixture_weights, tiny_config
 from advgame.tensor import softmax_cross_entropy
 from advgame.train import (
     MATCHING_PENNIES,
@@ -21,7 +21,6 @@ from advgame.train import (
     TrainingError,
     at_train,
     classifier_pool_loss,
-    dataset_weights,
     fp_matrix_game,
     fp_train,
     game_value,
@@ -42,7 +41,7 @@ def weights_oracle(n):
 
 
 def weights_per_view(n, mode):
-    """Reference for ``dataset_weights``' bits: the ``n <= 1`` case and one
+    """Reference for ``mixture_weights``' bits: the ``n <= 1`` case and one
     subtraction per view."""
     count = max(n, 1)
     if mode == "uniform":
@@ -94,18 +93,18 @@ def param_digest(params):
 
 class TestDatasetWeights:
     def test_n0_clean_only(self):
-        assert np.array_equal(dataset_weights(0, "literal"), [1.0])
+        assert np.array_equal(mixture_weights(0, "literal"), [1.0])
 
     def test_n1(self):
-        assert np.array_equal(dataset_weights(1, "literal"), [1.0])
+        assert np.array_equal(mixture_weights(1, "literal"), [1.0])
 
     def test_n2_literal_hand_expansion(self):
-        w = dataset_weights(2, "literal")
+        w = mixture_weights(2, "literal")
         assert np.allclose(w, [5 / 6, 1 / 6], rtol=0, atol=1e-15)
 
     def test_matches_expansion_oracle_up_to_100(self):
         for n in range(0, 101):
-            w = dataset_weights(n, "literal")
+            w = mixture_weights(n, "literal")
             assert np.allclose(w, weights_oracle(n), rtol=0, atol=1e-12)
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(w >= 0)
@@ -113,17 +112,17 @@ class TestDatasetWeights:
     @pytest.mark.parametrize("mode", ["literal", "uniform"])
     def test_bits_equal_the_per_view_loop(self, mode):
         for n in range(0, 201):
-            assert np.array_equal(dataset_weights(n, mode), weights_per_view(n, mode)), n
+            assert np.array_equal(mixture_weights(n, mode), weights_per_view(n, mode)), n
 
     def test_uniform_equal_and_normalized(self):
         for n in range(0, 20):
-            w = dataset_weights(n, "uniform")
+            w = mixture_weights(n, "uniform")
             assert np.allclose(w, w[0]) and abs(w.sum() - 1.0) < 1e-12
 
     def test_clean_weight_non_increasing(self):
         prev = 1.0
         for n in range(1, 60):
-            w0 = dataset_weights(n, "literal")[0]
+            w0 = mixture_weights(n, "literal")[0]
             assert w0 <= prev + 1e-15
             prev = w0
 
@@ -133,7 +132,7 @@ class TestClassifierPoolLoss:
         cfg = tiny_config(side=8, num_classes=dataset.num_classes)
         params = build_model(cfg, 0)
         views = [D.clean_view(dataset)] + list(views_extra)
-        return FPState(cfg, params, views)
+        return FPState(cfg, params, views, M.single_pool(cfg, params))
 
     def test_empty_pool_is_clean_loss(self):
         ds = small_dataset()
@@ -165,7 +164,7 @@ class TestClassifierPoolLoss:
         v1, v2 = D.PerturbedView(ds, spec1), D.PerturbedView(ds, spec2)
         state = self._state(ds, [v1, v2])
         idx = np.arange(8)
-        weights = dataset_weights(3, "literal")
+        weights = mixture_weights(3, "literal")
         terms = []
         for view in state.views:
             x = view.materialize(idx, draw=0)
@@ -256,15 +255,57 @@ class TestFpTrain:
         assert bytes_small == bytes_big
         assert bytes_small == 2 * small.images[0].nbytes
 
-    def test_exact_mode_snapshots(self):
+    def test_exact_pool_member_k_is_the_classifier_at_iteration_k(self):
+        ds = small_dataset()
+        cfg = desk_cfg(outer_iterations=3, inner_steps=2,
+                       attack=UniversalAttackConfig(16 / 255, 0.01, 1, batch_size=8))
+        for mc in model_configs(ds):
+            played = [{n: p.data for n, p in build_model(mc, cfg.seed).items()}]
+
+            def record(n, params, row):
+                played.append({name: p.data.copy() for name, p in params.items()})
+
+            state, _ = fp_train(mc, ds, cfg, mode="exact", on_outer=record)
+            assert len(state.pool) == len(played) == cfg.outer_iterations + 1, mc.name
+            for member, arrays in zip(state.pool, played):
+                assert member.config == mc
+                assert all(np.array_equal(member.params[n].data, arrays[n]) for n in arrays), mc.name
+            # frozen copies, not the live arrays
+            assert not any(state.pool[-1].params[n].data is p.data for n, p in state.params.items())
+
+    @pytest.mark.parametrize("trainer", ["approximate", "sgd", "at"])
+    def test_pool_of_one_wraps_the_live_parameters(self, trainer, monkeypatch):
         ds = small_dataset()
         mc = tiny_config(side=8, num_classes=ds.num_classes)
-        cfg = desk_cfg(outer_iterations=2, inner_steps=2,
-                       attack=UniversalAttackConfig(16 / 255, 0.01, 1, batch_size=8))
-        state, _ = fp_train(mc, ds, cfg, mode="exact")
-        assert state.classifier_pool is not None and len(state.classifier_pool) == 3
-        iters = [s.iteration for s in state.classifier_pool]
-        assert iters == [0, 1, 2]
+        cfg = desk_cfg(outer_iterations=2, inner_steps=2, pgd=PgdConfig(16 / 255, 4 / 255, 1))
+        attacked = []  # the pool each attack (and AT's PGD) was handed
+
+        def recorded(real):
+            def call(pool, *args):
+                attacked.append(pool)
+                return real(pool, *args)
+            return call
+
+        for name in ("craft", "pgd_per_sample"):
+            monkeypatch.setattr(A, name, recorded(getattr(A, name)))
+        run = {"approximate": fp_train, "sgd": sgd_train, "at": at_train}[trainer]
+        result, _ = run(mc, ds, cfg)
+        params = result.params if isinstance(result, FPState) else result
+        pgd_calls = cfg.outer_iterations * cfg.inner_steps if trainer == "at" else 0
+        assert len(attacked) == cfg.outer_iterations + pgd_calls
+        assert all(pool is attacked[0] for pool in attacked)
+        assert not isinstance(result, FPState) or result.pool is attacked[0]
+        (member,) = attacked[0]
+        assert all(member.params[n].data is p.data for n, p in params.items())
+
+    def test_clean_and_adv_score_one_subset(self):
+        # an untrained model under a zero perturbation scores the same on the same images
+        ds = small_dataset()
+        cfg = desk_cfg(outer_iterations=4, inner_steps=0, eval_sample_size=5)
+        for mc in model_configs(ds):
+            _, report = fp_train(mc, ds, cfg)
+            assert all(np.array_equal(row.spec.xi, np.zeros(ds.image_shape)) for row in report)
+            assert [row.adv_acc for row in report] == [row.clean_acc for row in report], mc.name
 
     def test_error_names_outer_iteration(self):
         ds = small_dataset()

@@ -1,9 +1,10 @@
-"""Write the float64 end state of four desk games, for ``tools/same_bytes.py``.
+"""Write the float64 end state of five desk games, for ``tools/same_bytes.py``.
 
     PYTHONPATH=SRC python3 tools/f64_game.py OUT_DIR
 
 Plays, in this process and in float64, desk ``fp_train`` in exact mode with
-a patch and in approximate mode with a universal perturbation,
+a patch, untargeted and targeted (class 2, lambda 0.5, the attacker's
+fixed-class term), and in approximate mode with a universal perturbation,
 ``sgd_train`` and ``at_train``.  For each game it writes every final
 parameter's float64 bytes as ``OUT_DIR/<game>/<parameter>.f64`` and the last
 perturbation's ``xi`` as ``OUT_DIR/<game>/xi.f64``.  Checkpoints and
@@ -18,6 +19,7 @@ compared with each other.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +47,12 @@ def main(argv: list[str]) -> int:
     dataset = D.make_synthetic(10, 30, 16, SEED)
     model = M.tiny_config(side=16, channels=3, num_classes=10)
     universal = train_config(UniversalAttackConfig(EPSILON, 0.002, 30, batch_size=32))
-    patch = train_config(PatchAttackConfig(16, 0.4, float(np.deg2rad(20.0)), 0.002, 30, batch_size=32))
+    patch = PatchAttackConfig(16, 0.4, float(np.deg2rad(20.0)), 0.002, 30, batch_size=32)
+    targeted = train_config(replace(patch, target_class=2, lam=0.5))
+    patch = train_config(patch)
     games = {
         "fp-exact-patch": lambda: TR.fp_train(model, dataset, patch, mode="exact"),
+        "fp-exact-targeted": lambda: TR.fp_train(model, dataset, targeted, mode="exact"),
         "fp-universal": lambda: TR.fp_train(model, dataset, universal, mode="approximate"),
         "sgd": lambda: TR.sgd_train(model, dataset, universal),
         "at": lambda: TR.at_train(model, dataset, universal),

@@ -5,9 +5,10 @@
 Each argument is a directory that holds the ``advgame`` package (a
 checkout's ``src``).  Both trees run the same desk set of commands, each
 command in its own process with BLAS pinned to one thread, into a temporary
-directory per tree, and then ``tools/f64_game.py``, which writes the float64
-parameters and last perturbation of four in-process desk games as ``.f64``
-files under ``f64/``: the ``.ckpt`` and ``.pert`` payloads are f32, so only
+directory per tree, and then the ``tools/f64_game.py`` beside this script
+(the same games for both trees), which writes the float64 parameters and
+last perturbation of five in-process desk games as ``.f64`` files under
+``f64/``: the ``.ckpt`` and ``.pert`` payloads are f32, so only
 these show a float64 change below f32 precision.  Every ``.ckpt``,
 ``.pert``, ``.f64``, ``metrics.csv`` and ``eval.csv`` one tree writes is
 compared with the file of the same relative path from the other.  Exit 0
