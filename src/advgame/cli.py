@@ -14,6 +14,8 @@ first artifact: training as ``config.txt``, ``attack`` as
 checkpoints were trained intact.
 A single CIFAR-10 file as ``data_path`` is only a ``train`` split: ``eval``
 writes ``train`` rows alone and ``attack`` scores the training images.
+``attack`` scores clean accuracy, adversarial accuracy and a targeted patch's
+hit rate on one subset, and the hit rate on the adversarial score's placements.
 Each setting has one flag, named after its field, and takes its value from the
 profile preset, then the ``--config`` file, then the flags, the later winning.
 ``CHOICES`` lists the allowed values of every enumerated setting.
@@ -351,14 +353,13 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
     dest = Path(out_path) if out_path else out_dir / f"attack_{cfg.attack_kind}.pert"
     A.save_perturbation(dest, spec)
     eval_ds = splits.get("test", train_ds)
-    adv = E.perturbed_accuracy(pool, eval_ds, spec, cfg.eval_sample_size,
-                               np.random.default_rng((cfg.seed, 9)), placement_seed=1)
-    clean = E.accuracy(pool, eval_ds, cfg.eval_sample_size, np.random.default_rng((cfg.seed, 9)))
+    adv = E.perturbed_accuracy(pool, eval_ds, spec, cfg.eval_sample_size, (cfg.seed, 9), placement_seed=1)
+    clean = E.accuracy(pool, eval_ds, cfg.eval_sample_size, (cfg.seed, 9))
     print(f"clean accuracy {clean:.4f}")
     print(f"adv accuracy {adv:.4f}")
     if cfg.attack_kind == "patch" and cfg.patch_target_class >= 0 and cfg.patch_lambda > 0:
-        rate = E.perturbed_accuracy(pool, eval_ds, spec, cfg.eval_sample_size, np.random.default_rng((cfg.seed, 10)),
-                                    placement_seed=2, target=cfg.patch_target_class)
+        rate = E.perturbed_accuracy(pool, eval_ds, spec, cfg.eval_sample_size, (cfg.seed, 9), placement_seed=1,
+                                    target=cfg.patch_target_class)
         print(f"target-class hit rate {rate:.4f}")
     print(f"wrote {dest}")
     return 0

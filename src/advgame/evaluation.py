@@ -7,7 +7,9 @@ stream, so the number reported is robustness to an unseen attack.  Every
 classifier is scored as a pool, a list of :class:`~advgame.model.Classifier`,
 the live one as a pool of one, and every score is one function,
 :func:`perturbed_accuracy`: clean accuracy is its clean view (:func:`accuracy`)
-and a fixed-class patch's hit rate its ``target``.
+and a fixed-class patch's hit rate its ``target``.  A score's subset is named
+by a seed, not drawn from a caller's generator, so every score a call site
+makes with one subset seed reads the same images.
 """
 
 from __future__ import annotations
@@ -61,25 +63,26 @@ def write_csv(path, rows, timing: str = "zero") -> None:
         fh.write(format_rows(rows, timing))
 
 
-def accuracy(pool: list[Classifier], dataset: Dataset, sample_size: int | None = None, rng=None) -> float:
+def accuracy(pool: list[Classifier], dataset: Dataset, sample_size: int | None = None, subset_seed=None) -> float:
     """Fraction of correct predictions on the clean view of a sampled subset (or the full split)."""
-    return perturbed_accuracy(pool, dataset, None, sample_size, rng)
+    return perturbed_accuracy(pool, dataset, None, sample_size, subset_seed)
 
 
 def perturbed_accuracy(pool: list[Classifier], dataset: Dataset, spec: PerturbationSpec | None,
-                       sample_size: int | None = None, rng=None, placement_seed: int = 0,
+                       sample_size: int | None = None, subset_seed=None, placement_seed: int = 0,
                        target: int | None = None) -> float:
     """Fraction of a subset rendered under ``spec`` (None: the clean view) that
     the pool classifies as its label, or as ``target`` when given (a
     fixed-class patch's hit rate).  The subset is ``sample_size`` distinct
-    samples drawn with ``rng``, or the whole split when either is None or it
-    covers the split; predictions run in chunks of ``_PREDICT_CHUNK``."""
+    samples drawn by ``np.random.default_rng(subset_seed)``, or the whole
+    split when either is None or it covers the split, so calls that pass one
+    seed score one subset; predictions run in chunks of ``_PREDICT_CHUNK``."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    if sample_size is None or sample_size >= len(dataset) or rng is None:
+    if sample_size is None or sample_size >= len(dataset) or subset_seed is None:
         idx = np.arange(len(dataset))
     else:
-        idx = rng.choice(len(dataset), size=sample_size, replace=False)
+        idx = np.random.default_rng(subset_seed).choice(len(dataset), size=sample_size, replace=False)
     images = PerturbedView(dataset, spec, seed=placement_seed).materialize(idx)
     predicted = np.concatenate([M.pool_predict(pool, images[start : start + _PREDICT_CHUNK])
                                 for start in range(0, len(images), _PREDICT_CHUNK)])
@@ -95,8 +98,7 @@ def evaluate_checkpoint_series(
 ) -> list[MetricsRow]:
     """One row per numbered checkpoint per split; a fresh perturbation is crafted
     per checkpoint on the train split and applied to every split.  A split's clean
-    and adversarial accuracies score one subset, drawn by two generators seeded
-    alike."""
+    and adversarial accuracies score one subset, named by one subset seed."""
     files = sorted(Path(checkpoint_dir).glob("checkpoint_*.ckpt"))
     if not files:
         raise FileNotFoundError(f"no checkpoint_*.ckpt files in {checkpoint_dir}")
@@ -115,9 +117,8 @@ def evaluate_checkpoint_series(
             if split not in splits:
                 continue
             ds = splits[split]
-            subset = (seed, 6, iteration, SPLIT_ORDER.index(split))
-            clean = accuracy(pool, ds, sample_size, np.random.default_rng(subset))
-            adv = perturbed_accuracy(pool, ds, spec, sample_size, np.random.default_rng(subset),
-                                     placement_seed=iteration)
+            subset_seed = (seed, 6, iteration, SPLIT_ORDER.index(split))
+            clean = accuracy(pool, ds, sample_size, subset_seed)
+            adv = perturbed_accuracy(pool, ds, spec, sample_size, subset_seed, placement_seed=iteration)
             rows.append(MetricsRow(iteration, split, clean, adv, spec, time.perf_counter() - t0))
     return rows

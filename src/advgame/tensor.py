@@ -10,7 +10,8 @@ All gradient math is float64 by default; float32 arrays are accepted and
 propagated unchanged for cheaper training runs.  A node's gradient buffer is
 created by its first contribution, in one pass, in the node's dtype and
 memory layout.  Elementwise ops take operands of one shape; nothing
-broadcasts.
+broadcasts.  Ops take tensors only: an array enters a graph only through
+``Tensor(...)``, which is where it is checked.
 
 A closure keeps only what its backward reads.  ``conv2d`` converts between
 images and im2col columns through one int window index per padded geometry
@@ -117,10 +118,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """An op's output, never scanned for finiteness.  It keeps its parents
     and ``backward_fn`` (with what the closure saved) only when a parent
@@ -207,7 +204,6 @@ def backward(loss: Tensor, wrt: Mapping[str, Tensor] | None = None) -> dict[str,
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors of one shape; nothing broadcasts."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"add of shapes {a.shape} and {b.shape}; nothing broadcasts")
 
@@ -220,7 +216,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product; ``b`` is a python scalar or a Tensor of ``a``'s shape."""
-    a = _as_tensor(a)
     if isinstance(b, Tensor):
         if a.shape != b.shape:
             raise ValueError(f"mul of shapes {a.shape} and {b.shape}; nothing broadcasts")
@@ -240,7 +235,6 @@ def mul(a: Tensor, b) -> Tensor:
 
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all entries, returned as a scalar tensor."""
-    a = _as_tensor(a)
 
     def bwd(g):
         _accumulate(a, np.broadcast_to(g, a.shape))
@@ -249,7 +243,6 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
     old_shape = a.shape
 
     def bwd(g):
@@ -260,7 +253,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes only where the input was in range."""
-    a = _as_tensor(a)
     mask = (a.data >= lo) & (a.data <= hi)
 
     def bwd(g):
@@ -271,7 +263,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is defined as 0."""
-    a = _as_tensor(a)
     mask = a.data > 0
 
     def bwd(g):
@@ -282,7 +273,6 @@ def relu(a: Tensor) -> Tensor:
 
 def dense(inp: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fully connected layer: out[b,o] = sum_i inp[b,i] w[i,o] + bias[o]."""
-    inp, weight, bias = _as_tensor(inp), _as_tensor(weight), _as_tensor(bias)
     if inp.data.ndim != 2 or weight.data.ndim != 2 or bias.data.ndim != 1:
         raise ValueError("dense expects input [B,I], weight [I,O], bias [O]")
     if inp.shape[1] != weight.shape[0] or weight.shape[1] != bias.shape[0]:
@@ -360,7 +350,6 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     (ho, wo), that is by ascending (ky, kx), so every pixel sums its
     contributions in the (ky, kx) order of a per-tap strided loop.
     """
-    inp, kernel, bias = _as_tensor(inp), _as_tensor(kernel), _as_tensor(bias)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if inp.data.ndim != 4 or kernel.data.ndim != 4:
@@ -439,7 +428,6 @@ def batchnorm(
     buffers in place via ``running <- momentum * running + (1-momentum) * batch``.
     Infer mode normalizes with the running buffers.
     """
-    inp, gamma, beta = _as_tensor(inp), _as_tensor(gamma), _as_tensor(beta)
     if inp.data.ndim != 4:
         raise ValueError("batchnorm expects input [B,C,H,W]")
     B, C, H, W = inp.shape
@@ -495,7 +483,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
     Backward produces (softmax - onehot) / B on the logits.
     """
-    logits = _as_tensor(logits)
     labels = np.asarray(labels)
     if logits.data.ndim != 2:
         raise ValueError("softmax_cross_entropy expects logits [B,C]")

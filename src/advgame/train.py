@@ -117,7 +117,7 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
     its outputs; ``row.spec`` is what ``adv_acc`` scored (in the game, the new
     pool entry).  A ``TrainingError`` at iteration k skips its ``on_outer``.
     ``clean_acc`` and ``adv_acc`` score one subset of ``eval_sample_size``
-    images, drawn by two generators seeded alike, ``(seed, 3, n)``.
+    images, named by the subset seed ``(seed, 3, n)``.
     """
     params = M.build_model(model_config, cfg.seed)
     classifier = M.single_pool(model_config, params)
@@ -155,10 +155,8 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
         if mode is not None:
             view_seed = int(np.random.SeedSequence((cfg.seed, 4, n)).generate_state(1)[0])
             state.views.append(PerturbedView(dataset, spec, seed=view_seed))
-        subset = (cfg.seed, 3, n)
-        clean = E.accuracy(classifier, dataset, cfg.eval_sample_size, np.random.default_rng(subset))
-        adv = E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size, np.random.default_rng(subset),
-                                   placement_seed=n)
+        clean = E.accuracy(classifier, dataset, cfg.eval_sample_size, (cfg.seed, 3, n))
+        adv = E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size, (cfg.seed, 3, n), placement_seed=n)
         row = MetricsRow(n, dataset.split, clean, adv, spec, time.perf_counter() - t0)
         report.append(row)
         if on_outer is not None:

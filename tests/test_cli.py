@@ -242,6 +242,29 @@ class TestAttackCommand:
         ]) == 0
         assert "target-class hit rate" in capsys.readouterr().out
 
+    def test_hit_rate_scores_the_adversarial_subset(self, tmp_path, monkeypatch):
+        ckpt = self._trained_checkpoint(tmp_path)
+        calls = []
+        materialize = D.PerturbedView.materialize
+
+        def recorded(view, indices, draw=0):
+            calls.append((view.spec is None, view.seed, np.asarray(indices).copy()))
+            return materialize(view, indices, draw)
+
+        monkeypatch.setattr(D.PerturbedView, "materialize", recorded)
+        # the test split holds 9 images, so a 5-image sample is a strict subset
+        assert main([
+            "attack", *desk_args(tmp_path, **{"eval-sample-size": 5}), "--checkpoint", ckpt,
+            "--attack-kind", "patch", "--patch-target-class", "1", "--patch-lambda", "1.0",
+        ]) == 0
+        clean = [c for c in calls if c[0]]
+        perturbed = [c for c in calls if not c[0]]
+        assert len(clean) == 1 and len(perturbed) == 2  # the adversarial score and the hit rate
+        assert len(clean[0][2]) == 5
+        for _, _, indices in perturbed:
+            assert np.array_equal(indices, clean[0][2])
+        assert perturbed[0][1] == perturbed[1][1]
+
     # each setting has one flag, the one named after its field
     @pytest.mark.parametrize("alias", [["--kind", "patch"], ["--target-class", "1"], ["--lambda", "1.0"]], ids=" ".join)
     def test_alias_flags_are_unknown(self, tmp_path, capsys, alias):

@@ -66,8 +66,7 @@ class TestAccuracy:
     def test_sample_size_subsets(self):
         cfg, params = perfect_classifier()
         ds = onehot_dataset(copies=10)
-        rng = np.random.default_rng(0)
-        assert accuracy(single_pool(cfg, params), ds, sample_size=8, rng=rng) == 1.0
+        assert accuracy(single_pool(cfg, params), ds, sample_size=8, subset_seed=0) == 1.0
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["defaults", "sample-8"])
     def test_equals_clean_view_score(self, sampled):
@@ -76,7 +75,7 @@ class TestAccuracy:
         pool = single_pool(mc, build_model(mc, 7))
 
         def subset():
-            return {"sample_size": 8, "rng": np.random.default_rng(3)} if sampled else {}
+            return {"sample_size": 8, "subset_seed": 3} if sampled else {}
 
         clean = accuracy(pool, ds, **subset())
         assert clean == perturbed_accuracy(pool, ds, None, **subset())
@@ -124,7 +123,28 @@ class TestAdvAccuracy:
         assert perturbed_accuracy(pool, ds, spec, target=2) == 1.0
         assert perturbed_accuracy(pool, ds, spec, target=0) == 0.0
         assert perturbed_accuracy(pool, ds, spec) == 0.25
-        assert perturbed_accuracy(pool, ds, spec, 8, np.random.default_rng(1), placement_seed=3, target=2) == 1.0
+        assert perturbed_accuracy(pool, ds, spec, 8, 1, placement_seed=3, target=2) == 1.0
+
+    @pytest.mark.parametrize("kind", ["clean", "patch"])
+    def test_subset_seed_names_the_subset(self, kind, monkeypatch):
+        ds = D.make_synthetic(4, 10, 8, seed=4)
+        mc = M.tiny_config(side=8, num_classes=4)
+        pool = single_pool(mc, build_model(mc, 7))
+        spec = None if kind == "clean" else D.gray_patch(3, 8, 0.5, 0.3)
+        k, seed = 12, (5, 3, 2)
+        expected = np.random.default_rng(seed).choice(len(ds), k, replace=False)
+        want = np.mean(M.pool_predict(pool, D.PerturbedView(ds, spec, seed=4).materialize(expected))
+                       == ds.labels[expected])
+        seen = []
+        materialize = D.PerturbedView.materialize
+
+        def recorded(view, indices, draw=0):
+            seen.append(np.asarray(indices).copy())
+            return materialize(view, indices, draw)
+
+        monkeypatch.setattr(D.PerturbedView, "materialize", recorded)
+        assert perturbed_accuracy(pool, ds, spec, k, seed, placement_seed=4) == want
+        assert len(seen) == 1 and np.array_equal(seen[0], expected)
 
 
 class TestCsv:

@@ -9,8 +9,11 @@ directory per tree, and then the ``tools/f64_game.py`` beside this script
 (the same games for both trees), which writes the float64 parameters and
 last perturbation of five in-process desk games as ``.f64`` files under
 ``f64/``: the ``.ckpt`` and ``.pert`` payloads are f32, so only
-these show a float64 change below f32 precision.  Every ``.ckpt``,
-``.pert``, ``.f64``, ``metrics.csv`` and ``eval.csv`` one tree writes is
+these show a float64 change below f32 precision.  Each command's stdout,
+where ``attack`` prints its clean accuracy, adversarial accuracy and hit
+rate, is kept as ``<out_dir>/stdout.txt``; every path a command prints is
+relative, so the two trees' stdouts compare.  Every ``.ckpt``, ``.pert``,
+``.f64``, ``metrics.csv``, ``eval.csv`` and ``stdout.txt`` one tree writes is
 compared with the file of the same relative path from the other.  Exit 0
 when all of them are identical; exit 1, listing the files that differ or
 exist on one side only, or the command that did not exit 0; exit 2 when an
@@ -69,12 +72,13 @@ COMMANDS = [
 
 
 def is_artifact(path: Path) -> bool:
-    return path.suffix in (".ckpt", ".pert", ".f64") or path.name in ("metrics.csv", "eval.csv")
+    return path.suffix in (".ckpt", ".pert", ".f64") or path.name in ("metrics.csv", "eval.csv", "stdout.txt")
 
 
 def run_desk_set(src: Path, work: Path) -> list[str]:
     """Run every command of the desk set and the float64 games from ``src``
-    inside ``work``; returns one line per command that did not exit 0."""
+    inside ``work``, keeping each one's stdout in its output directory;
+    returns one line per command that did not exit 0."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
     env.pop("ADVGAME_OUTPUT_DIR", None)  # older trees let it override --output-dir
@@ -84,6 +88,8 @@ def run_desk_set(src: Path, work: Path) -> list[str]:
         done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             failures.append(f"{src}: {out_dir} exited {done.returncode}: {done.stderr.strip()}")
+        (work / out_dir).mkdir(exist_ok=True)
+        (work / out_dir / "stdout.txt").write_text(done.stdout)
     return failures
 
 
