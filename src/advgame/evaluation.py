@@ -28,6 +28,9 @@ from .model import Classifier, CorruptFileError, load_checkpoint, single_pool
 CSV_HEADER = "iter,split,clean_acc,adv_acc,attack,seconds"
 SPLIT_ORDER = ("train", "valid", "test")
 
+# images per scoring forward.  It bounds the activations and the dense layer's input only: each conv builds its
+# columns a few images at a time whatever the chunk (tensor._CONV_GROUP_MAX_ELEMS).  The dense layer's bits can
+# change with its row count, so the chunk stays fixed
 _PREDICT_CHUNK = 256
 
 

@@ -21,7 +21,14 @@ the columns, and a per-image ``np.add.at`` over the reversed index scatters
 their gradients back in the (ky, kx) order a per-tap loop would add them,
 so the output and both gradients keep the bits of the NCHW reference the
 tests compare against.  Its backward keeps the columns only for a kernel
-that requires a gradient and never keeps the padded input.
+that requires a gradient and never keeps the padded input.  A column
+matrix that nothing keeps (the forward's for a constant kernel, the input
+gradient's always) is built and multiplied a few whole images at a time,
+at most ``_CONV_GROUP_MAX_ELEMS`` elements, so scoring and attack memory
+does not grow with the batch.
+
+:func:`sgd_momentum_step` runs its formula over flat slices of
+``_SGD_CHUNK`` elements, so each slice stays in cache through its passes.
 
 Every array is released at its last use.  An op whose inputs all need no
 gradient keeps neither its inputs nor its backward, so an inference forward
@@ -301,6 +308,9 @@ def _conv_pad(k: int, padding: str) -> int:
 # the order-exact loop kernel covers the oracle envelope (spatial <= 8x8, C <= 3)
 _CONV_LOOP_MAX_HW = 64
 _CONV_LOOP_MAX_C = 3
+# column elements of one image group, 4 MB in float64: a column matrix that the backward does not keep is built
+# and multiplied a group at a time, whole images per group, so scoring memory does not grow with the batch
+_CONV_GROUP_MAX_ELEMS = 1 << 19
 
 # (Hp, Wp, C, k, stride, channels_last) -> window index: one read-only entry per padded geometry and buffer
 # layout, whatever the batch size, so a model adds at most one entry per conv layer
@@ -327,6 +337,15 @@ def _window_index(Hp: int, Wp: int, C: int, k: int, stride: int, channels_last: 
     return idx
 
 
+def _image_groups(B: int, image_elems: int) -> list[slice]:
+    """Consecutive slices of a batch of ``B`` images, each image with
+    ``image_elems`` column elements: whole images, at most
+    ``_CONV_GROUP_MAX_ELEMS`` column elements a slice, or one image when
+    one holds more."""
+    n = max(1, _CONV_GROUP_MAX_ELEMS // image_elems)
+    return [slice(b0, min(b0 + n, B)) for b0 in range(0, B, n)]
+
+
 def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """2-d cross-correlation over [B,C,H,W] with kernel [F,C,k,k].
 
@@ -341,10 +360,19 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     fixed, so the result is bit-identical to a nested-loop evaluation in the
     same order; larger inputs take an im2col/GEMM forward.
 
+    With a constant kernel, the GEMM forward gathers and multiplies the
+    columns one group of images at a time (:func:`_image_groups`) into one
+    preallocated [B*Ho*Wo, F] output, so no whole-batch column matrix is
+    built.  Each group's GEMM is 2-D; the paper's VGG shapes keep their
+    bits down to one image a group, and smaller shapes, whose bits can move
+    with the row count, fit in one group.
+
     Both paths share one backward.  The kernel gradient is one GEMM over the
-    columns, which the backward keeps only when the kernel requires a
-    gradient (the loop path gathers them only then); it never keeps the
-    padded buffer.  col2im scatters each image's column gradients back
+    whole batch's columns, which the backward keeps only when the kernel
+    requires a gradient (the loop path gathers them only then): it reduces
+    over the rows, so splitting it would change its bits.  The backward
+    never keeps the padded buffer.  The input gradient's columns are formed
+    by image group, and col2im scatters each image's column gradients back
     through the same index with ``np.add.at``, walking the windows in
     reverse memory order: a pixel's window rows then come by descending
     (ho, wo), that is by ascending (ky, kx), so every pixel sums its
@@ -372,11 +400,12 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     x = np.zeros((B, Hp, Wp, C) if channels_last else (B, C, Hp, Wp), dtype=inp.data.dtype)
     x_nchw = x.transpose(0, 3, 1, 2) if channels_last else x
     x_nchw[:, :, pad : pad + H, pad : pad + W] = inp.data
+    images = x.reshape(B, -1)
     idx = _window_index(Hp, Wp, C, k, stride, channels_last)
+    groups = _image_groups(B, idx.size)
+    kmat = kernel.data.reshape(F, -1)
     loop = H * W <= _CONV_LOOP_MAX_HW and C <= _CONV_LOOP_MAX_C
-    cols = None
-    if kernel.requires_grad or not loop:
-        cols = x.reshape(B, -1).take(idx, axis=1).reshape(B * Ho * Wo, C * k * k)
+    cols = images.take(idx, axis=1).reshape(B * Ho * Wo, C * k * k) if kernel.requires_grad else None
 
     if loop:
         out = np.zeros((B, F, Ho, Wo), dtype=x.dtype)
@@ -387,10 +416,14 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
                     out += patch[:, None] * kernel.data[None, :, c, ky, kx, None, None]
         out = out + bias.data[None, :, None, None]
     else:
-        flat = cols @ kernel.data.reshape(F, -1).T
+        if cols is not None:
+            flat = cols @ kmat.T
+        else:
+            flat = np.empty((B, Ho * Wo, F), dtype=x.dtype)
+            for s in groups:
+                part = images[s].take(idx, axis=1).reshape(-1, C * k * k)
+                np.matmul(part, kmat.T, out=flat[s].reshape(-1, F))
         out = flat.reshape(B, Ho, Wo, F).transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
-    if not kernel.requires_grad:
-        cols = None
 
     def bwd(g):
         if bias.requires_grad:
@@ -399,13 +432,16 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
         if kernel.requires_grad:
             _accumulate(kernel, (g2.T @ cols).reshape(F, C, k, k))
         if inp.requires_grad:
-            gcols = (g2 @ kernel.data.reshape(F, -1)).reshape(B, -1)
+            g3 = g2.reshape(B, Ho * Wo, F)
             gx = np.zeros((B, Hp * Wp * C), dtype=inp.data.dtype)
             back = idx.ravel()[::-1]
-            # one add.at per image: one call over the batch is bit-identical but slower, 3-8x with a (slice, back)
-            # index, 1.5-3x with a flat one (the loop: 0.43, 0.56, 8.6 ms at 64x8x8x8, 64x3x16x16, 4x64x32x32)
-            for b in range(B):
-                np.add.at(gx[b], back, gcols[b, ::-1])
+            for s in groups:
+                gcols = (g3[s].reshape(-1, F) @ kmat).reshape(s.stop - s.start, -1)
+                # one add.at per image: one call over the group with a flat index is bit-identical and no faster
+                # (numpy 2.4): 0.15-0.41 ms against the loop's 0.20-0.36 at 64x8x8x8, 9.0-12.1 against 4.7-5.2 at
+                # 4x64x32x32
+                for gx_b, gcols_b in zip(gx[s], gcols):
+                    np.add.at(gx_b, back, gcols_b[::-1])
             gx = gx.reshape(B, Hp, Wp, C).transpose(0, 3, 1, 2) if channels_last else gx.reshape(B, C, Hp, Wp)
             _accumulate(inp, gx[:, :, pad : pad + H, pad : pad + W])
 
@@ -506,6 +542,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # optimizer step
 # ---------------------------------------------------------------------------
 
+# elements per slice of the momentum step: one slice of each array stays in cache through the formula's passes
+_SGD_CHUNK = 1 << 15
+
+
 def sgd_momentum_step(
     params: Mapping[str, Tensor],
     grads: Mapping[str, np.ndarray],
@@ -519,7 +559,12 @@ def sgd_momentum_step(
     v <- momentum * v + (grad + weight_decay * param); param <- param - lr * v.
     Parameters missing from ``grads`` are left untouched; ``velocity`` is
     updated in place, ``grads`` only read, with the formula's exact bits.
-    A parameter the update leaves non-finite raises :class:`NonFiniteError`.
+    The formula runs over flat slices of ``_SGD_CHUNK`` elements through one
+    step buffer per parameter; every pass is elementwise, so the split keeps
+    the bits.  A parameter and its velocity must be C-contiguous, so that
+    their flat views are the arrays themselves, never a copy.  A parameter
+    the update leaves non-finite raises :class:`NonFiniteError` once the
+    whole parameter has been updated.
     """
     if lr < 0:
         raise ValueError("lr must be nonnegative")
@@ -533,11 +578,19 @@ def sgd_momentum_step(
             v = velocity[name] = np.zeros_like(p.data)
         elif v.shape != p.shape:
             raise ValueError(f"velocity shape {v.shape} != param shape {p.shape} for {name!r}")
-        step = weight_decay * p.data
-        step += g
-        v *= momentum
-        v += step
-        np.multiply(v, lr, out=step)
-        p.data -= step
-        if not np.isfinite(p.data).all():
+        if not (p.data.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError(f"param and velocity of {name!r} must be C-contiguous")
+        flat_p, flat_g, flat_v = p.data.reshape(-1), g.reshape(-1), v.reshape(-1)
+        buf = np.empty(min(flat_p.size, _SGD_CHUNK), dtype=p.data.dtype)
+        finite = True
+        for i in range(0, flat_p.size, _SGD_CHUNK):
+            pc, vc = flat_p[i : i + _SGD_CHUNK], flat_v[i : i + _SGD_CHUNK]
+            step = np.multiply(weight_decay, pc, out=buf[: pc.size])
+            step += flat_g[i : i + _SGD_CHUNK]
+            vc *= momentum
+            vc += step
+            np.multiply(vc, lr, out=step)
+            pc -= step
+            finite = finite and bool(np.isfinite(pc).all())
+        if not finite:
             raise NonFiniteError(f"parameter {name!r} is not finite after the update")

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advgame import evaluation as E
+from advgame import model as M
 from advgame import tensor as T
 from advgame.tensor import (
     NonFiniteError,
@@ -171,6 +173,10 @@ def conv2d_nchw_reference(x, kernel, bias, stride, padding, g):
     return out, gk, gx[:, :, pad : pad + H, pad : pad + W]
 
 
+BITS_SHAPES = [((2, 3, 8, 8), "loop-C3"), ((2, 3, 12, 12), "gemm-C3"), ((2, 8, 8, 8), "gemm-C8"),
+               ((2, 3, 9, 12), "gemm-C3-9x12")]
+
+
 class TestConv2dBits:
     """Either padded buffer layout gives the NCHW reference's bits on both paths."""
 
@@ -185,8 +191,7 @@ class TestConv2dBits:
     @pytest.mark.parametrize("shape,nhwc_memory", [
         pytest.param(shape, nhwc, id=name + ("-nhwc-memory" if nhwc else ""))
         for nhwc in (False, True)
-        for shape, name in [((2, 3, 8, 8), "loop-C3"), ((2, 3, 12, 12), "gemm-C3"), ((2, 8, 8, 8), "gemm-C8"),
-                            ((2, 3, 9, 12), "gemm-C3-9x12")]
+        for shape, name in BITS_SHAPES
     ])
     def test_equals_nchw_reference(self, shape, nhwc_memory, stride, padding, dtype, kernel_grad):
         # a constant kernel and bias are the attack's case: only the input needs a gradient
@@ -226,6 +231,85 @@ class TestConv2dBits:
         # for the NHWC-memory input
         assert list(T._WINDOW_INDEX) == [(14, 14, 3, 3, 2, False), (14, 14, 3, 3, 2, True)]
         assert all(idx.shape == (6 * 6, 3 * 3 * 3) for idx in T._WINDOW_INDEX.values())
+
+
+def paper_vgg_conv_geometries():
+    """(C, H, W, F, stride, nhwc_memory) of each distinct conv of the paper's VGG, all with "same" padding; every
+    layer after the first reads a GEMM layer's output, whose memory is NHWC."""
+    config = M.paper_vgg_config()
+    (c, h, w), seen = config.input_shape, []
+    for i, spec in enumerate(config.conv_layers):
+        geometry = (c, h, w, spec.channels, spec.stride, i > 0)
+        if geometry not in seen:
+            seen.append(geometry)
+        c, h, w = spec.channels, (h - 1) // spec.stride + 1, (w - 1) // spec.stride + 1
+    return seen
+
+
+class TestConv2dImageGroups:
+    """A column matrix that the backward does not keep (the forward with a constant kernel, the input gradient's
+    columns always) is built and multiplied a group of whole images at a time.
+
+    Splitting a GEMM's rows does not keep its bits in general: with OpenBLAS 0.3.31 (Haswell kernels, one thread)
+    a 9-row single-image GEMM (input 2x8x8x8, 2 kernels, stride 2, "valid") gave other bits in float32 and float64
+    than the 18-row whole-batch GEMM, because OpenBLAS's small-matrix path changes with M.  So the paper's VGG
+    shapes, which split, are pinned to keep their bits down to one image a group, and the small shapes are pinned
+    to one group at the real cap.  Each group's GEMM stays 2-D, [rows, C*k*k] by [C*k*k, F], the form pinned here."""
+
+    @staticmethod
+    def _conv(x0, k0, b0, stride, g):
+        x = Tensor(x0, requires_grad=True)
+        y = conv2d(x, Tensor(k0), Tensor(b0), stride, "same")
+        backward(tensor_sum(mul(y, Tensor(g))))
+        return y.data, x.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("batch", [4, 20])
+    @pytest.mark.parametrize("geometry", [
+        pytest.param(geometry, id="{}x{}x{}-{}-s{}".format(*geometry)) for geometry in paper_vgg_conv_geometries()
+    ])
+    def test_paper_vgg_one_image_a_group_equals_the_whole_batch(self, monkeypatch, geometry, batch, dtype):
+        C, H, W, F, stride, nhwc_memory = geometry
+        rng = np.random.default_rng(29)
+        if nhwc_memory:
+            x0 = rng.standard_normal((batch, H, W, C)).astype(dtype).transpose(0, 3, 1, 2)
+        else:
+            x0 = rng.standard_normal((batch, C, H, W)).astype(dtype)
+        k0 = (rng.standard_normal((F, C, 3, 3)) / np.sqrt(9 * C)).astype(dtype)
+        b0 = rng.standard_normal(F).astype(dtype)
+        g = rng.standard_normal((batch, F, (H - 1) // stride + 1, (W - 1) // stride + 1)).astype(dtype)
+        monkeypatch.setattr(T, "_CONV_GROUP_MAX_ELEMS", 1)  # one image a group
+        split_out, split_gx = self._conv(x0, k0, b0, stride, g)
+        monkeypatch.setattr(T, "_CONV_GROUP_MAX_ELEMS", batch * H * W * C * 9)  # the whole batch in one group
+        whole_out, whole_gx = self._conv(x0, k0, b0, stride, g)
+        assert split_out.dtype == split_gx.dtype == dtype
+        assert np.array_equal(split_out, whole_out)
+        assert np.array_equal(split_gx, whole_gx)
+
+    def test_small_shapes_take_one_group_at_the_real_cap(self, monkeypatch):
+        counts = []
+        groups = T._image_groups
+        monkeypatch.setattr(T, "_image_groups", lambda B, n: counts.append(len(groups(B, n))) or groups(B, n))
+        rng = np.random.default_rng(31)
+        # the tiny model at side 16: a training batch of 64 and one scoring chunk
+        config = M.tiny_config(side=16)
+        params = M.build_model(config, 0)
+        for batch in (64, E._PREDICT_CHUNK):
+            M.forward(config, params, rng.standard_normal((batch, 3, 16, 16)))
+        assert len(counts) == 4
+        for shape, _ in BITS_SHAPES:
+            for stride in (1, 2):
+                for padding in ("same", "valid"):
+                    conv2d(Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal((5, shape[1], 3, 3))),
+                           Tensor(np.zeros(5)), stride, padding)
+        assert len(counts) == 4 + 4 * len(BITS_SHAPES)
+        assert set(counts) == {1}
+
+    def test_image_groups_cover_the_batch_in_order(self, monkeypatch):
+        monkeypatch.setattr(T, "_CONV_GROUP_MAX_ELEMS", 100)
+        assert T._image_groups(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert T._image_groups(2, 101) == [slice(0, 1), slice(1, 2)]
+        assert T._image_groups(3, 100) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 class TestRelu:
@@ -527,6 +611,30 @@ class TestSgdMomentum:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sgd_momentum_step(self._param([1.0]), {"p": np.zeros(2)}, {}, lr=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_step_equals_the_whole_array_formula_in_place(self, monkeypatch, dtype):
+        monkeypatch.setattr(T, "_SGD_CHUNK", 16)
+        rng = np.random.default_rng(8)
+        # 55 elements: three chunks and a ragged tail of 7
+        p_ref = rng.standard_normal((5, 11)).astype(dtype)
+        v_ref = rng.standard_normal((5, 11)).astype(dtype)
+        p, v = p_ref.copy(), v_ref.copy()
+        params, velocity = {"p": Tensor(p, requires_grad=True)}, {"p": v}
+        for _ in range(3):
+            g = rng.standard_normal((5, 11)).astype(dtype)
+            sgd_momentum_step(params, {"p": g}, velocity, lr=0.05, momentum=0.9, weight_decay=5e-4)
+            v_ref = 0.9 * v_ref + (g + 5e-4 * p_ref)
+            p_ref = p_ref - 0.05 * v_ref
+            assert params["p"].data is p and velocity["p"] is v
+            assert np.array_equal(v, v_ref) and np.array_equal(p, p_ref)
+
+    def test_non_contiguous_velocity_rejected(self):
+        params = {"p": Tensor(np.ones((3, 4)), requires_grad=True)}
+        velocity = {"p": np.zeros((4, 3)).T}
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sgd_momentum_step(params, {"p": np.ones((3, 4))}, velocity, lr=0.1)
+        assert np.array_equal(params["p"].data, np.ones((3, 4)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_formula_bitwise_and_leaves_grads(self, dtype):

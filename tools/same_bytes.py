@@ -24,8 +24,10 @@ The desk set:
 * ``train-fp``: approximate/universal, exact/patch, exact targeted patch at
   lambda 0.5, float32 at side 8 (the conv loop path), and the paper's VGG
   over two outer iterations, so the second mixes two views through
-  batchnorm;
-* ``train-sgd``: the tiny model and the paper's VGG;
+  batchnorm, in float64 (approximate mode) and in float32 (exact mode);
+* ``train-sgd``: the tiny model and the paper's VGG, the VGG in float64 and
+  in float32, so that float32 GEMMs split into image groups are compared
+  end to end as well;
 * ``train-at``: the tiny model, and the paper's VGG at one PGD step, whose
   infer-mode forwards read the batchnorm running buffers that the mixture's
   train-mode forwards then advance;
@@ -61,8 +63,10 @@ COMMANDS = [
                       "--attack-kind", "patch"]),
     ("sgd", ["train-sgd", *DESK]),
     ("sgd-vgg", ["train-sgd", *VGG]),
+    ("sgd-vgg-f32", ["train-sgd", *VGG, "--precision", "float32"]),
     ("at", ["train-at", *DESK, "--pgd-steps", "2"]),
     ("fp-vgg", ["train-fp", *VGG, "--outer-iterations", "2"]),
+    ("fp-vgg-f32-exact", ["train-fp", *VGG, "--precision", "float32", "--outer-iterations", "2", "--fp-mode", "exact"]),
     ("at-vgg", ["train-at", *VGG, "--pgd-steps", "1"]),
     ("attack-universal", ["attack", *DESK, "--checkpoint", SGD_CHECKPOINT, "--attack-kind", "universal"]),
     ("attack-patch", ["attack", *DESK, "--checkpoint", SGD_CHECKPOINT, "--attack-kind", "patch", *TARGETED]),
