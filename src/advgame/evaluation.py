@@ -62,7 +62,8 @@ def format_rows(rows, timing: str = "zero") -> str:
 
 
 def write_csv(path, rows, timing: str = "zero") -> None:
-    with open(path, "w", newline="\n") as fh:
+    """Write :func:`format_rows` to ``path`` atomically (:func:`~advgame.model.atomic_write`)."""
+    with M.atomic_write(path, "w", newline="\n") as fh:
         fh.write(format_rows(rows, timing))
 
 

@@ -12,8 +12,11 @@ classifier's over the pooled views, the attacker's over the pool.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +39,31 @@ class InputShapeError(ValueError):
     """Images whose shape, or labels whose class count, differ from the model's."""
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a temporary sibling of ``path`` for the body to write, then
+    ``os.replace`` it onto ``path``: a reader, or a run that crashes midway,
+    sees the earlier file or the whole new one, never a partial one.  When
+    the body raises, the temporary file is removed and ``path`` keeps its
+    earlier bytes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_artifact(path, magic: bytes, version: int, parts) -> None:
-    """Write a binary artifact: magic, little-endian u32 version, then the
-    payload's parts in order, each straight to the file: ``bytes`` as they
-    are, an array as its values in little-endian f32.  No part is joined to
-    another, so a payload is never copied whole."""
-    with open(path, "wb") as fh:
+    """Write a binary artifact, atomically (:func:`atomic_write`): magic,
+    little-endian u32 version, then the payload's parts in order, each
+    straight to the file: ``bytes`` as they are, an array as its values in
+    little-endian f32.  No part is joined to another, so a payload is never
+    copied whole."""
+    with atomic_write(path) as fh:
         fh.write(magic + struct.pack("<I", version))
         for part in parts:
             fh.write(part if isinstance(part, bytes) else np.ascontiguousarray(part, dtype="<f4"))

@@ -33,11 +33,15 @@ does not grow with the batch.
 Every array is released at its last use.  An op whose inputs all need no
 gradient keeps neither its inputs nor its backward, so an inference forward
 frees each activation once the next op has read it.  :func:`backward`
-drops an interior node's gradient once that node's backward has used it;
-leaves keep theirs, and the buffers of the ``wrt`` tensors go to the
-caller, so parameter gradients live no longer than the optimizer step
-that reads them.  The graph itself, with the arrays its closures saved,
-lives as long as the loss it ends in.
+drops each node's closure, with the arrays it saved (conv columns, relu
+and clip masks, batchnorm's ``x_hat``, cross-entropy's ``log_p``), as soon
+as it has run, and an interior node's gradient once that node's backward
+has used it; leaves keep theirs.  The buffer of each ``wrt`` tensor goes to
+the caller's ``on_grad`` as soon as its last consumer has run, so an
+optimizer step can update that parameter, and drop its gradient, while the
+pass goes on below it.  So a graph is backpropagated once.  The nodes'
+data and parents live as long as the loss the graph ends in: freeing them
+during the pass too made glibc trim and fault the heap back every step.
 
 Finiteness is checked at the edges of a graph, not at every node: a
 ``Tensor`` built by a caller (an input batch, a parameter, a perturbation)
@@ -169,40 +173,78 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, wrt: Mapping[str, Tensor] | None = None) -> dict[str, np.ndarray] | None:
-    """Backpropagate from a scalar loss through its graph.
+def backward(
+    loss: Tensor,
+    wrt: Mapping[str, Tensor] | None = None,
+    on_grad: Callable[[str, np.ndarray], None] | None = None,
+) -> dict[str, np.ndarray] | None:
+    """Backpropagate from a scalar loss through its graph, once.
 
     Sums every consumer's contribution into the ``grad`` of each
-    grad-requiring node reachable from ``loss``.  An interior node's
-    ``grad`` is dropped as soon as its backward has passed it on, so after
-    the pass only leaves hold one; the graph and what its closures saved
-    stay until ``loss`` goes.  With ``wrt`` given, returns a mapping name ->
-    gradient array and hands the tensors' own ``grad`` buffers over: the
-    tensors are left with ``grad`` ``None``, so the gradients live as long
-    as the caller keeps the mapping.  Tensors the loss does not depend on
-    get zeros, even when an earlier pass gave them a gradient.
+    grad-requiring node reachable from ``loss``.  Each node's backward
+    closure is dropped as soon as it has run, with the arrays it saved, and
+    an interior node's ``grad`` as soon as its backward has passed it on, so
+    after the pass only leaves hold one; the nodes' data and parents stay
+    until ``loss`` goes.  A second pass over the same graph propagates
+    nothing.
+
+    Each ``wrt`` tensor's gradient is handed over as ``on_grad(name, grad)``
+    once it is final: a leaf's as soon as the backward of its last consumer
+    has run (the earliest in :func:`_topo_order`'s post-order, counted once
+    however often it reads the leaf), any other at the end.  The tensor is
+    left with ``grad`` ``None``, so the buffer lives as long as the callee
+    keeps it.  A tensor the loss does not depend on gets zeros at the end,
+    even when an earlier pass gave it a gradient.  An exception from
+    ``on_grad`` stops the pass.  Without ``on_grad``, the same handover
+    fills the mapping name -> array that is returned; with it, or without
+    ``wrt``, the result is ``None``.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise NonFiniteError("loss is not finite")
+    targets = wrt or {}
+    grads: dict[str, np.ndarray] = {}
+    collect = on_grad is None
+    if collect:
+        on_grad = grads.__setitem__
+    names: dict[int, list[str]] = {}
+    for name, p in targets.items():
+        names.setdefault(id(p), []).append(name)
     order = _topo_order(loss)
-    targets = {id(p) for p in (wrt or {}).values()}
-    for node in (*order, *(wrt or {}).values()):
+    for node in (*order, *targets.values()):
         node.grad = None
+    # handover[i]: the wrt leaves whose gradient is final once order[i]'s backward has run, as no later node in
+    # the pass reads them
+    handover: dict[int, list[Tensor]] = {}
+    scheduled: set[int] = set()
+    for i, node in enumerate(order):
+        for p in node._parents:
+            if id(p) in names and id(p) not in scheduled and p.requires_grad and not p._parents:
+                scheduled.add(id(p))
+                handover.setdefault(i, []).append(p)
+
+    def hand(p: Tensor) -> None:
+        g, p.grad = p.grad, None
+        for name in names.pop(id(p)):
+            on_grad(name, g if g is not None else np.zeros_like(p.data))
+
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(order):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
-                if id(node) not in targets:
+        for i in reversed(range(len(order))):
+            node = order[i]
+            fn, node._backward_fn = node._backward_fn, None
+            if fn is not None:
+                fn(node.grad)
+                fn = None  # the closure, and what it saved, goes before the handover below
+                if id(node) not in names:
                     node.grad = None
-    if wrt is None:
-        return None
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in wrt.items()}
-    for p in wrt.values():
-        p.grad = None
-    return grads
+            for p in handover.get(i, ()):
+                hand(p)
+    for p in targets.values():
+        if id(p) in names:
+            hand(p)
+    return grads if collect and wrt is not None else None
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,9 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
 
     Each of the N outer iterations takes K momentum-SGD steps on
     ``batch_loss(state, indices, step)`` over batches drawn on stream
-    ``(seed, 1)``, then crafts the config's one attack, ``cfg.attack``,
+    ``(seed, 1)``, each parameter's inside the backward pass as soon as its
+    gradient is final (so a parameter the update leaves non-finite raises
+    from the pass), then crafts the config's one attack, ``cfg.attack``,
     through :func:`~advgame.attack.craft` on stream ``(seed,
     attack_stream)`` and scores the classifier on the clean data and under
     that attack.  ``mode=None`` is a baseline, which only scores the
@@ -133,19 +135,21 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
         t0 = time.perf_counter()
         try:
             for _ in range(cfg.inner_steps):
-                # ``loss`` (the step's graph) stays bound until the next step replaces it: freeing it after each
-                # step cut peak RSS further (sgd-vgg 458 -> 422 MB, fp-exact-patch 99 -> 71 MB), but glibc returned
-                # the heap and faulted it back every step (fp-exact-patch minor faults 51k -> 176k, sys 0.14 ->
-                # 0.47 s, wall +18%; fp-universal faults 25k -> 195k, wall +14%)
+                # ``loss`` (the step's graph, whose closures the pass drops) keeps its nodes' data until the next
+                # step replaces it: freeing each node as the pass leaves it cut peak RSS further (sgd-vgg 335 ->
+                # 304 MB), but glibc returned the heap and faulted it back every step (fp-exact-patch minor faults
+                # 68k -> 216k, sys 0.19 -> 0.64 s, wall +14-18%), as freeing the graph after each step did
                 loss = batch_loss(state, sampler.next_indices(cfg.batch_size), step)
-                # ``backward`` hands the gradients over and they are bound to no name, so they go with the step
-                T.sgd_momentum_step(params, T.backward(loss, wrt=trainable), velocity, _lr_at(cfg, step),
-                                    cfg.momentum, cfg.weight_decay)
+                lr = _lr_at(cfg, step)
+                # each parameter takes its update as soon as its gradient is final, so a gradient lives from its
+                # first contribution to its update only; the update is elementwise, so the order keeps the bits
+                T.backward(loss, wrt=trainable, on_grad=lambda name, grad: T.sgd_momentum_step(
+                    params, {name: grad}, velocity, lr, cfg.momentum, cfg.weight_decay))
                 step += 1
                 if on_step is not None:
                     on_step(step, params)
-            # the last step's graph goes before the attack and the scoring (peak RSS: sgd-vgg 481 -> 458 MB,
-            # fp-exact-patch 107 -> 99 MB)
+            # the last step's graph goes before the attack and the scoring (peak RSS: fp-exact-patch 93 -> 84 MB,
+            # fp-universal 62 -> 54 MB; sgd-vgg's peak is inside the pass)
             loss = None
             if state.pool is not classifier:
                 state.pool.append(M.freeze(model_config, params))

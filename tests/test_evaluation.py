@@ -169,6 +169,18 @@ class TestCsv:
         assert b"\r" not in raw and raw.endswith(b"\n")
 
 
+    def test_a_failed_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        rows = [MetricsRow(1, "train", 1.0, 0.0, D.gray_patch(1, 4, 0.5, 0.0), 0.0)]
+        write_csv(path, rows)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_csv(path, rows * 2, timing="bogus")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+        write_csv(path, rows * 2)
+        assert path.read_bytes() == format_rows(rows * 2).encode()
+
 class TestCheckpointSeries:
     def _write_checkpoints(self, tmp_path, count=2):
         mc = M.tiny_config(side=8, num_classes=4)

@@ -351,6 +351,27 @@ class TestCheckpoint:
         for name in params:
             assert np.allclose(loaded[name].data, params[name].data, atol=1e-6)
 
+    def test_a_write_goes_to_a_sibling_and_a_failed_one_keeps_the_earlier_file(self, tmp_path):
+        cfg = tiny_config(side=8)
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(path, cfg, build_model(cfg, 1))
+        before = path.read_bytes()
+        during = []
+
+        def parts():
+            yield b"\0" * 64
+            during.append((path.read_bytes(), sorted(p.name for p in tmp_path.iterdir())))
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            M.write_artifact(path, M.CHECKPOINT_MAGIC, M.CHECKPOINT_VERSION, parts())
+        ((read_during, names_during),) = during
+        assert read_during == before and len(names_during) == 2
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["f.ckpt"]
+        save_checkpoint(path, cfg, build_model(cfg, 2))
+        assert path.read_bytes() != before and [p.name for p in tmp_path.iterdir()] == ["f.ckpt"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\0" * 32)

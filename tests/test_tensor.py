@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -447,9 +449,11 @@ class TestBackward:
         w = Tensor([[1.0, 0.5], [-1.0, 2.0]], requires_grad=True)
         hidden = relu(dense(x, w, Tensor([0.25, -0.5])))
         loss = tensor_sum(mul(hidden, hidden))
-        grads = backward(loss, wrt={"w": w})
         interior = [node for node in T._topo_order(loss) if node._backward_fn is not None]
-        assert len(interior) == 4 and all(node.grad is None for node in interior)
+        assert len(interior) == 4
+        grads = backward(loss, wrt={"w": w})
+        # each interior node has passed its gradient on and dropped its closure, with what the closure saved
+        assert all(node.grad is None and node._backward_fn is None for node in interior)
         assert np.array_equal(x.grad, [[6.5, -6.5], [5.75, 23.0]])
         assert w.grad is None
         assert np.array_equal(grads["w"], [[6.5, 5.75], [-13.0, 34.5]])
@@ -519,6 +523,73 @@ class TestBackward:
         l2, gx2, gw2 = run()
         assert l1 == l2 and np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
 
+
+
+def saved(node, name):
+    """The array a node's backward closure saved under ``name``."""
+    fn = node._backward_fn
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+class TestStreamedGradients:
+    """``backward(..., on_grad=...)`` hands each ``wrt`` gradient over as soon as it is final."""
+
+    def test_a_leaf_read_twice_by_one_node_is_handed_over_once(self):
+        w = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        handed = []
+        assert backward(tensor_sum(mul(w, w)), wrt={"w": w}, on_grad=lambda n, g: handed.append((n, g))) is None
+        ((name, grad),) = handed
+        assert name == "w" and np.array_equal(grad, [2.0, -4.0, 6.0])
+        assert w.grad is None
+
+    def test_a_leaf_is_handed_over_once_its_last_consumer_has_run(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        v = Tensor([3.0, -1.0], requires_grad=True)
+        reads_w = [mul(w, 2.0), mul(w, 3.0)]
+        w_part = add(*reads_w)
+        v_part = relu(mul(v, 4.0))
+        v_nodes = [v_part, v_part._parents[0]]
+        # the post-order visits v's branch first, so backward runs w's branch first
+        loss = tensor_sum(add(mul(w_part, w_part), v_part))
+        closures_gone = {}
+
+        def on_grad(name, grad):
+            closures_gone[name] = [[node._backward_fn is None for node in nodes] for nodes in (reads_w, v_nodes)]
+
+        backward(loss, wrt={"w": w, "v": v}, on_grad=on_grad)
+        assert closures_gone == {"w": [[True, True], [False, False]], "v": [[True, True], [True, True]]}
+
+    def test_an_unreached_parameter_takes_one_zero_gradient_update_at_the_end(self):
+        params = {"used": Tensor([1.0, -1.0], requires_grad=True), "unused": Tensor([2.0, 4.0], requires_grad=True)}
+        velocity = {"unused": np.array([1.0, -1.0])}
+        handed = []
+
+        def on_grad(name, grad):
+            handed.append((name, grad.copy()))
+            sgd_momentum_step(params, {name: grad}, velocity, lr=0.5, momentum=0.5, weight_decay=0.25)
+
+        backward(tensor_sum(mul(params["used"], 2.0)), wrt=params, on_grad=on_grad)
+        assert [name for name, _ in handed] == ["used", "unused"]
+        assert np.array_equal(handed[1][1], [0.0, 0.0])
+        # v = 0.5 * [1, -1] + 0.25 * [2, 4] = [1, 0.5]; p = [2, 4] - 0.5 * v
+        assert np.array_equal(velocity["unused"], [1.0, 0.5])
+        assert np.array_equal(params["unused"].data, [1.5, 3.75])
+
+    def test_a_conv_releases_its_columns_before_a_lower_layer_takes_its_update(self):
+        mc = M.tiny_config(side=8, num_classes=4)
+        params = M.build_model(mc, 0)
+        x = np.random.default_rng(3).random((4, 3, 8, 8))
+        loss = softmax_cross_entropy(M.forward(mc, params, x, "train"), np.array([0, 1, 2, 3]))
+        convs = [node for node in T._topo_order(loss) if node._backward_fn is not None
+                 and "cols" in node._backward_fn.__code__.co_freevars]
+        cols = {f"conv{i}.weight": weakref.ref(saved(node, "cols"))
+                for node in convs for i in range(len(mc.conv_layers)) if node._parents[1] is params[f"conv{i}.weight"]}
+        assert sorted(cols) == ["conv0.weight", "conv1.weight"]
+        alive = {}
+        backward(loss, wrt=params, on_grad=lambda name, grad: alive.setdefault(
+            name, {layer: ref() is not None for layer, ref in cols.items()}))
+        assert alive["conv1.weight"] == {"conv0.weight": True, "conv1.weight": False}
+        assert alive["conv0.weight"] == {"conv0.weight": False, "conv1.weight": False}
 
 class TestGradcheckAllOps:
     """Central finite differences vs backward for every differentiable op."""

@@ -326,6 +326,91 @@ def test_no_parameter_holds_a_gradient_between_steps(trainer):
     assert held == [[]] * 6
 
 
+def three_views(ds):
+    """The clean view and two universal perturbations of it."""
+    rng = np.random.default_rng(1)
+    specs = [D.PerturbationSpec("universal", rng.uniform(-0.1, 0.1, ds.image_shape).astype(ds.images.dtype),
+                                epsilon=0.1) for _ in range(2)]
+    return [D.clean_view(ds), *(D.PerturbedView(ds, spec) for spec in specs)]
+
+
+def whole_pass_grads(loss, trainable):
+    """The gradients as the leaves hold them once the whole pass has run, without ``wrt``'s handover."""
+    T.backward(loss)
+    grads = {n: p.grad for n, p in trainable.items()}
+    for p in trainable.values():
+        p.grad = None
+    return grads
+
+
+class TestStreamedStep:
+    """Each parameter takes its momentum step as ``backward`` hands its gradient over, with the bits of one
+    step after the whole pass."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_streamed_updates_equal_backward_then_step(self, dtype):
+        T.set_default_dtype(dtype)
+        try:
+            ds = small_dataset()
+            for mc in model_configs(ds):
+                ends = []
+                for streamed in (False, True):
+                    params = build_model(mc, 0)
+                    state = FPState(mc, params, three_views(ds), M.single_pool(mc, params))
+                    trainable = {n: params[n] for n in M.trainable_names(params)}
+                    velocity = {}
+                    for step in range(3):
+                        loss = classifier_pool_loss(state, np.arange(8 * step, 8 * step + 8))
+                        readers = {n: sum(any(p is q for q in node._parents) for node in T._topo_order(loss))
+                                   for n, p in trainable.items()}
+                        assert set(readers.values()) == {3} and loss.dtype == dtype, mc.name
+                        if streamed:
+                            T.backward(loss, wrt=trainable, on_grad=lambda n, g: T.sgd_momentum_step(
+                                params, {n: g}, velocity, 0.05, 0.9, 2e-4))
+                        else:
+                            T.sgd_momentum_step(params, whole_pass_grads(loss, trainable), velocity, 0.05, 0.9, 2e-4)
+                    ends.append({**{n: p.data.tobytes() for n, p in params.items()},
+                                 **{f"v:{n}": v.tobytes() for n, v in velocity.items()}})
+                assert ends[0] == ends[1], mc.name
+        finally:
+            T.set_default_dtype(np.float64)
+
+    def test_play_steps_as_backward_then_step(self):
+        ds = small_dataset()
+        cfg = desk_cfg(inner_steps=4, lr_milestones=(2,))
+        for mc in model_configs(ds):
+            played = []
+            sgd_train(mc, ds, cfg, on_step=lambda s, p: played.append(param_digest(p)))
+            params = build_model(mc, cfg.seed)
+            state = FPState(mc, params, [D.clean_view(ds)], M.single_pool(mc, params))
+            sampler = D.BatchSampler(len(ds), np.random.default_rng((cfg.seed, 1)))
+            trainable = {n: params[n] for n in M.trainable_names(params)}
+            velocity, reference = {}, []
+            for step in range(cfg.inner_steps):
+                grads = whole_pass_grads(classifier_pool_loss(state, sampler.next_indices(cfg.batch_size)), trainable)
+                T.sgd_momentum_step(params, grads, velocity, TR._lr_at(cfg, step), cfg.momentum, cfg.weight_decay)
+                reference.append(param_digest(params))
+            assert played == reference, mc.name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_parameter_made_non_finite_stops_the_pass_and_skips_on_outer(self, monkeypatch):
+        ds = small_dataset()
+        mc = tiny_config(side=8, num_classes=ds.num_classes)
+        passes, outers = [], []
+        real = T.backward
+
+        def recorded(*args, **kwargs):
+            passes.append("started")
+            real(*args, **kwargs)
+            passes[-1] = "returned"
+
+        monkeypatch.setattr(T, "backward", recorded)
+        # weight decay 100 makes |v| far above 1, so the first update overflows
+        cfg = desk_cfg(learning_rate=1e308, weight_decay=100.0)
+        with pytest.raises(TrainingError, match="outer iteration 1: parameter .* is not finite after the update"):
+            sgd_train(mc, ds, cfg, on_outer=lambda *args: outers.append(args))
+        assert passes == ["started"] and outers == []
+
 class TestSgdTrain:
     def test_zero_lr_leaves_params(self):
         ds = small_dataset()
