@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 2 config error (before any write), a model or
 checkpoint whose input shape is not the data's, or a perturbation PPM cannot
-hold; 3 I/O error (a missing, corrupt, truncated or padded checkpoint,
+hold; 3 I/O error (a missing, empty, corrupt, truncated or padded checkpoint,
 perturbation or CIFAR-10 file, or an unnumbered checkpoint); 4 numeric
 failure.  Training writes each outer iteration as it ends, in ``on_outer``:
 its checkpoint, its ``.pert`` (``train-fp``) and ``metrics.csv`` so far; so
@@ -224,7 +224,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def echo_config(cfg: ExperimentConfig, out_dir: Path, name: str) -> None:
-    (out_dir / name).write_text(cfg.to_text())
+    with M.atomic_write(out_dir / name, "w") as fh:
+        fh.write(cfg.to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +368,12 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
 
 def run_eval(cfg: ExperimentConfig, checkpoint_dir: str | None) -> int:
     splits = load_splits(cfg)
-    out_dir = _prepare_run(cfg, "eval_config.txt")
-    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else out_dir
+    ckpt_dir = Path(checkpoint_dir or cfg.output_dir)
     attack_cfg = build_attack_config(cfg, cfg.eval_attack_iterations)
+    # the series writes nothing, so a missing, unnumbered or unreadable checkpoint exits before any write
     rows = E.evaluate_checkpoint_series(ckpt_dir, splits, attack_cfg, seed=cfg.seed,
                                         sample_size=cfg.eval_sample_size)
+    out_dir = _prepare_run(cfg, "eval_config.txt")
     dest = out_dir / "eval.csv"
     E.write_csv(dest, rows, timing=cfg.csv_timing)
     for row in rows:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .model import CorruptFileError, InputShapeError
+from .model import CorruptFileError, InputShapeError, atomic_write
 from .tensor import Tensor
 
 CIFAR_SHAPE = (3, 32, 32)
@@ -58,15 +58,18 @@ class Dataset:
 
 def load_cifar10(path, split: str = "train") -> Dataset:
     """Read CIFAR-10 binary records: 1 label byte + 3072 channel-major pixels;
-    a truncated file or a label byte past the last class raises ``CorruptFileError``."""
+    an empty file, a truncated one or a label byte past the last class raises
+    ``CorruptFileError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if not blob:
+        raise CorruptFileError(f"{path}: empty file, no CIFAR-10 records")
     if len(blob) % _CIFAR_RECORD != 0:
         raise CorruptFileError(f"{path}: truncated record ({len(blob)} bytes is not a multiple of {_CIFAR_RECORD})")
     n = len(blob) // _CIFAR_RECORD
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(n, _CIFAR_RECORD)
     labels = raw[:, 0].astype(np.int64)
-    if labels.size and labels.max() >= CIFAR_CLASSES:
+    if labels.max() >= CIFAR_CLASSES:
         raise CorruptFileError(f"{path}: label byte {labels.max()} out of range")
     images = raw[:, 1:].reshape(n, *CIFAR_SHAPE).astype(T.get_default_dtype()) / 255.0
     return Dataset(images, labels, CIFAR_CLASSES, split)
@@ -387,6 +390,7 @@ def to_ppm_bytes(spec: PerturbationSpec) -> bytes:
 
 
 def export_ppm(spec: PerturbationSpec, path) -> None:
-    blob = to_ppm_bytes(spec)  # rendered first, so a spec PPM cannot hold leaves no file
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    """Write the spec's PPM atomically (:func:`atomic_write`): a spec PPM cannot hold, or a failed write, leaves
+    ``path`` as it was."""
+    with atomic_write(path) as fh:
+        fh.write(to_ppm_bytes(spec))

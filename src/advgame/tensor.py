@@ -21,11 +21,12 @@ the columns, and a per-image ``np.add.at`` over the reversed index scatters
 their gradients back in the (ky, kx) order a per-tap loop would add them,
 so the output and both gradients keep the bits of the NCHW reference the
 tests compare against.  Its backward keeps the columns only for a kernel
-that requires a gradient and never keeps the padded input.  A column
-matrix that nothing keeps (the forward's for a constant kernel, the input
-gradient's always) is built and multiplied a few whole images at a time,
-at most ``_CONV_GROUP_MAX_ELEMS`` elements, so scoring and attack memory
-does not grow with the batch.
+that requires a gradient and never keeps the padded input.  Every GEMM
+forward and the input gradient multiply a few whole images at a time, at
+most ``_CONV_GROUP_MAX_ELEMS`` column elements; a column matrix that
+nothing keeps (the forward's for a constant kernel, the input gradient's
+always) is built a group at a time too, so scoring and attack memory does
+not grow with the batch.
 
 :func:`sgd_momentum_step` runs its formula over flat slices of
 ``_SGD_CHUNK`` elements, so each slice stays in cache through its passes.
@@ -36,12 +37,13 @@ frees each activation once the next op has read it.  :func:`backward`
 drops each node's closure, with the arrays it saved (conv columns, relu
 and clip masks, batchnorm's ``x_hat``, cross-entropy's ``log_p``), as soon
 as it has run, and an interior node's gradient once that node's backward
-has used it; leaves keep theirs.  The buffer of each ``wrt`` tensor goes to
-the caller's ``on_grad`` as soon as its last consumer has run, so an
-optimizer step can update that parameter, and drop its gradient, while the
-pass goes on below it.  So a graph is backpropagated once.  The nodes'
-data and parents live as long as the loss the graph ends in: freeing them
-during the pass too made glibc trim and fault the heap back every step.
+has used it; leaves keep theirs.  The buffer of each ``wrt`` leaf goes to
+the caller's ``on_grad``, the only way a ``wrt`` gradient leaves, as soon
+as its last consumer has run, so an optimizer step can update that
+parameter, and drop its gradient, while the pass goes on below it.  So a
+graph is backpropagated once.  The nodes' data and parents live as long as
+the loss the graph ends in: freeing them during the pass too made glibc
+trim and fault the heap back every step.
 
 Finiteness is checked at the edges of a graph, not at every node: a
 ``Tensor`` built by a caller (an input batch, a parameter, a perturbation)
@@ -177,7 +179,7 @@ def backward(
     loss: Tensor,
     wrt: Mapping[str, Tensor] | None = None,
     on_grad: Callable[[str, np.ndarray], None] | None = None,
-) -> dict[str, np.ndarray] | None:
+) -> None:
     """Backpropagate from a scalar loss through its graph, once.
 
     Sums every consumer's contribution into the ``grad`` of each
@@ -188,46 +190,38 @@ def backward(
     until ``loss`` goes.  A second pass over the same graph propagates
     nothing.
 
-    Each ``wrt`` tensor's gradient is handed over as ``on_grad(name, grad)``
-    once it is final: a leaf's as soon as the backward of its last consumer
-    has run (the earliest in :func:`_topo_order`'s post-order, counted once
-    however often it reads the leaf), any other at the end.  The tensor is
-    left with ``grad`` ``None``, so the buffer lives as long as the callee
-    keeps it.  A tensor the loss does not depend on gets zeros at the end,
-    even when an earlier pass gave it a gradient.  An exception from
-    ``on_grad`` stops the pass.  Without ``on_grad``, the same handover
-    fills the mapping name -> array that is returned; with it, or without
-    ``wrt``, the result is ``None``.
+    ``wrt`` names leaves, each under one name, and needs ``on_grad``: each
+    leaf's gradient leaves only as ``on_grad(name, grad)``, as soon as the
+    backward of its last reader has run (the earliest in
+    :func:`_topo_order`'s post-order, counted once however often it reads
+    the leaf).  The leaf is left with ``grad`` ``None``, so the buffer lives
+    as long as the callee keeps it.  A leaf the loss does not depend on gets
+    zeros at the end, even when an earlier pass gave it a gradient.  An
+    exception from ``on_grad`` stops the pass.  A leaf outside ``wrt`` keeps
+    its ``grad``.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise NonFiniteError("loss is not finite")
     targets = wrt or {}
-    grads: dict[str, np.ndarray] = {}
-    collect = on_grad is None
-    if collect:
-        on_grad = grads.__setitem__
-    names: dict[int, list[str]] = {}
+    if targets and on_grad is None:
+        raise ValueError("backward hands wrt gradients out only through on_grad")
+    names: dict[int, str] = {}
     for name, p in targets.items():
-        names.setdefault(id(p), []).append(name)
+        if p._parents:
+            raise ValueError(f"wrt tensor {name!r} is not a leaf")
+        if names.setdefault(id(p), name) != name:
+            raise ValueError(f"wrt names one tensor twice: {names[id(p)]!r} and {name!r}")
     order = _topo_order(loss)
     for node in (*order, *targets.values()):
         node.grad = None
-    # handover[i]: the wrt leaves whose gradient is final once order[i]'s backward has run, as no later node in
-    # the pass reads them
-    handover: dict[int, list[Tensor]] = {}
-    scheduled: set[int] = set()
-    for i, node in enumerate(order):
-        for p in node._parents:
-            if id(p) in names and id(p) not in scheduled and p.requires_grad and not p._parents:
-                scheduled.add(id(p))
-                handover.setdefault(i, []).append(p)
+    # each wrt leaf's gradient is final once its last reader in the pass, the earliest in the post-order, has run
+    last_reader = {id(p): i for i in reversed(range(len(order))) for p in order[i]._parents if id(p) in names}
 
     def hand(p: Tensor) -> None:
         g, p.grad = p.grad, None
-        for name in names.pop(id(p)):
-            on_grad(name, g if g is not None else np.zeros_like(p.data))
+        on_grad(names.pop(id(p)), g if g is not None else np.zeros_like(p.data))
 
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
@@ -236,15 +230,13 @@ def backward(
             fn, node._backward_fn = node._backward_fn, None
             if fn is not None:
                 fn(node.grad)
-                fn = None  # the closure, and what it saved, goes before the handover below
-                if id(node) not in names:
-                    node.grad = None
-            for p in handover.get(i, ()):
-                hand(p)
+                fn = node.grad = None  # the closure, and what it saved, goes before the handover below
+                for p in node._parents:
+                    if id(p) in names and last_reader[id(p)] == i:
+                        hand(p)
     for p in targets.values():
         if id(p) in names:
             hand(p)
-    return grads if collect and wrt is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +394,13 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     fixed, so the result is bit-identical to a nested-loop evaluation in the
     same order; larger inputs take an im2col/GEMM forward.
 
-    With a constant kernel, the GEMM forward gathers and multiplies the
-    columns one group of images at a time (:func:`_image_groups`) into one
-    preallocated [B*Ho*Wo, F] output, so no whole-batch column matrix is
-    built.  Each group's GEMM is 2-D; the paper's VGG shapes keep their
-    bits down to one image a group, and smaller shapes, whose bits can move
-    with the row count, fit in one group.
+    The GEMM forward multiplies one group of images at a time
+    (:func:`_image_groups`) into one preallocated [B, Ho*Wo, F] output.  A
+    group gathers its own columns for a constant kernel, so no whole-batch
+    column matrix is built; for a learned kernel it reads its rows of the
+    columns the backward keeps.  Each group's GEMM is 2-D; the paper's VGG
+    shapes keep their bits down to one image a group, and smaller shapes,
+    whose bits can move with the row count, fit in one group.
 
     Both paths share one backward.  The kernel gradient is one GEMM over the
     whole batch's columns, which the backward keeps only when the kernel
@@ -458,13 +451,10 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
                     out += patch[:, None] * kernel.data[None, :, c, ky, kx, None, None]
         out = out + bias.data[None, :, None, None]
     else:
-        if cols is not None:
-            flat = cols @ kmat.T
-        else:
-            flat = np.empty((B, Ho * Wo, F), dtype=x.dtype)
-            for s in groups:
-                part = images[s].take(idx, axis=1).reshape(-1, C * k * k)
-                np.matmul(part, kmat.T, out=flat[s].reshape(-1, F))
+        flat = np.empty((B, Ho * Wo, F), dtype=x.dtype)
+        for s in groups:
+            part = images[s].take(idx, axis=1) if cols is None else cols[s.start * Ho * Wo : s.stop * Ho * Wo]
+            np.matmul(part.reshape(-1, C * k * k), kmat.T, out=flat[s].reshape(-1, F))
         out = flat.reshape(B, Ho, Wo, F).transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
 
     def bwd(g):

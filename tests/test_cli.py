@@ -171,6 +171,24 @@ class TestTrainEvalPipeline:
         assert cfg.output_dir == str(tmp_path / "run")
         assert cfg.outer_iterations == 1
 
+    def test_a_config_echo_goes_to_a_sibling_and_a_failed_one_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        C.echo_config(ExperimentConfig(seed=1), tmp_path, "config.txt")
+        path = tmp_path / "config.txt"
+        before = path.read_bytes()
+        during = []
+
+        def failing_text(cfg):
+            during.append((path.read_bytes(), sorted(p.name for p in tmp_path.iterdir())))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ExperimentConfig, "to_text", failing_text)
+        with pytest.raises(OSError, match="disk full"):
+            C.echo_config(ExperimentConfig(seed=2), tmp_path, "config.txt")
+        ((read_during, names_during),) = during
+        assert read_during == before and len(names_during) == 2
+        assert path.read_bytes() == before and parse_config(path).seed == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
+
     def test_eval_in_training_dir_keeps_training_config(self, tmp_path, capsys):
         train = desk_args(tmp_path, **{"outer-iterations": 1, "inner-steps": 2, "batch-size": 16})
         assert main(["train-sgd", *train]) == 0
@@ -294,6 +312,7 @@ class TestExitCodes:
 
     def test_eval_without_checkpoints_is_3(self, tmp_path, capsys):
         assert main(["eval", *desk_args(tmp_path), "--checkpoint-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / "run").exists()
 
     def test_eval_on_unnumbered_checkpoint_is_3(self, tmp_path, capsys):
         ckpts = tmp_path / "ckpts"
@@ -304,6 +323,16 @@ class TestExitCodes:
         assert main(["eval", *desk_args(tmp_path), "--checkpoint-dir", str(ckpts)]) == 3
         assert "checkpoint_best.ckpt" in capsys.readouterr().err
         assert not (tmp_path / "run" / "eval.csv").exists()
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("where", ["missing", "empty"])
+    def test_eval_on_a_missing_or_empty_checkpoint_dir_is_3_before_any_write(self, tmp_path, capsys, where):
+        ckpts = tmp_path / "ckpts"
+        if where == "empty":
+            ckpts.mkdir()
+        assert main(["eval", *desk_args(tmp_path), "--checkpoint-dir", str(ckpts)]) == 3
+        assert "no checkpoint_*.ckpt files" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_export_ppm_of_two_channel_perturbation_is_2_without_file(self, tmp_path, capsys):
         pert, ppm = tmp_path / "two.pert", tmp_path / "out.ppm"
@@ -534,6 +563,22 @@ class TestCorruptArtifacts:
         path.write_bytes(path.read_bytes().replace(old, new))
         assert main(["attack", *desk_args(tmp_path), "--checkpoint", str(path)]) == 3
         assert "where the config has" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [["train-sgd"], ["train-fp"], ["train-at"], ["attack", "--checkpoint", "c"],
+                                         ["eval", "--checkpoint-dir", "ckpts"]], ids=lambda c: c[0])
+    def test_empty_cifar_file_is_3_before_any_write(self, tmp_path, capsys, command):
+        path = tmp_path / "data_batch.bin"
+        path.write_bytes(b"")
+        mc = M.tiny_config(side=32, num_classes=10)
+        (tmp_path / "ckpts").mkdir()
+        M.save_checkpoint(tmp_path / "c", mc, M.build_model(mc, 0))
+        M.save_checkpoint(tmp_path / "ckpts" / "checkpoint_0001.ckpt", mc, M.build_model(mc, 0))
+        args = desk_args(tmp_path, **{"image-side": 32, "classes": 10, "data": "cifar10", "data-path": str(path)})
+        where = [str(tmp_path / a) if a in ("c", "ckpts") else a for a in command[1:]]
+        assert main([command[0], *args, *where]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "empty file" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("blob", [bytes(5), bytes([10]) + bytes(3072)], ids=["truncated", "label-10"])

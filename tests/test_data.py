@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from advgame import data as D
+from advgame.model import CorruptFileError
 from advgame.data import (
     BatchSampler,
     Dataset,
@@ -53,6 +54,12 @@ class TestCifarLoader:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 3000)
         with pytest.raises(ValueError, match="truncated"):
+            load_cifar10(path)
+
+    def test_empty_file_is_corrupt(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(CorruptFileError, match="empty"):
             load_cifar10(path)
 
     def test_label_out_of_range(self, tmp_path):
@@ -414,3 +421,21 @@ class TestPpmExport:
         path = tmp_path / "p.ppm"
         D.export_ppm(spec, path)
         assert path.read_bytes().startswith(b"P6\n4 4\n255\n")
+
+    def test_a_write_goes_to_a_sibling_and_a_failed_one_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.ppm"
+        D.export_ppm(gray_patch(3, 4, 0.5, 0.0), path)
+        before = path.read_bytes()
+        during = []
+
+        def failing_render(spec):
+            during.append((path.read_bytes(), sorted(p.name for p in tmp_path.iterdir())))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(D, "to_ppm_bytes", failing_render)
+        with pytest.raises(OSError, match="disk full"):
+            D.export_ppm(gray_patch(3, 4, 0.25, 0.0), path)
+        ((read_during, names_during),) = during
+        assert read_during == before and len(names_during) == 2
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["p.ppm"]

@@ -249,8 +249,9 @@ def paper_vgg_conv_geometries():
 
 
 class TestConv2dImageGroups:
-    """A column matrix that the backward does not keep (the forward with a constant kernel, the input gradient's
-    columns always) is built and multiplied a group of whole images at a time.
+    """Every GEMM forward and the input gradient multiply a group of whole images at a time; a column matrix that the
+    backward does not keep (the forward's with a constant kernel, the input gradient's always) is built a group at a
+    time too.
 
     Splitting a GEMM's rows does not keep its bits in general: with OpenBLAS 0.3.31 (Haswell kernels, one thread)
     a 9-row single-image GEMM (input 2x8x8x8, 2 kernels, stride 2, "valid") gave other bits in float32 and float64
@@ -259,18 +260,15 @@ class TestConv2dImageGroups:
     to one group at the real cap.  Each group's GEMM stays 2-D, [rows, C*k*k] by [C*k*k, F], the form pinned here."""
 
     @staticmethod
-    def _conv(x0, k0, b0, stride, g):
+    def _conv(x0, k0, b0, stride, g, kernel_grad):
         x = Tensor(x0, requires_grad=True)
-        y = conv2d(x, Tensor(k0), Tensor(b0), stride, "same")
+        k = Tensor(k0, requires_grad=kernel_grad)
+        y = conv2d(x, k, Tensor(b0), stride, "same")
         backward(tensor_sum(mul(y, Tensor(g))))
-        return y.data, x.grad
+        return y.data, x.grad, k.grad
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
-    @pytest.mark.parametrize("batch", [4, 20])
-    @pytest.mark.parametrize("geometry", [
-        pytest.param(geometry, id="{}x{}x{}-{}-s{}".format(*geometry)) for geometry in paper_vgg_conv_geometries()
-    ])
-    def test_paper_vgg_one_image_a_group_equals_the_whole_batch(self, monkeypatch, geometry, batch, dtype):
+    def _split_and_whole(self, monkeypatch, geometry, batch, dtype, kernel_grad):
+        """The conv's output and gradients at one image a group and with the whole batch in one group."""
         C, H, W, F, stride, nhwc_memory = geometry
         rng = np.random.default_rng(29)
         if nhwc_memory:
@@ -281,12 +279,34 @@ class TestConv2dImageGroups:
         b0 = rng.standard_normal(F).astype(dtype)
         g = rng.standard_normal((batch, F, (H - 1) // stride + 1, (W - 1) // stride + 1)).astype(dtype)
         monkeypatch.setattr(T, "_CONV_GROUP_MAX_ELEMS", 1)  # one image a group
-        split_out, split_gx = self._conv(x0, k0, b0, stride, g)
+        split = self._conv(x0, k0, b0, stride, g, kernel_grad)
         monkeypatch.setattr(T, "_CONV_GROUP_MAX_ELEMS", batch * H * W * C * 9)  # the whole batch in one group
-        whole_out, whole_gx = self._conv(x0, k0, b0, stride, g)
+        return split, self._conv(x0, k0, b0, stride, g, kernel_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("batch", [4, 20])
+    @pytest.mark.parametrize("geometry", [
+        pytest.param(geometry, id="{}x{}x{}-{}-s{}".format(*geometry)) for geometry in paper_vgg_conv_geometries()
+    ])
+    def test_paper_vgg_one_image_a_group_equals_the_whole_batch(self, monkeypatch, geometry, batch, dtype):
+        (split_out, split_gx, _), (whole_out, whole_gx, _) = self._split_and_whole(monkeypatch, geometry, batch,
+                                                                                   dtype, kernel_grad=False)
         assert split_out.dtype == split_gx.dtype == dtype
         assert np.array_equal(split_out, whole_out)
         assert np.array_equal(split_gx, whole_gx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("batch", [4, 20])
+    @pytest.mark.parametrize("geometry", [
+        pytest.param(geometry, id="{}x{}x{}-{}-s{}".format(*geometry)) for geometry in paper_vgg_conv_geometries()
+    ])
+    def test_paper_vgg_learned_kernel_one_image_a_group_equals_the_whole_batch(self, monkeypatch, geometry, batch,
+                                                                               dtype):
+        # the forward multiplies each group's rows of the columns the kernel gradient keeps
+        split, whole = self._split_and_whole(monkeypatch, geometry, batch, dtype, kernel_grad=True)
+        assert all(a.dtype == dtype for a in split)
+        for a, b in zip(split, whole):
+            assert np.array_equal(a, b)
 
     def test_small_shapes_take_one_group_at_the_real_cap(self, monkeypatch):
         counts = []
@@ -432,14 +452,16 @@ class TestBackward:
 
     def test_constant_loss_zero_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        grads = backward(tensor_sum(Tensor([5.0])), wrt={"x": x})
+        grads = {}
+        backward(tensor_sum(Tensor([5.0])), wrt={"x": x}, on_grad=grads.__setitem__)
         assert np.array_equal(grads["x"], [0.0, 0.0])
 
     def test_unreached_wrt_gets_zeros_after_an_earlier_pass(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0], requires_grad=True)
         backward(tensor_sum(mul(x, x)))
-        grads = backward(tensor_sum(mul(y, y)), wrt={"x": x, "y": y})
+        grads = {}
+        backward(tensor_sum(mul(y, y)), wrt={"x": x, "y": y}, on_grad=grads.__setitem__)
         assert np.array_equal(grads["x"], [0.0, 0.0])
         assert np.array_equal(grads["y"], [6.0])
 
@@ -451,12 +473,33 @@ class TestBackward:
         loss = tensor_sum(mul(hidden, hidden))
         interior = [node for node in T._topo_order(loss) if node._backward_fn is not None]
         assert len(interior) == 4
-        grads = backward(loss, wrt={"w": w})
+        grads = {}
+        backward(loss, wrt={"w": w}, on_grad=grads.__setitem__)
         # each interior node has passed its gradient on and dropped its closure, with what the closure saved
         assert all(node.grad is None and node._backward_fn is None for node in interior)
         assert np.array_equal(x.grad, [[6.5, -6.5], [5.75, 23.0]])
         assert w.grad is None
         assert np.array_equal(grads["w"], [[6.5, 5.75], [-13.0, 34.5]])
+
+    def test_wrt_without_on_grad_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(ValueError, match="on_grad"):
+            backward(tensor_sum(mul(x, x)), wrt={"x": x})
+        assert x.grad is None
+
+    def test_a_non_leaf_in_wrt_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = mul(x, x)
+        with pytest.raises(ValueError, match="not a leaf"):
+            backward(tensor_sum(y), wrt={"y": y}, on_grad=lambda name, grad: None)
+        assert y._backward_fn is not None
+
+    def test_one_tensor_named_twice_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        handed = []
+        with pytest.raises(ValueError, match="twice"):
+            backward(tensor_sum(mul(x, x)), wrt={"a": x, "b": x}, on_grad=lambda name, grad: handed.append(name))
+        assert handed == [] and x.grad is None
 
     @pytest.mark.parametrize("op", [add, mul])
     def test_elementwise_ops_do_not_broadcast(self, op):

@@ -85,7 +85,6 @@ def run_desk_set(src: Path, work: Path) -> list[str]:
     returns one line per command that did not exit 0."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
-    env.pop("ADVGAME_OUTPUT_DIR", None)  # older trees let it override --output-dir
     failures = []
     runs = [(out_dir, ["-m", "advgame.cli", *args, "--output-dir", out_dir]) for out_dir, args in COMMANDS]
     for out_dir, args in [*runs, ("f64", [str(F64_GAME), "f64"])]:
