@@ -13,7 +13,9 @@ first artifact: training as ``config.txt``, ``attack`` as
 ``attack`` run in a training directory leaves the record of how its
 checkpoints were trained intact.
 A single CIFAR-10 file as ``data_path`` is only a ``train`` split: ``eval``
-writes ``train`` rows alone and ``attack`` scores the training images.
+writes ``train`` rows alone and ``attack`` scores the training images.  A
+CIFAR-10 directory holds out its last 5000 training records as ``valid``, so
+one with 5000 or fewer exits 2.
 ``attack`` scores clean accuracy, adversarial accuracy and a targeted patch's
 hit rate on one subset, and the hit rate on the adversarial score's placements.
 Each setting has one flag, named after its field, and takes its value from the
@@ -243,7 +245,10 @@ def load_splits(cfg: ExperimentConfig) -> dict[str, D.Dataset]:
         loaded = [D.load_cifar10(p, "train") for p in train_parts]
         images = np.concatenate([d.images for d in loaded])
         labels = np.concatenate([d.labels for d in loaded])
-        cut = max(1, len(images) - 5000)
+        if len(images) <= 5000:
+            raise ConfigError(f"{path} holds {len(images)} training records in data_batch_*.bin; the last 5000 are "
+                              f"held out for validation, so a cifar10 directory needs more than 5000")
+        cut = len(images) - 5000
         splits = {
             "train": D.Dataset(images[:cut], labels[:cut], D.CIFAR_CLASSES, "train"),
             "valid": D.Dataset(images[cut:], labels[cut:], D.CIFAR_CLASSES, "valid"),

@@ -20,13 +20,13 @@ life of the process and independent of the batch size: a ``take`` gathers
 the columns, and a per-image ``np.add.at`` over the reversed index scatters
 their gradients back in the (ky, kx) order a per-tap loop would add them,
 so the output and both gradients keep the bits of the NCHW reference the
-tests compare against.  Its backward keeps the columns only for a kernel
-that requires a gradient and never keeps the padded input.  Every GEMM
-forward and the input gradient multiply a few whole images at a time, at
-most ``_CONV_GROUP_MAX_ELEMS`` column elements; a column matrix that
-nothing keeps (the forward's for a constant kernel, the input gradient's
-always) is built a group at a time too, so scoring and attack memory does
-not grow with the batch.
+tests compare against.  Its backward keeps no columns; the kernel gradient
+re-gathers them from the input, which the graph holds anyway, so a graph
+holds no conv array larger than the conv's output.  Every GEMM forward and
+the input gradient build their columns and multiply them a few whole images
+at a time, at most ``_CONV_GROUP_MAX_ELEMS`` column elements; only the
+kernel gradient's GEMM, whose bits need every row, takes the whole batch's
+columns, for the length of that GEMM.
 
 :func:`sgd_momentum_step` runs its formula over flat slices of
 ``_SGD_CHUNK`` elements, so each slice stays in cache through its passes.
@@ -34,10 +34,10 @@ not grow with the batch.
 Every array is released at its last use.  An op whose inputs all need no
 gradient keeps neither its inputs nor its backward, so an inference forward
 frees each activation once the next op has read it.  :func:`backward`
-drops each node's closure, with the arrays it saved (conv columns, relu
-and clip masks, batchnorm's ``x_hat``, cross-entropy's ``log_p``), as soon
-as it has run, and an interior node's gradient once that node's backward
-has used it; leaves keep theirs.  The buffer of each ``wrt`` leaf goes to
+drops each node's closure, with the arrays it saved (relu and clip masks,
+batchnorm's ``x_hat``, cross-entropy's ``log_p``), as soon as it has run,
+and an interior node's gradient once that node's backward has used it;
+leaves keep theirs.  The buffer of each ``wrt`` leaf goes to
 the caller's ``on_grad``, the only way a ``wrt`` gradient leaves, as soon
 as its last consumer has run, so an optimizer step can update that
 parameter, and drop its gradient, while the pass goes on below it.  So a
@@ -342,8 +342,8 @@ def _conv_pad(k: int, padding: str) -> int:
 # the order-exact loop kernel covers the oracle envelope (spatial <= 8x8, C <= 3)
 _CONV_LOOP_MAX_HW = 64
 _CONV_LOOP_MAX_C = 3
-# column elements of one image group, 4 MB in float64: a column matrix that the backward does not keep is built
-# and multiplied a group at a time, whole images per group, so scoring memory does not grow with the batch
+# column elements of one image group, 4 MB in float64: the forward's and the input gradient's columns are built
+# and multiplied a group at a time, whole images per group, so their memory does not grow with the batch
 _CONV_GROUP_MAX_ELEMS = 1 << 19
 
 # (Hp, Wp, C, k, stride, channels_last) -> window index: one read-only entry per padded geometry and buffer
@@ -380,6 +380,17 @@ def _image_groups(B: int, image_elems: int) -> list[slice]:
     return [slice(b0, min(b0 + n, B)) for b0 in range(0, B, n)]
 
 
+def _padded(data: np.ndarray, pad: int, channels_last: bool) -> np.ndarray:
+    """``data`` [B, C, H, W] copied into a zero-padded buffer, channel-last
+    [B, Hp, Wp, C] or channel-first [B, C, Hp, Wp]."""
+    B, C, H, W = data.shape
+    Hp, Wp = H + 2 * pad, W + 2 * pad
+    x = np.zeros((B, Hp, Wp, C) if channels_last else (B, C, Hp, Wp), dtype=data.dtype)
+    x_nchw = x.transpose(0, 3, 1, 2) if channels_last else x
+    x_nchw[:, :, pad : pad + H, pad : pad + W] = data
+    return x
+
+
 def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """2-d cross-correlation over [B,C,H,W] with kernel [F,C,k,k].
 
@@ -395,23 +406,23 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     same order; larger inputs take an im2col/GEMM forward.
 
     The GEMM forward multiplies one group of images at a time
-    (:func:`_image_groups`) into one preallocated [B, Ho*Wo, F] output.  A
-    group gathers its own columns for a constant kernel, so no whole-batch
-    column matrix is built; for a learned kernel it reads its rows of the
-    columns the backward keeps.  Each group's GEMM is 2-D; the paper's VGG
-    shapes keep their bits down to one image a group, and smaller shapes,
-    whose bits can move with the row count, fit in one group.
+    (:func:`_image_groups`) into one preallocated [B, Ho*Wo, F] output, and
+    each group gathers its own columns, so no whole-batch column matrix is
+    built.  Each group's GEMM is 2-D; the paper's VGG shapes keep their bits
+    down to one image a group, and smaller shapes, whose bits can move with
+    the row count, fit in one group.
 
-    Both paths share one backward.  The kernel gradient is one GEMM over the
-    whole batch's columns, which the backward keeps only when the kernel
-    requires a gradient (the loop path gathers them only then): it reduces
-    over the rows, so splitting it would change its bits.  The backward
-    never keeps the padded buffer.  The input gradient's columns are formed
-    by image group, and col2im scatters each image's column gradients back
-    through the same index with ``np.add.at``, walking the windows in
-    reverse memory order: a pixel's window rows then come by descending
-    (ho, wo), that is by ascending (ky, kx), so every pixel sums its
-    contributions in the (ky, kx) order of a per-tap strided loop.
+    Both paths share one backward, which keeps no columns and never keeps
+    the padded buffer.  The kernel gradient is one GEMM over the whole
+    batch's columns, which it re-gathers from the input (a parent of the
+    node, alive as long as the graph) and drops once the GEMM is done: it
+    reduces over the rows, so splitting it would change its bits.  The
+    input gradient's columns are formed by image group, and col2im scatters
+    each image's column gradients back through the same index with
+    ``np.add.at``, walking the windows in reverse memory order: a pixel's
+    window rows then come by descending (ho, wo), that is by ascending
+    (ky, kx), so every pixel sums its contributions in the (ky, kx) order of
+    a per-tap strided loop.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -432,17 +443,14 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     Wo = (Wp - k) // stride + 1
 
     channels_last = not inp.data.flags.c_contiguous
-    x = np.zeros((B, Hp, Wp, C) if channels_last else (B, C, Hp, Wp), dtype=inp.data.dtype)
-    x_nchw = x.transpose(0, 3, 1, 2) if channels_last else x
-    x_nchw[:, :, pad : pad + H, pad : pad + W] = inp.data
+    x = _padded(inp.data, pad, channels_last)
     images = x.reshape(B, -1)
     idx = _window_index(Hp, Wp, C, k, stride, channels_last)
     groups = _image_groups(B, idx.size)
     kmat = kernel.data.reshape(F, -1)
-    loop = H * W <= _CONV_LOOP_MAX_HW and C <= _CONV_LOOP_MAX_C
-    cols = images.take(idx, axis=1).reshape(B * Ho * Wo, C * k * k) if kernel.requires_grad else None
 
-    if loop:
+    if H * W <= _CONV_LOOP_MAX_HW and C <= _CONV_LOOP_MAX_C:
+        x_nchw = x.transpose(0, 3, 1, 2) if channels_last else x
         out = np.zeros((B, F, Ho, Wo), dtype=x.dtype)
         for c in range(C):
             for ky in range(k):
@@ -453,8 +461,7 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
     else:
         flat = np.empty((B, Ho * Wo, F), dtype=x.dtype)
         for s in groups:
-            part = images[s].take(idx, axis=1) if cols is None else cols[s.start * Ho * Wo : s.stop * Ho * Wo]
-            np.matmul(part.reshape(-1, C * k * k), kmat.T, out=flat[s].reshape(-1, F))
+            np.matmul(images[s].take(idx, axis=1).reshape(-1, C * k * k), kmat.T, out=flat[s].reshape(-1, F))
         out = flat.reshape(B, Ho, Wo, F).transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
 
     def bwd(g):
@@ -462,7 +469,10 @@ def conv2d(inp: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: 
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         g2 = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, F)
         if kernel.requires_grad:
+            # the whole batch's columns, gathered again from the input the graph holds, go before the input gradient
+            cols = _padded(inp.data, pad, channels_last).reshape(B, -1).take(idx, axis=1).reshape(-1, C * k * k)
             _accumulate(kernel, (g2.T @ cols).reshape(F, C, k, k))
+            del cols
         if inp.requires_grad:
             g3 = g2.reshape(B, Ho * Wo, F)
             gx = np.zeros((B, Hp * Wp * C), dtype=inp.data.dtype)

@@ -136,9 +136,10 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
         try:
             for _ in range(cfg.inner_steps):
                 # ``loss`` (the step's graph, whose closures the pass drops) keeps its nodes' data until the next
-                # step replaces it: freeing each node as the pass leaves it cut peak RSS further (sgd-vgg 335 ->
-                # 304 MB), but glibc returned the heap and faulted it back every step (fp-exact-patch minor faults
-                # 68k -> 216k, sys 0.19 -> 0.64 s, wall +14-18%), as freeing the graph after each step did
+                # step replaces it: freeing each node as the pass leaves it cut peak RSS further (sgd-vgg 275 ->
+                # 248 MB, fp-exact-patch 70 -> 58-62 MB), but glibc returned the heap and faulted it back
+                # (fp-exact-patch minor faults 31-45k -> 45-132k and sys up to 2.3x over CLI seeds 5-9), as
+                # freeing the graph after each step did
                 loss = batch_loss(state, sampler.next_indices(cfg.batch_size), step)
                 lr = _lr_at(cfg, step)
                 # each parameter takes its update as soon as its gradient is final, so a gradient lives from its
@@ -148,8 +149,8 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
                 step += 1
                 if on_step is not None:
                     on_step(step, params)
-            # the last step's graph goes before the attack and the scoring (peak RSS: fp-exact-patch 93 -> 84 MB,
-            # fp-universal 62 -> 54 MB; sgd-vgg's peak is inside the pass)
+            # the last step's graph goes before the attack and the scoring (peak RSS: fp-exact-patch 78 -> 70 MB,
+            # fp-universal 58 -> 53 MB; sgd-vgg's peak is inside the pass)
             loss = None
             if state.pool is not classifier:
                 state.pool.append(M.freeze(model_config, params))

@@ -581,6 +581,24 @@ class TestCorruptArtifacts:
         assert "i/o error" in err and "empty file" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", [["train-sgd"], ["attack", "--checkpoint", "c"],
+                                         ["eval", "--checkpoint-dir", "ckpts"]], ids=lambda c: c[0])
+    def test_cifar_directory_of_5000_records_or_fewer_is_2_before_any_write(self, tmp_path, capsys, command):
+        data = tmp_path / "cifar"
+        data.mkdir()
+        (data / "data_batch_1.bin").write_bytes(b"".join(bytes([i % 10]) + bytes(3072) for i in range(40)))
+        mc = M.tiny_config(side=32, num_classes=10)
+        (tmp_path / "ckpts").mkdir()
+        M.save_checkpoint(tmp_path / "c", mc, M.build_model(mc, 0))
+        M.save_checkpoint(tmp_path / "ckpts" / "checkpoint_0001.ckpt", mc, M.build_model(mc, 0))
+        args = desk_args(tmp_path, **{"image-side": 32, "classes": 10, "data": "cifar10", "data-path": str(data)})
+        where = [str(tmp_path / a) if a in ("c", "ckpts") else a for a in command[1:]]
+        assert main([command[0], *args, *where]) == 2
+        err = capsys.readouterr().err
+        assert f"{data} holds 40 training records" in err and "5000" in err
+        assert not (tmp_path / "run").exists()
+        assert sorted(p.name for p in data.iterdir()) == ["data_batch_1.bin"]
+
     @pytest.mark.parametrize("blob", [bytes(5), bytes([10]) + bytes(3072)], ids=["truncated", "label-10"])
     def test_corrupt_cifar_file_is_3(self, tmp_path, capsys, blob):
         path = tmp_path / "data_batch.bin"

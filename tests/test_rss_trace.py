@@ -1,6 +1,7 @@
 """``tools/rss_trace.py`` runs a command in-process and traces its memory by call."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,8 @@ def test_a_tiny_training_run_exits_0_and_names_its_phases(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "tensor.backward enter VmRSS" in err and "  tensor.sgd_momentum_step exit VmRSS" in err
     assert "model.save_checkpoint exit VmRSS" in err
-    assert err.splitlines()[-1].startswith("peak VmHWM ")
+    assert re.search(r"^tensor\.backward enter VmRSS [\d.]+ MB minflt \d+$", err, re.M)
+    assert re.search(r"^tensor\.backward exit VmRSS [\d.]+ MB minflt \d+ \(\+\d+ in the call\)$", err, re.M)
+    assert re.fullmatch(r"peak VmHWM [\d.]+ MB, reached .+, minflt \d+", err.splitlines()[-1])
     assert T.backward is backward
     assert (tmp_path / "run" / "checkpoint_0001.ckpt").exists()

@@ -9,21 +9,26 @@ Runs ``advgame.cli.main`` in this process with the calls that shape a run's
 memory wrapped where their callers look them up: ``tensor.backward``,
 ``tensor.sgd_momentum_step``, ``attack.craft``,
 ``evaluation.perturbed_accuracy`` and ``model.save_checkpoint``.  Each call
-prints ``VmRSS`` on entry and on exit, indented by how deeply it nests in
-the other traced calls.  Whenever the high-water mark ``VmHWM`` has risen by
-0.1 MB or more since it was last printed, a line gives it and where it rose:
-in the call that just ended or that encloses the line, or before the call
-that came next when no traced call was running (``before
-tensor.backward`` is a training step's forward pass).  Both values come
-from ``/proc/self/status``, so the tool runs on Linux only.  The last line
-gives the final high-water mark and where it last rose.  The trace goes to
-stderr and the command's own output to stdout; the exit status is the
-command's.  The wrapped names are restored when the command returns.
+prints ``VmRSS`` and the process's minor page faults so far (``minflt``,
+from ``getrusage``) on entry and on exit, and on exit the faults taken
+inside the call, indented by how deeply it nests in the other traced calls.
+Memory that the allocator hands back to the system and then touches again
+shows in the faults, not in the peak.  Whenever the high-water mark
+``VmHWM`` has risen by 0.1 MB or more since it was last printed, a line
+gives it and where it rose: in the call that just ended or that encloses
+the line, or before the call that came next when no traced call was
+running (``before tensor.backward`` is a training step's forward pass).
+Both values come from ``/proc/self/status``, so the tool runs on Linux
+only.  The last line gives the final high-water mark, where it last rose
+and the run's minor faults.  The trace goes to stderr and the command's own
+output to stdout; the exit status is the command's.  The wrapped names are
+restored when the command returns.
 """
 
 from __future__ import annotations
 
 import functools
+import resource
 import sys
 
 from advgame import attack, cli, evaluation, model, tensor
@@ -41,6 +46,11 @@ def status_mb(field: str) -> float:
     raise KeyError(field)
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class Tracer:
     def __init__(self, out):
         self.out = out
@@ -48,9 +58,11 @@ class Tracer:
         self.hwm = status_mb("VmHWM")
         self.peak_in = "at startup"
 
-    def line(self, name: str, event: str) -> None:
+    def line(self, name: str, event: str, faults_in: int | None = None) -> None:
         indent = "  " * len(self.stack)
-        print(f"{indent}{name} {event} VmRSS {status_mb('VmRSS'):.1f} MB", file=self.out)
+        inside_call = "" if faults_in is None else f" (+{faults_in} in the call)"
+        print(f"{indent}{name} {event} VmRSS {status_mb('VmRSS'):.1f} MB minflt {minor_faults()}{inside_call}",
+              file=self.out)
         # since the last line the process ran inside ``name`` (on exit), or in the enclosing call, or
         # untraced code such as a forward pass before ``name`` (on entry)
         inside = name if event == "exit" else self.stack[-1] if self.stack else None
@@ -67,11 +79,13 @@ class Tracer:
         def traced(*args, **kwargs):
             self.line(name, "enter")
             self.stack.append(name)
+            entry = minor_faults()
             try:
                 return fn(*args, **kwargs)
             finally:
+                faults_in = minor_faults() - entry
                 self.stack.pop()
-                self.line(name, "exit")
+                self.line(name, "exit", faults_in)
 
         return traced
 
@@ -88,7 +102,8 @@ def main(argv: list[str]) -> int:
         for owner, attr, fn in originals:
             setattr(owner, attr, fn)
     tracer.check("", "after the last traced call")
-    print(f"peak VmHWM {status_mb('VmHWM'):.1f} MB, reached {tracer.peak_in}", file=sys.stderr)
+    print(f"peak VmHWM {status_mb('VmHWM'):.1f} MB, reached {tracer.peak_in}, minflt {minor_faults()}",
+          file=sys.stderr)
     return code
 
 
