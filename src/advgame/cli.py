@@ -137,8 +137,8 @@ CHOICES = {
     "data": ("synthetic", "cifar10"),
     "model": ("tiny", "paper-vgg"),
     "precision": ("float64", "float32"),
-    "weighting": ("literal", "uniform"),
-    "fp_mode": ("approximate", "exact"),
+    "weighting": M.WEIGHTINGS,
+    "fp_mode": TR.FP_MODES,
     "attack_kind": ("universal", "patch"),
     "csv_timing": ("zero", "real"),
 }

@@ -29,6 +29,7 @@ CHECKPOINT_VERSION = 1
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+WEIGHTINGS = ("literal", "uniform")  # the modes of ``mixture_weights``, which ``TrainConfig`` and the CLI accept
 
 
 class CorruptFileError(ValueError):
@@ -313,11 +314,11 @@ def mixture_weights(n: int, mode: str = "literal") -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if mode not in WEIGHTINGS:
+        raise ValueError(f"mode must be one of {', '.join(WEIGHTINGS)}")
     count = max(n, 1)
     if mode == "uniform":
         return np.full(count, 1.0 / count)
-    if mode != "literal":
-        raise ValueError("mode must be 'literal' or 'uniform'")
     harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, n + 1))])  # H_0..H_n
     weights = harmonic[n] - harmonic[:count]   # (H_n - H_j + [j = 0]) / (n + 1)
     weights[0] += 1.0

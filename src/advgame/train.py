@@ -1,26 +1,24 @@
 """Fictitious play for the classifier-vs-perturbation game, its two baselines,
 and a matrix-game best-response harness.
 
-FP, SGD and AT run one loop, :func:`_play`: K optimizer steps on a batch
-loss, then the one attack the config names (``TrainConfig.attack``),
-crafted through :func:`~advgame.attack.craft` against the state's pool of
-classifiers and scored in a metrics row.  Both players' losses are one
-:func:`~advgame.model.mixture_loss` weighted by
+A run is one :class:`FPState`, all that an outer iteration hands the next:
+FP, SGD and AT differ only in their first state (:func:`initial_state`) and
+batch loss, one loop (:func:`_play`) maps each state to the next, and each
+trainer returns the last state with its metrics rows.  Both players' losses
+are one :func:`~advgame.model.mixture_loss` weighted by
 :func:`~advgame.model.mixture_weights`.  ``fp_train`` and ``sgd_train`` mix
 the pooled views by the config's weighting (FP's attack, on ``(seed, 2)``,
 joins the pool; SGD's stays the clean view); ``at_train`` mixes the clean
 and PGD batches half and half (PGD on ``(seed, 2)``, attack on ``(seed,
 7)``); the attacker mixes the pool's members uniformly.  So FP with a zero
 attack steps exactly as SGD only while its pool is the clean view alone
-(outer iteration 1): the split weights round otherwise.  AT with zero PGD
-steps and no random start does so in the trainable parameters only, as its
-second train-mode forward advances the batchnorm running buffers again.
+(outer iteration 1): the split weights round otherwise.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +31,8 @@ from .data import BatchSampler, Dataset, PerturbedView, clean_view
 from .evaluation import MetricsRow
 from .model import Classifier, ModelConfig
 from .tensor import Tensor
+
+FP_MODES = ("approximate", "exact")  # the modes of ``fp_train``, which the CLI accepts
 
 
 class TrainingError(RuntimeError):
@@ -66,29 +66,53 @@ class TrainConfig:
             raise ValueError("weight_decay and seed must be >= 0")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)) or min(self.lr_milestones, default=0) < 0:
             raise ValueError("lr milestones must be strictly increasing step indices >= 0")
-        if self.weighting not in ("literal", "uniform"):
-            raise ValueError("weighting must be 'literal' or 'uniform'")
+        if self.weighting not in M.WEIGHTINGS:
+            raise ValueError(f"weighting must be one of {', '.join(M.WEIGHTINGS)}")
 
 
 @dataclass
 class FPState:
-    """Growing state of the game: the current classifier, the pooled views it
-    trains on, and the pool of classifiers every attack targets (:func:`_play`)."""
+    """All that one outer iteration of :func:`_play` hands the next; a ``copy.deepcopy`` plays on bit for bit."""
     config: ModelConfig
     params: dict[str, Tensor]
     views: list[PerturbedView]              # views[0] is the clean dataset
-    pool: list[Classifier]
-    weighting: str = "literal"
+    pool: list[Classifier]                  # the classifiers every attack targets
+    weighting: str                          # of the views' mixture
+    mode: str | None                        # one of FP_MODES; None for the baselines
+    sampler: BatchSampler                   # the training batches, on (seed, 1)
+    attack_rng: np.random.Generator         # on (seed, attack_stream)
+    loss_rng: np.random.Generator           # on (seed, 2); only AT's PGD draws from it
+    velocity: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int = 0                           # optimizer steps taken, over all outer iterations
+    played: int = 0                         # outer iterations played
 
 
-def classifier_pool_loss(state: FPState, indices: np.ndarray, draw: int = 0) -> Tensor:
+def initial_state(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, mode, attack_stream=2) -> FPState:
+    """The state before outer iteration 1 in FP ``mode`` (``None``: a baseline).  Its pool is the live classifier,
+    or in exact mode its untrained frozen copy, kept as fictitious play counts every past play."""
+    params = M.build_model(model_config, cfg.seed)
+    pool = [M.freeze(model_config, params)] if mode == "exact" else M.single_pool(model_config, params)
+    return FPState(model_config, params, [clean_view(dataset)], pool, cfg.weighting, mode,
+                   BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1))),
+                   np.random.default_rng((cfg.seed, attack_stream)), np.random.default_rng((cfg.seed, 2)))
+
+
+def classifier_pool_loss(state: FPState, indices: np.ndarray) -> Tensor:
     """The classifier's mixture loss over the pool of perturbed views (not of classifiers; the benchmark's
-    trace counts forwards under this name): one index batch rendered under each view, each view's
-    train-mode forward run as its term is added, weighted by ``mixture_weights(len(views), weighting)``."""
-    logits = (M.forward(state.config, state.params, view.materialize(indices, draw=draw), "train")
+    trace counts forwards under this name): one index batch rendered under each view with patch draw
+    ``state.step``, each view's train-mode forward run as its term is added, weighted by ``mixture_weights``."""
+    logits = (M.forward(state.config, state.params, view.materialize(indices, draw=state.step), "train")
               for view in state.views)
     weights = M.mixture_weights(len(state.views), state.weighting)
     return M.mixture_loss(logits, state.views[0].labels[indices], weights)
+
+
+def half_adversarial_loss(state: FPState, indices: np.ndarray, pgd: PgdConfig) -> Tensor:
+    """AT's batch loss: a clean batch and its PGD examples on ``state.loss_rng``, mixed half and half."""
+    x, y = state.views[0].base.images[indices], state.views[0].labels[indices]
+    adv = A.pgd_per_sample(state.pool, x, y, pgd, state.loss_rng)
+    logits = (M.forward(state.config, state.params, batch, "train") for batch in (x, adv))
+    return M.mixture_loss(logits, y, M.mixture_weights(2, "uniform"))
 
 
 def _lr_at(cfg: TrainConfig, step: int) -> float:
@@ -96,43 +120,25 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate * cfg.lr_decay**passed
 
 
-def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_loss,
-          attack_stream: int, mode: str | None, on_step, on_outer) -> tuple[FPState, list[MetricsRow]]:
-    """The one training loop behind FP, SGD and AT.
+def _play(state: FPState, dataset: Dataset, cfg: TrainConfig, batch_loss, on_step,
+          on_outer) -> tuple[FPState, list[MetricsRow]]:
+    """The one training loop: plays ``state`` on, in place, until ``cfg.outer_iterations`` outer iterations
+    are done, and returns it with the rows of those it played.
 
-    Each of the N outer iterations takes K momentum-SGD steps on
-    ``batch_loss(state, indices, step)`` over batches drawn on stream
-    ``(seed, 1)``, each parameter's inside the backward pass as soon as its
-    gradient is final (so a parameter the update leaves non-finite raises
-    from the pass), then crafts the config's one attack, ``cfg.attack``,
-    through :func:`~advgame.attack.craft` on stream ``(seed,
-    attack_stream)`` and scores the classifier on the clean data and under
-    that attack.  ``mode=None`` is a baseline, which only scores the
-    attack; ``"approximate"`` and ``"exact"`` play the game, adding it to
-    ``state.views``.  Every attack targets ``state.pool``: in exact mode
-    frozen copies (:func:`~advgame.model.freeze`) from the start, where the
-    untrained copy stays as fictitious play counts every past play, and after
-    each iteration's inner steps; otherwise the live classifier as a pool of
-    one, which all scoring targets.  ``fp_mode`` picks the members, not a
-    one-hot weighting, which would keep N copies (62 MB each for paper VGG).
-    ``on_outer(n, params, row)`` ends each iteration and is the only exit for
-    its outputs; ``row.spec`` is what ``adv_acc`` scored (in the game, the new
-    pool entry).  A ``TrainingError`` at iteration k skips its ``on_outer``.
-    ``clean_acc`` and ``adv_acc`` score one subset of ``eval_sample_size``
-    images, named by the subset seed ``(seed, 3, n)``.
+    Outer iteration n takes K momentum-SGD steps on ``batch_loss(state, indices)`` over batches from
+    ``state.sampler``, each parameter's inside the backward pass as soon as its gradient is final (so a
+    non-finite update raises from the pass).  Exact mode then freezes a copy into ``state.pool``; the
+    attack ``cfg.attack`` is crafted against the pool (:func:`~advgame.attack.craft`) and in the game joins
+    ``state.views``; and the newest pool member, the classifier as the steps left it, is scored clean and
+    under that attack on one subset of ``eval_sample_size`` images, named by the subset seed ``(seed, 3, n)``.
+    ``on_outer(n, params, row)`` ends the iteration and is the only exit for its outputs; ``row.spec`` is
+    what ``adv_acc`` scored.  A failure in iteration k's steps, attack or scoring raises ``TrainingError``
+    naming k and skips its ``on_outer``.
     """
-    params = M.build_model(model_config, cfg.seed)
-    classifier = M.single_pool(model_config, params)
-    pool = [M.freeze(model_config, params)] if mode == "exact" else classifier
-    state = FPState(model_config, params, [clean_view(dataset)], pool, cfg.weighting)
-    sampler = BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1)))
-    attack_rng = np.random.default_rng((cfg.seed, attack_stream))
-    trainable = {name: params[name] for name in M.trainable_names(params)}
-    velocity: dict = {}
     report: list[MetricsRow] = []
-    step = 0
-    for n in range(1, cfg.outer_iterations + 1):
+    for n in range(state.played + 1, cfg.outer_iterations + 1):
         t0 = time.perf_counter()
+        trainable = {name: state.params[name] for name in M.trainable_names(state.params)}
         try:
             for _ in range(cfg.inner_steps):
                 # ``loss`` (the step's graph, whose closures the pass drops) keeps its nodes' data until the next
@@ -140,32 +146,34 @@ def _play(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, batch_l
                 # 248 MB, fp-exact-patch 70 -> 58-62 MB), but glibc returned the heap and faulted it back
                 # (fp-exact-patch minor faults 31-45k -> 45-132k and sys up to 2.3x over CLI seeds 5-9), as
                 # freeing the graph after each step did
-                loss = batch_loss(state, sampler.next_indices(cfg.batch_size), step)
-                lr = _lr_at(cfg, step)
+                loss = batch_loss(state, state.sampler.next_indices(cfg.batch_size))
+                lr = _lr_at(cfg, state.step)
                 # each parameter takes its update as soon as its gradient is final, so a gradient lives from its
                 # first contribution to its update only; the update is elementwise, so the order keeps the bits
                 T.backward(loss, wrt=trainable, on_grad=lambda name, grad: T.sgd_momentum_step(
-                    params, {name: grad}, velocity, lr, cfg.momentum, cfg.weight_decay))
-                step += 1
+                    state.params, {name: grad}, state.velocity, lr, cfg.momentum, cfg.weight_decay))
+                state.step += 1
                 if on_step is not None:
-                    on_step(step, params)
+                    on_step(state.step, state.params)
             # the last step's graph goes before the attack and the scoring (peak RSS: fp-exact-patch 78 -> 70 MB,
             # fp-universal 58 -> 53 MB; sgd-vgg's peak is inside the pass)
             loss = None
-            if state.pool is not classifier:
-                state.pool.append(M.freeze(model_config, params))
-            spec = A.craft(state.pool, dataset, cfg.attack, attack_rng)
+            if state.mode == "exact":  # pool members, not a one-hot weighting of N copies (62 MB each for paper VGG)
+                state.pool.append(M.freeze(state.config, state.params))
+            spec = A.craft(state.pool, dataset, cfg.attack, state.attack_rng)
+            if state.mode is not None:
+                view_seed = int(np.random.SeedSequence((cfg.seed, 4, n)).generate_state(1)[0])
+                state.views.append(PerturbedView(dataset, spec, seed=view_seed))
+            scored = state.pool[-1:]  # in exact mode the copy just frozen, else the live classifier
+            clean = E.accuracy(scored, dataset, cfg.eval_sample_size, (cfg.seed, 3, n))
+            adv = E.perturbed_accuracy(scored, dataset, spec, cfg.eval_sample_size, (cfg.seed, 3, n), placement_seed=n)
         except (ValueError, FloatingPointError) as exc:
             raise TrainingError(f"outer iteration {n}: {exc}") from exc
-        if mode is not None:
-            view_seed = int(np.random.SeedSequence((cfg.seed, 4, n)).generate_state(1)[0])
-            state.views.append(PerturbedView(dataset, spec, seed=view_seed))
-        clean = E.accuracy(classifier, dataset, cfg.eval_sample_size, (cfg.seed, 3, n))
-        adv = E.perturbed_accuracy(classifier, dataset, spec, cfg.eval_sample_size, (cfg.seed, 3, n), placement_seed=n)
+        state.played = n
         row = MetricsRow(n, dataset.split, clean, adv, spec, time.perf_counter() - t0)
         report.append(row)
         if on_outer is not None:
-            on_outer(n, params, row)
+            on_outer(n, state.params, row)
     return state, report
 
 
@@ -182,9 +190,9 @@ def fp_train(
     the next perturbation against ``state.pool``: the current classifier (approximate mode) or
     the uniform mixture of its frozen copies, the untrained one included (exact mode).
     ``adv_acc`` scores that fresh, not yet trained-on perturbation."""
-    if mode not in ("approximate", "exact"):
-        raise ValueError("mode must be 'approximate' or 'exact'")
-    return _play(model_config, dataset, cfg, classifier_pool_loss, 2, mode, on_step, on_outer)
+    if mode not in FP_MODES:
+        raise ValueError(f"mode must be one of {', '.join(FP_MODES)}")
+    return _play(initial_state(model_config, dataset, cfg, mode), dataset, cfg, classifier_pool_loss, on_step, on_outer)
 
 
 def sgd_train(
@@ -193,10 +201,9 @@ def sgd_train(
     cfg: TrainConfig,
     on_step=None,
     on_outer=None,
-) -> tuple[dict[str, Tensor], list[MetricsRow]]:
+) -> tuple[FPState, list[MetricsRow]]:
     """Plain stochastic gradient descent on the clean dataset, N*K steps."""
-    state, report = _play(model_config, dataset, cfg, classifier_pool_loss, 2, None, on_step, on_outer)
-    return state.params, report
+    return _play(initial_state(model_config, dataset, cfg, None), dataset, cfg, classifier_pool_loss, on_step, on_outer)
 
 
 def at_train(
@@ -205,7 +212,7 @@ def at_train(
     cfg: TrainConfig,
     on_step=None,
     on_outer=None,
-) -> tuple[dict[str, Tensor], list[MetricsRow]]:
+) -> tuple[FPState, list[MetricsRow]]:
     """Adversarial training: per-batch PGD examples against the current
     classifier, descending on the half clean, half adversarial mixture.  PGD
     runs first, as its infer-mode forwards read the batchnorm running buffers
@@ -214,16 +221,8 @@ def at_train(
     halves advance the running buffers."""
     if cfg.pgd is None:
         raise ValueError("at_train needs a pgd config")
-    pgd_rng = np.random.default_rng((cfg.seed, 2))
-
-    def half_adversarial_loss(state: FPState, indices: np.ndarray, step: int) -> Tensor:
-        x, y = dataset.images[indices], dataset.labels[indices]
-        adv = A.pgd_per_sample(state.pool, x, y, cfg.pgd, pgd_rng)
-        logits = (M.forward(model_config, state.params, batch, "train") for batch in (x, adv))
-        return M.mixture_loss(logits, y, M.mixture_weights(2, "uniform"))
-
-    state, report = _play(model_config, dataset, cfg, half_adversarial_loss, 7, None, on_step, on_outer)
-    return state.params, report
+    return _play(initial_state(model_config, dataset, cfg, None, 7), dataset, cfg,
+                 lambda state, indices: half_adversarial_loss(state, indices, cfg.pgd), on_step, on_outer)
 
 
 # ---------------------------------------------------------------------------

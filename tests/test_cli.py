@@ -371,6 +371,8 @@ class TestExitCodes:
                      id="fp-exact-patch"),
         pytest.param("train-fp", {"outer-iterations": 1, "inner-steps": 1, "attack-iterations": 0},
                      "class probabilities are not finite", id="fp-scoring-only"),
+        pytest.param("train-sgd", {"inner-steps": 1, "eval-attack-iterations": 0},
+                     "outer iteration 1: class probabilities are not finite", id="sgd-scoring-names-its-iteration"),
     ])
     def test_overflowing_learning_rate_is_4_before_any_artifact(self, tmp_path, capsys, command, extra, message):
         assert main([command, *desk_args(tmp_path, **{"learning-rate": "1e200", **extra})]) == 4

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +11,12 @@ from advgame import evaluation as E
 from advgame import model as M
 from advgame import tensor as T
 from advgame import train as TR
-from advgame.attack import PgdConfig, UniversalAttackConfig
+from advgame.attack import PatchAttackConfig, PgdConfig, UniversalAttackConfig
 from advgame.model import build_model, forward, mixture_weights, tiny_config
 from advgame.tensor import softmax_cross_entropy
 from advgame.train import (
     MATCHING_PENNIES,
     ROCK_PAPER_SCISSORS,
-    FPState,
     MatrixGame,
     TrainConfig,
     TrainingError,
@@ -129,10 +130,9 @@ class TestDatasetWeights:
 
 class TestClassifierPoolLoss:
     def _state(self, dataset, views_extra=()):
-        cfg = tiny_config(side=8, num_classes=dataset.num_classes)
-        params = build_model(cfg, 0)
-        views = [D.clean_view(dataset)] + list(views_extra)
-        return FPState(cfg, params, views, M.single_pool(cfg, params))
+        state = TR.initial_state(tiny_config(side=8, num_classes=dataset.num_classes), dataset, desk_cfg(), None)
+        state.views += views_extra
+        return state
 
     def test_empty_pool_is_clean_loss(self):
         ds = small_dataset()
@@ -289,14 +289,13 @@ class TestFpTrain:
         for name in ("craft", "pgd_per_sample"):
             monkeypatch.setattr(A, name, recorded(getattr(A, name)))
         run = {"approximate": fp_train, "sgd": sgd_train, "at": at_train}[trainer]
-        result, _ = run(mc, ds, cfg)
-        params = result.params if isinstance(result, FPState) else result
+        state, _ = run(mc, ds, cfg)
         pgd_calls = cfg.outer_iterations * cfg.inner_steps if trainer == "at" else 0
         assert len(attacked) == cfg.outer_iterations + pgd_calls
         assert all(pool is attacked[0] for pool in attacked)
-        assert not isinstance(result, FPState) or result.pool is attacked[0]
+        assert state.pool is attacked[0]
         (member,) = attacked[0]
-        assert all(member.params[n].data is p.data for n, p in params.items())
+        assert all(member.params[n].data is p.data for n, p in state.params.items())
 
     def test_clean_and_adv_score_one_subset(self):
         # an untrained model under a zero perturbation scores the same on the same images
@@ -306,6 +305,26 @@ class TestFpTrain:
             _, report = fp_train(mc, ds, cfg)
             assert all(np.array_equal(row.spec.xi, np.zeros(ds.image_shape)) for row in report)
             assert [row.adv_acc for row in report] == [row.clean_acc for row in report], mc.name
+
+    def test_uniform_weighting_weights_every_view_equally(self, monkeypatch):
+        ds = small_dataset()
+        mc = tiny_config(side=8, num_classes=ds.num_classes)
+        cfg = desk_cfg(outer_iterations=3, inner_steps=2, weighting="uniform",
+                       attack=UniversalAttackConfig(16 / 255, 0.01, 2, batch_size=8))
+        real, views_seen = TR.classifier_pool_loss, []
+
+        # each step's loss against the uniform mixture of its views' cross-entropies, summed here term by term
+        def checked(state, indices):
+            terms = [softmax_cross_entropy(forward(mc, state.params, view.materialize(indices), "train"),
+                                           ds.labels[indices]).item() for view in state.views]
+            loss = real(state, indices)
+            assert abs(loss.item() - sum(w * t for w, t in zip(mixture_weights(len(terms), "uniform"), terms))) < 1e-12
+            views_seen.append(len(terms))
+            return loss
+
+        monkeypatch.setattr(TR, "classifier_pool_loss", checked)
+        fp_train(mc, ds, cfg)
+        assert views_seen == [1, 1, 2, 2, 3, 3]
 
     def test_error_names_outer_iteration(self):
         ds = small_dataset()
@@ -324,6 +343,34 @@ def test_no_parameter_holds_a_gradient_between_steps(trainer):
     run = {"sgd": sgd_train, "fp": fp_train, "at": at_train}[trainer]
     run(mc, ds, cfg, on_step=lambda s, params: held.append([n for n, p in params.items() if p.grad is not None]))
     assert held == [[]] * 6
+
+
+@pytest.mark.parametrize("model", ["tiny", "bn"])
+@pytest.mark.parametrize("kind", ["universal", "patch"])
+@pytest.mark.parametrize("trainer", ["approximate", "exact", "sgd", "at"])
+def test_a_copy_of_the_state_plays_on_as_the_uninterrupted_run(trainer, kind, model):
+    ds = small_dataset()
+    mc = model_configs(ds)[model == "bn"]
+    attack = (UniversalAttackConfig(16 / 255, 0.01, 2, batch_size=8) if kind == "universal"
+              else PatchAttackConfig(8, 0.5, 0.3, 0.01, 2, batch_size=8))
+    # the milestone falls after the interruption, so the resumed run must carry the global step
+    cfg = desk_cfg(outer_iterations=4, inner_steps=2, attack=attack, lr_milestones=(5,),
+                   pgd=PgdConfig(16 / 255, 4 / 255, 1))
+    run = {"approximate": fp_train, "exact": lambda *args: fp_train(*args, mode="exact"),
+           "sgd": sgd_train, "at": at_train}[trainer]
+    batch_loss = (TR.classifier_pool_loss if trainer != "at"
+                  else lambda state, indices: TR.half_adversarial_loss(state, indices, cfg.pgd))
+    whole, whole_rows = run(mc, ds, cfg)
+    first, first_rows = run(mc, ds, replace(cfg, outer_iterations=2))
+    resumed, rest = TR._play(copy.deepcopy(first), ds, cfg, batch_loss, None, None)
+    assert (resumed.played, resumed.step, len(rest)) == (4, 8, 2)
+
+    def end(state, rows):
+        return ({n: p.data.tobytes() for n, p in state.params.items()},
+                {n: v.tobytes() for n, v in state.velocity.items()},
+                [(r.clean_acc, r.adv_acc, r.spec.xi.tobytes()) for r in rows])
+
+    assert end(resumed, first_rows + rest) == end(whole, whole_rows)
 
 
 def three_views(ds):
@@ -355,8 +402,8 @@ class TestStreamedStep:
             for mc in model_configs(ds):
                 ends = []
                 for streamed in (False, True):
-                    params = build_model(mc, 0)
-                    state = FPState(mc, params, three_views(ds), M.single_pool(mc, params))
+                    state = TR.initial_state(mc, ds, desk_cfg(), None)
+                    state.views, params = three_views(ds), state.params
                     trainable = {n: params[n] for n in M.trainable_names(params)}
                     velocity = {}
                     for step in range(3):
@@ -376,20 +423,22 @@ class TestStreamedStep:
             T.set_default_dtype(np.float64)
 
     def test_play_steps_as_backward_then_step(self):
+        # over three outer iterations, with a milestone inside the second, against one hand-written loop that
+        # carries one velocity, one step count and one sampler
         ds = small_dataset()
-        cfg = desk_cfg(inner_steps=4, lr_milestones=(2,))
+        cfg = desk_cfg(outer_iterations=3, inner_steps=4, lr_milestones=(6,))
         for mc in model_configs(ds):
             played = []
-            sgd_train(mc, ds, cfg, on_step=lambda s, p: played.append(param_digest(p)))
-            params = build_model(mc, cfg.seed)
-            state = FPState(mc, params, [D.clean_view(ds)], M.single_pool(mc, params))
+            sgd_train(mc, ds, cfg, on_step=lambda s, p: played.append((s, param_digest(p))))
+            state = TR.initial_state(mc, ds, cfg, None)
+            params = state.params
             sampler = D.BatchSampler(len(ds), np.random.default_rng((cfg.seed, 1)))
             trainable = {n: params[n] for n in M.trainable_names(params)}
             velocity, reference = {}, []
-            for step in range(cfg.inner_steps):
+            for step in range(cfg.outer_iterations * cfg.inner_steps):
                 grads = whole_pass_grads(classifier_pool_loss(state, sampler.next_indices(cfg.batch_size)), trainable)
                 T.sgd_momentum_step(params, grads, velocity, TR._lr_at(cfg, step), cfg.momentum, cfg.weight_decay)
-                reference.append(param_digest(params))
+                reference.append((step + 1, param_digest(params)))
             assert played == reference, mc.name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -416,10 +465,10 @@ class TestSgdTrain:
         ds = small_dataset()
         mc = tiny_config(side=8, num_classes=ds.num_classes)
         cfg = desk_cfg(inner_steps=5, learning_rate=0.0)
-        params, _ = sgd_train(mc, ds, cfg)
+        state, _ = sgd_train(mc, ds, cfg)
         init = build_model(mc, cfg.seed)
         for name in init:
-            assert np.array_equal(params[name].data, init[name].data)
+            assert np.array_equal(state.params[name].data, init[name].data)
 
     def test_lr_schedule_decays_at_milestones(self):
         cfg = desk_cfg(lr_milestones=(10, 20), learning_rate=0.5)
@@ -433,7 +482,7 @@ class TestSgdTrain:
         cfg = desk_cfg(outer_iterations=1, inner_steps=600, batch_size=32,
                        learning_rate=0.05, eval_sample_size=None,
                        attack=UniversalAttackConfig(16 / 255, 0.01, 0, batch_size=8))
-        params, report = sgd_train(mc, ds, cfg)
+        _, report = sgd_train(mc, ds, cfg)
         assert report[-1].clean_acc >= 0.95
 
     def test_milestones_must_increase(self):

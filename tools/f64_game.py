@@ -59,6 +59,8 @@ def main(argv: list[str]) -> int:
     }
     for name, play in games.items():
         result, report = play()
+        # every trainer here returns its final state, but ``same_bytes.py`` runs this one file against the
+        # parent tree too, whose baselines return their parameters
         params = result.params if isinstance(result, TR.FPState) else result
         out = Path(argv[0]) / name
         out.mkdir(parents=True, exist_ok=True)
