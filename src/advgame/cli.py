@@ -21,11 +21,15 @@ hit rate on one subset, and the hit rate on the adversarial score's placements.
 Each setting has one flag, named after its field, and takes its value from the
 profile preset, then the ``--config`` file, then the flags, the later winning.
 ``CHOICES`` lists the allowed values of every enumerated setting.
+Before it parses anything, ``main`` sets the process's heap policy
+(``keep_freed_heap``), so each training and attack step reuses the memory
+the step before it freed.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -140,7 +144,7 @@ CHOICES = {
     "weighting": M.WEIGHTINGS,
     "fp_mode": TR.FP_MODES,
     "attack_kind": ("universal", "patch"),
-    "csv_timing": ("zero", "real"),
+    "csv_timing": E.CSV_TIMINGS,
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -453,7 +457,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def keep_freed_heap() -> None:
+    """Keep the memory that a training or attack step frees in the process, for the next step to reuse.
+
+    Under glibc's defaults an array above the mmap threshold (128 KiB at first, raised to the size of each
+    mapped array freed, up to 32 MiB) is mapped alone and unmapped when freed, and the free top of the heap is
+    trimmed back to the system; either way the next step faults the same memory in again.  Fixed thresholds
+    stop both: an array below 32 MiB (a step's activations, conv columns and gradients) comes from the heap,
+    whose top is no longer trimmed, while a larger one (the paper VGG's whole-batch columns at the ``cifar10``
+    profile) is still mapped alone and returned when freed.  Where the C library has no ``mallopt`` this does
+    nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD, the largest int
+
+
 def main(argv=None) -> int:
+    keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "export-ppm":

@@ -27,6 +27,7 @@ from .model import Classifier, CorruptFileError, load_checkpoint, single_pool
 
 CSV_HEADER = "iter,split,clean_acc,adv_acc,attack,seconds"
 SPLIT_ORDER = ("train", "valid", "test")
+CSV_TIMINGS = ("zero", "real")  # the ``seconds`` column: 0.0, which keeps the bytes reproducible, or wall-clock
 
 # images per scoring forward.  It bounds the activations and the dense layer's input only: each conv builds its
 # columns a few images at a time whatever the chunk (tensor._CONV_GROUP_MAX_ELEMS).  The dense layer's bits can
@@ -51,9 +52,10 @@ class MetricsRow:
 
 
 def format_rows(rows, timing: str = "zero") -> str:
-    """Render metrics as CSV text; ``timing='zero'`` keeps the bytes reproducible."""
-    if timing not in ("zero", "real"):
-        raise ValueError("timing must be 'zero' or 'real'")
+    """Render metrics as CSV text; ``timing`` is one of ``CSV_TIMINGS``, and ``'zero'`` keeps the bytes
+    reproducible."""
+    if timing not in CSV_TIMINGS:
+        raise ValueError(f"timing must be one of {', '.join(CSV_TIMINGS)}")
     lines = [CSV_HEADER]
     for r in rows:
         seconds = r.seconds if timing == "real" else 0.0

@@ -34,16 +34,20 @@ columns, for the length of that GEMM.
 Every array is released at its last use.  An op whose inputs all need no
 gradient keeps neither its inputs nor its backward, so an inference forward
 frees each activation once the next op has read it.  :func:`backward`
-drops each node's closure, with the arrays it saved (relu and clip masks,
-batchnorm's ``x_hat``, cross-entropy's ``log_p``), as soon as it has run,
-and an interior node's gradient once that node's backward has used it;
-leaves keep theirs.  The buffer of each ``wrt`` leaf goes to
-the caller's ``on_grad``, the only way a ``wrt`` gradient leaves, as soon
-as its last consumer has run, so an optimizer step can update that
-parameter, and drop its gradient, while the pass goes on below it.  So a
-graph is backpropagated once.  The nodes' data and parents live as long as
-the loss the graph ends in: freeing them during the pass too made glibc
-trim and fault the heap back every step.
+releases each node as the pass leaves it: once the node's closure has run,
+the node drops that closure with the arrays it saved (relu and clip masks,
+batchnorm's ``x_hat``, cross-entropy's ``log_p``), its gradient unless it
+is a leaf, and its parents, and the pass holds it no more.  So a training
+step's activations go layer by layer while its backward runs, and the
+next step's forwards never run beside the last step's graph.  The buffer of
+each ``wrt`` leaf goes to the caller's ``on_grad``, the only way a ``wrt``
+gradient leaves, as soon as its last consumer has run, so an optimizer step
+can update that parameter, and drop its gradient, while the pass goes on
+below it.  So a graph is backpropagated once, and after the pass its loss
+holds its value alone.  The memory a step frees stays in the process for
+the next step only under the heap policy that ``advgame.cli.main`` sets
+(``keep_freed_heap``); under glibc's default thresholds the heap is handed
+back to the system and faulted in again every step.
 
 Finiteness is checked at the edges of a graph, not at every node: a
 ``Tensor`` built by a caller (an input batch, a parameter, a perturbation)
@@ -183,12 +187,12 @@ def backward(
     """Backpropagate from a scalar loss through its graph, once.
 
     Sums every consumer's contribution into the ``grad`` of each
-    grad-requiring node reachable from ``loss``.  Each node's backward
-    closure is dropped as soon as it has run, with the arrays it saved, and
-    an interior node's ``grad`` as soon as its backward has passed it on, so
-    after the pass only leaves hold one; the nodes' data and parents stay
-    until ``loss`` goes.  A second pass over the same graph propagates
-    nothing.
+    grad-requiring node reachable from ``loss``.  The pass releases each
+    node as it leaves it: once the node's backward closure has run, the node
+    drops it, with the arrays it saved, its ``grad`` unless it is a leaf,
+    and its parents, so its data goes unless the caller holds the node.
+    After the pass ``loss._parents`` is empty and only leaves hold a
+    ``grad``.  A second pass over the same graph propagates nothing.
 
     ``wrt`` names leaves, each under one name, and needs ``on_grad``: each
     leaf's gradient leaves only as ``on_grad(name, grad)``, as soon as the
@@ -225,8 +229,11 @@ def backward(
 
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
-        for i in reversed(range(len(order))):
-            node = order[i]
+        while order:
+            # its consumers ran first and dropped their parents, so once this node's own run is over and ``order``
+            # lets go of it, nothing in the graph holds it
+            node = order.pop()
+            i = len(order)
             fn, node._backward_fn = node._backward_fn, None
             if fn is not None:
                 fn(node.grad)
@@ -234,6 +241,7 @@ def backward(
                 for p in node._parents:
                     if id(p) in names and last_reader[id(p)] == i:
                         hand(p)
+            node._parents = ()
     for p in targets.values():
         if id(p) in names:
             hand(p)

@@ -8,11 +8,12 @@ trainer returns the last state with its metrics rows.  Both players' losses
 are one :func:`~advgame.model.mixture_loss` weighted by
 :func:`~advgame.model.mixture_weights`.  ``fp_train`` and ``sgd_train`` mix
 the pooled views by the config's weighting (FP's attack, on ``(seed, 2)``,
-joins the pool; SGD's stays the clean view); ``at_train`` mixes the clean
-and PGD batches half and half (PGD on ``(seed, 2)``, attack on ``(seed,
-7)``); the attacker mixes the pool's members uniformly.  So FP with a zero
-attack steps exactly as SGD only while its pool is the clean view alone
-(outer iteration 1): the split weights round otherwise.
+joins the pool; SGD's stays the clean view; neither loss draws from its
+generator on ``(seed, 10)``); ``at_train`` mixes the clean and PGD batches
+half and half (PGD on ``(seed, 2)``, attack on ``(seed, 7)``); the attacker
+mixes the pool's members uniformly.  So FP with a zero attack steps exactly
+as SGD only while its pool is the clean view alone (outer iteration 1): the
+split weights round otherwise.
 """
 
 from __future__ import annotations
@@ -81,20 +82,22 @@ class FPState:
     mode: str | None                        # one of FP_MODES; None for the baselines
     sampler: BatchSampler                   # the training batches, on (seed, 1)
     attack_rng: np.random.Generator         # on (seed, attack_stream)
-    loss_rng: np.random.Generator           # on (seed, 2); only AT's PGD draws from it
+    loss_rng: np.random.Generator           # on (seed, loss_stream); only AT's PGD draws from it
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0                           # optimizer steps taken, over all outer iterations
     played: int = 0                         # outer iterations played
 
 
-def initial_state(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, mode, attack_stream=2) -> FPState:
+def initial_state(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, mode, attack_stream=2,
+                  loss_stream=10) -> FPState:
     """The state before outer iteration 1 in FP ``mode`` (``None``: a baseline).  Its pool is the live classifier,
-    or in exact mode its untrained frozen copy, kept as fictitious play counts every past play."""
+    or in exact mode its untrained frozen copy, kept as fictitious play counts every past play.  The attack and
+    the batch loss draw on streams of their own; ``cli``'s ``attack`` command holds ``(seed, 8)`` and ``(seed, 9)``."""
     params = M.build_model(model_config, cfg.seed)
     pool = [M.freeze(model_config, params)] if mode == "exact" else M.single_pool(model_config, params)
     return FPState(model_config, params, [clean_view(dataset)], pool, cfg.weighting, mode,
                    BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1))),
-                   np.random.default_rng((cfg.seed, attack_stream)), np.random.default_rng((cfg.seed, 2)))
+                   np.random.default_rng((cfg.seed, attack_stream)), np.random.default_rng((cfg.seed, loss_stream)))
 
 
 def classifier_pool_loss(state: FPState, indices: np.ndarray) -> Tensor:
@@ -141,11 +144,9 @@ def _play(state: FPState, dataset: Dataset, cfg: TrainConfig, batch_loss, on_ste
         trainable = {name: state.params[name] for name in M.trainable_names(state.params)}
         try:
             for _ in range(cfg.inner_steps):
-                # ``loss`` (the step's graph, whose closures the pass drops) keeps its nodes' data until the next
-                # step replaces it: freeing each node as the pass leaves it cut peak RSS further (sgd-vgg 275 ->
-                # 248 MB, fp-exact-patch 70 -> 58-62 MB), but glibc returned the heap and faulted it back
-                # (fp-exact-patch minor faults 31-45k -> 45-132k and sys up to 2.3x over CLI seeds 5-9), as
-                # freeing the graph after each step did
+                # ``backward`` frees the last step's graph as it leaves each node, so these forwards run alone, and
+                # under ``cli.keep_freed_heap`` they reuse the heap it freed instead of faulting it back in: peak RSS
+                # fp-exact-patch 70.5 -> 60.9 MB (medians of 10 benchmark pairs), minor faults a run 41-44k -> 11k
                 loss = batch_loss(state, state.sampler.next_indices(cfg.batch_size))
                 lr = _lr_at(cfg, state.step)
                 # each parameter takes its update as soon as its gradient is final, so a gradient lives from its
@@ -155,9 +156,6 @@ def _play(state: FPState, dataset: Dataset, cfg: TrainConfig, batch_loss, on_ste
                 state.step += 1
                 if on_step is not None:
                     on_step(state.step, state.params)
-            # the last step's graph goes before the attack and the scoring (peak RSS: fp-exact-patch 78 -> 70 MB,
-            # fp-universal 58 -> 53 MB; sgd-vgg's peak is inside the pass)
-            loss = None
             if state.mode == "exact":  # pool members, not a one-hot weighting of N copies (62 MB each for paper VGG)
                 state.pool.append(M.freeze(state.config, state.params))
             spec = A.craft(state.pool, dataset, cfg.attack, state.attack_rng)
@@ -221,7 +219,7 @@ def at_train(
     halves advance the running buffers."""
     if cfg.pgd is None:
         raise ValueError("at_train needs a pgd config")
-    return _play(initial_state(model_config, dataset, cfg, None, 7), dataset, cfg,
+    return _play(initial_state(model_config, dataset, cfg, None, attack_stream=7, loss_stream=2), dataset, cfg,
                  lambda state, indices: half_adversarial_loss(state, indices, cfg.pgd), on_step, on_outer)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from advgame import attack as A
+from advgame import cli
 from advgame import data as D
 from advgame import evaluation as E
 from advgame import model as M
@@ -157,6 +158,13 @@ class TestCsv:
     def test_real_timing_mode(self):
         rows = [MetricsRow(1, "test", 1.0, 1.0, D.gray_patch(1, 4, 0.5, 0.0), 2.0)]
         assert "2.000000" in format_rows(rows, timing="real")
+
+    def test_an_unknown_timing_raises_naming_each_timing_the_cli_offers(self):
+        rows = [MetricsRow(1, "test", 1.0, 1.0, D.gray_patch(1, 4, 0.5, 0.0), 2.0)]
+        with pytest.raises(ValueError) as err:
+            format_rows(rows, timing="wall")
+        assert cli.CHOICES["csv_timing"] is E.CSV_TIMINGS == ("zero", "real")
+        assert all(timing in str(err.value) for timing in E.CSV_TIMINGS)
 
     def test_accuracy_range_validated(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """``tools/rss_trace.py`` runs a command in-process and traces its memory by call."""
 
 import importlib.util
+import io
+import mmap
 import re
 from pathlib import Path
 
@@ -10,12 +12,18 @@ from advgame import tensor as T
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "rss_trace.py"
 
+pytestmark = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status (Linux)")
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status (Linux)")
-def test_a_tiny_training_run_exits_0_and_names_its_phases(tmp_path, capsys):
+
+def load_tool():
     spec = importlib.util.spec_from_file_location("rss_trace", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_a_tiny_training_run_exits_0_and_names_its_phases(tmp_path, capsys):
+    tool = load_tool()
     backward = T.backward
     args = ["--", "train-sgd", "--classes", "3", "--per-class", "4", "--outer-iterations", "1", "--inner-steps", "2",
             "--batch-size", "4", "--attack-iterations", "1", "--eval-attack-iterations", "1",
@@ -26,6 +34,30 @@ def test_a_tiny_training_run_exits_0_and_names_its_phases(tmp_path, capsys):
     assert "model.save_checkpoint exit VmRSS" in err
     assert re.search(r"^tensor\.backward enter VmRSS [\d.]+ MB minflt \d+$", err, re.M)
     assert re.search(r"^tensor\.backward exit VmRSS [\d.]+ MB minflt \d+ \(\+\d+ in the call\)$", err, re.M)
-    assert re.fullmatch(r"peak VmHWM [\d.]+ MB, reached .+, minflt \d+", err.splitlines()[-1])
+    # two training steps and the attack's: backward is called again, so a repeated call is named
+    last = re.fullmatch(r"peak VmHWM [\d.]+ MB, reached .+, minflt \d+, most in a repeated call \d+ \((.+)\)",
+                        err.splitlines()[-1])
+    assert last and last[1] != "none"
     assert T.backward is backward
     assert (tmp_path / "run" / "checkpoint_0001.ckpt").exists()
+
+
+def test_the_most_faults_of_a_repeated_call_are_named_and_first_calls_do_not_count():
+    tool = load_tool()
+    tracer = tool.Tracer(io.StringIO())
+
+    def touch(pages):
+        # a fresh anonymous mapping faults each page it writes in at least once
+        if pages:
+            with mmap.mmap(-1, pages * mmap.PAGESIZE) as buf:
+                for page in range(pages):
+                    buf[page * mmap.PAGESIZE] = 1
+
+    first_only, repeated = tracer.wrap("first_only", touch), tracer.wrap("repeated", touch)
+    first_only(256)
+    repeated(256)
+    assert (tracer.refaults, tracer.refaulted_in) == (0, "none")
+    repeated(0)
+    assert (tracer.refaults, tracer.refaulted_in) == (0, "repeated")
+    repeated(64)
+    assert tracer.refaults > 0 and tracer.refaulted_in == "repeated"

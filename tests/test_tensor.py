@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -594,6 +595,24 @@ class TestStreamedGradients:
 
         backward(loss, wrt={"w": w, "v": v}, on_grad=on_grad)
         assert closures_gone == {"w": [[True, True], [False, False]], "v": [[True, True], [True, True]]}
+
+    def test_a_node_goes_as_soon_as_its_backward_has_run(self):
+        rng = np.random.default_rng(5)
+        kernels = {"lower": Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.1, requires_grad=True),
+                   "upper": Tensor(rng.standard_normal((4, 4, 3, 3)) * 0.1, requires_grad=True)}
+        bias, x = Tensor(np.zeros(4)), Tensor(rng.standard_normal((2, 3, 8, 8)))
+
+        def graph():
+            upper = conv2d(relu(conv2d(x, kernels["lower"], bias, 1, "same")), kernels["upper"], bias, 1, "same")
+            return tensor_sum(relu(upper)), weakref.ref(upper.data)
+
+        loss, upper = graph()
+        alive_at_handover = {}
+        backward(loss, wrt=kernels, on_grad=lambda name, grad: alive_at_handover.setdefault(name, upper() is not None))
+        # the lower kernel is handed over after the lower conv's backward, after the upper conv's has run: by then
+        # nothing holds the upper conv's node or its output
+        assert alive_at_handover["lower"] is False
+        assert loss._parents == ()
 
     def test_an_unreached_parameter_takes_one_zero_gradient_update_at_the_end(self):
         params = {"used": Tensor([1.0, -1.0], requires_grad=True), "unused": Tensor([2.0, 4.0], requires_grad=True)}

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -345,6 +346,22 @@ def test_no_parameter_holds_a_gradient_between_steps(trainer):
     assert held == [[]] * 6
 
 
+@pytest.mark.parametrize("trainer", ["approximate", "exact", "sgd", "at"])
+def test_the_attack_and_the_batch_loss_draw_on_streams_of_their_own(trainer, monkeypatch):
+    streams = (7, 2) if trainer == "at" else (2, 10)  # (attack, batch loss); AT's PGD is its batch loss's draw
+    ds = small_dataset()
+    first_states = []
+    monkeypatch.setattr(TR, "_play", lambda state, *args: first_states.append(state) or (state, []))
+    run = {"approximate": fp_train, "exact": lambda *args: fp_train(*args, mode="exact"),
+           "sgd": sgd_train, "at": at_train}[trainer]
+    cfg = desk_cfg(seed=3, pgd=PgdConfig(16 / 255, 4 / 255, 1))
+    run(tiny_config(side=8, num_classes=ds.num_classes), ds, cfg)
+    (state,) = first_states
+    draws = (state.attack_rng.random(), state.loss_rng.random())
+    assert draws[0] != draws[1]
+    assert draws == tuple(np.random.default_rng((cfg.seed, stream)).random() for stream in streams)
+
+
 @pytest.mark.parametrize("model", ["tiny", "bn"])
 @pytest.mark.parametrize("kind", ["universal", "patch"])
 @pytest.mark.parametrize("trainer", ["approximate", "exact", "sgd", "at"])
@@ -440,6 +457,31 @@ class TestStreamedStep:
                 T.sgd_momentum_step(params, grads, velocity, TR._lr_at(cfg, step), cfg.momentum, cfg.weight_decay)
                 reference.append((step + 1, param_digest(params)))
             assert played == reference, mc.name
+
+    def test_no_activation_of_a_step_lives_into_the_next_steps_forwards(self, monkeypatch):
+        ds = small_dataset()
+        mc = tiny_config(side=8, num_classes=ds.num_classes)
+        cfg = desk_cfg(inner_steps=3)
+        state = TR.initial_state(mc, ds, cfg, "approximate")
+        state.views = three_views(ds)
+        real_relu, activations, at_step_entry = T.relu, [], []
+
+        def recorded_relu(x):
+            out = real_relu(x)
+            activations.append(weakref.ref(out.data))
+            return out
+
+        def batch_loss(state, indices):
+            # before this step's first forward: how many of the last step's activations were made, and still live
+            at_step_entry.append((len(activations), sum(ref() is not None for ref in activations)))
+            activations.clear()
+            return TR.classifier_pool_loss(state, indices)
+
+        monkeypatch.setattr(T, "relu", recorded_relu)
+        TR._play(state, ds, cfg, batch_loss, None, None)
+        # one relu per conv layer in each of the three views' forwards
+        made = 3 * len(mc.conv_layers)
+        assert at_step_entry == [(0, 0), (made, 0), (made, 0)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_parameter_made_non_finite_stops_the_pass_and_skips_on_outer(self, monkeypatch):

@@ -19,10 +19,12 @@ gives it and where it rose: in the call that just ended or that encloses
 the line, or before the call that came next when no traced call was
 running (``before tensor.backward`` is a training step's forward pass).
 Both values come from ``/proc/self/status``, so the tool runs on Linux
-only.  The last line gives the final high-water mark, where it last rose
-and the run's minor faults.  The trace goes to stderr and the command's own
-output to stdout; the exit status is the command's.  The wrapped names are
-restored when the command returns.
+only.  The last line gives the final high-water mark, where it last rose,
+the run's minor faults, and the most faults taken inside one repeated call
+(any call of a traced name after its first) with that name: a step that
+faults back in memory its previous step freed shows there.  The trace goes
+to stderr and the command's own output to stdout; the exit status is the
+command's.  The wrapped names are restored when the command returns.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ class Tracer:
         self.stack: list[str] = []
         self.hwm = status_mb("VmHWM")
         self.peak_in = "at startup"
+        self.called: set[str] = set()
+        self.refaults, self.refaulted_in = 0, "none"  # the most faults in one repeated call, and its name
 
     def line(self, name: str, event: str, faults_in: int | None = None) -> None:
         indent = "  " * len(self.stack)
@@ -86,6 +90,9 @@ class Tracer:
                 faults_in = minor_faults() - entry
                 self.stack.pop()
                 self.line(name, "exit", faults_in)
+                if name in self.called and (faults_in > self.refaults or self.refaulted_in == "none"):
+                    self.refaults, self.refaulted_in = faults_in, name
+                self.called.add(name)
 
         return traced
 
@@ -102,8 +109,8 @@ def main(argv: list[str]) -> int:
         for owner, attr, fn in originals:
             setattr(owner, attr, fn)
     tracer.check("", "after the last traced call")
-    print(f"peak VmHWM {status_mb('VmHWM'):.1f} MB, reached {tracer.peak_in}, minflt {minor_faults()}",
-          file=sys.stderr)
+    print(f"peak VmHWM {status_mb('VmHWM'):.1f} MB, reached {tracer.peak_in}, minflt {minor_faults()}, "
+          f"most in a repeated call {tracer.refaults} ({tracer.refaulted_in})", file=sys.stderr)
     return code
 
 
