@@ -28,7 +28,6 @@ from .model import Classifier, pack_array, pool_expected_loss, read_artifact, un
 from .tensor import Tensor
 
 CONTAINER_MAGIC = b"AGPT"
-CONTAINER_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -227,20 +226,20 @@ def pgd_per_sample(
 # ---------------------------------------------------------------------------
 
 def save_perturbation(path, spec: PerturbationSpec) -> None:
-    """Binary container: kind + budget/placement header + f32 payload."""
+    """Binary container: kind + budget/placement header + payload in ``xi``'s own dtype, f32 or f64."""
     if spec.kind == "universal":
         header = struct.pack("<Bd", 0, spec.epsilon)
     else:
         header = struct.pack("<BIdd", 1, spec.patch_side, spec.chi, spec.theta_max)
-    write_artifact(path, CONTAINER_MAGIC, CONTAINER_VERSION, [header, *pack_array(spec.xi)])
+    write_artifact(path, CONTAINER_MAGIC, [header, *pack_array(spec.xi)])
 
 
 def load_perturbation(path) -> PerturbationSpec:
     """Read a container; malformed content raises ``CorruptFileError``."""
-    return read_artifact(path, CONTAINER_MAGIC, CONTAINER_VERSION, _decode_perturbation)
+    return read_artifact(path, CONTAINER_MAGIC, _decode_perturbation)
 
 
-def _decode_perturbation(blob: bytes, off: int) -> tuple[PerturbationSpec, int]:
+def _decode_perturbation(blob: bytes, off: int, dtype: str) -> tuple[PerturbationSpec, int]:
     (kind_byte,) = struct.unpack_from("<B", blob, off)
     if kind_byte == 0:
         (epsilon,) = struct.unpack_from("<d", blob, off + 1)
@@ -250,9 +249,10 @@ def _decode_perturbation(blob: bytes, off: int) -> tuple[PerturbationSpec, int]:
         off += 1 + 4 + 16
     else:
         raise ValueError(f"unknown perturbation kind {kind_byte}")
-    xi, off = unpack_array(blob, off)
+    xi, off = unpack_array(blob, off, dtype)
     if kind_byte == 0:
-        # f32 quantization can nudge boundary coordinates past the budget
+        # an f32 payload (version 1), or an f64 one read into a float32 process, can sit just
+        # past the budget once rounded; the projection puts it back and leaves values inside as they are
         xi = project_linf(xi, epsilon)
         return PerturbationSpec("universal", xi, epsilon=epsilon), off
     spec = PerturbationSpec("patch", xi, chi=chi, theta_max=theta_max)

@@ -25,7 +25,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"AGCK"
-CHECKPOINT_VERSION = 1
+ARTIFACT_DTYPES = {1: "<f4", 2: "<f8"}  # artifact version -> payload dtype, for checkpoints and perturbations alike
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -58,52 +58,62 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         raise
 
 
-def write_artifact(path, magic: bytes, version: int, parts) -> None:
+def write_artifact(path, magic: bytes, parts) -> None:
     """Write a binary artifact, atomically (:func:`atomic_write`): magic,
     little-endian u32 version, then the payload's parts in order, each
     straight to the file: ``bytes`` as they are, an array as its values in
-    little-endian f32.  No part is joined to another, so a payload is never
-    copied whole."""
+    its own little-endian dtype, which names the version once every part is
+    written (:data:`ARTIFACT_DTYPES`; arrays of two dtypes raise).  No part is
+    joined to another, so a payload is never copied whole."""
+    versions = {dtype: version for version, dtype in ARTIFACT_DTYPES.items()}
+    found = set()
     with atomic_write(path) as fh:
-        fh.write(magic + struct.pack("<I", version))
+        fh.write(magic + bytes(4))  # the version's place
         for part in parts:
-            fh.write(part if isinstance(part, bytes) else np.ascontiguousarray(part, dtype="<f4"))
+            if not isinstance(part, bytes):
+                found.add(versions.get(part.dtype.str))
+            fh.write(part if isinstance(part, bytes) else np.ascontiguousarray(part))
+        if len(found) != 1 or None in found:
+            raise ValueError(f"an artifact's arrays must all be of one dtype in {ARTIFACT_DTYPES}")
+        fh.seek(len(magic))
+        fh.write(struct.pack("<I", *found))
 
 
 def pack_array(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
     """Frame an array for :func:`write_artifact`: u32 rank and u32 dims, then
-    the array, which the writer stores as little-endian f32."""
+    the array, which the writer stores in its own dtype, f32 or f64."""
     return struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr
 
 
-def unpack_array(blob: bytes, off: int) -> tuple[np.ndarray, int]:
-    """Inverse of :func:`pack_array` at ``off``, in the default dtype; returns
-    the array and the offset just past it; a NaN or inf value is malformed."""
+def unpack_array(blob: bytes, off: int, dtype: str) -> tuple[np.ndarray, int]:
+    """Inverse of :func:`pack_array` at ``off``, for a payload stored as
+    ``dtype``; returns the array in the default dtype and the offset just
+    past it; a NaN or inf value is malformed."""
     (rank,) = struct.unpack_from("<I", blob, off)
     shape = struct.unpack_from(f"<{rank}I", blob, off + 4)
     off += 4 + 4 * rank
-    n = int(np.prod(shape))
-    if off + 4 * n > len(blob):
-        raise ValueError(f"payload is {len(blob) - off} bytes, shape {shape} needs {4 * n}")
-    arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
+    n, size = int(np.prod(shape)), np.dtype(dtype).itemsize
+    if off + size * n > len(blob):
+        raise ValueError(f"payload is {len(blob) - off} bytes, shape {shape} needs {size * n}")
+    arr = np.frombuffer(blob, dtype=dtype, count=n, offset=off).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite value in payload")
-    return arr.astype(T.get_default_dtype()), off + 4 * n
+    return arr.astype(T.get_default_dtype()), off + size * n
 
 
-def read_artifact(path, magic: bytes, version: int, decode):
-    """Check a binary artifact's magic and version, then ``decode(blob, 8)``
-    the rest into ``(value, end)`` and return the value; malformed content,
-    or bytes past ``end``, raise :class:`CorruptFileError`."""
+def read_artifact(path, magic: bytes, decode):
+    """Check a binary artifact's magic and version, then ``decode(blob, 8, dtype)`` the rest, with the
+    version's payload dtype, into ``(value, end)`` and return the value; malformed content, or bytes
+    past ``end``, raise :class:`CorruptFileError`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
         if blob[:4] != magic:
             raise ValueError(f"bad magic {blob[:4]!r}, expected {magic!r}")
-        (found,) = struct.unpack_from("<I", blob, 4)
-        if found != version:
-            raise ValueError(f"unsupported version {found}")
-        value, end = decode(blob, 8)
+        (version,) = struct.unpack_from("<I", blob, 4)
+        if version not in ARTIFACT_DTYPES:
+            raise ValueError(f"unsupported version {version}")
+        value, end = decode(blob, 8, ARTIFACT_DTYPES[version])
         if end != len(blob):
             raise ValueError(f"{len(blob) - end} trailing bytes")
         return value
@@ -374,20 +384,20 @@ def pool_predict(pool: list[Classifier], batch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor]) -> None:
-    """Write a versioned checkpoint: header, config, then named f32 tensors."""
+    """Write a versioned checkpoint: header, config, then named tensors in their own dtype, f32 or f64."""
     cfg = config.to_json().encode("utf-8")
     parts = [struct.pack("<I", len(cfg)) + cfg + struct.pack("<I", len(params))]
     for name, p in params.items():
         encoded = name.encode("utf-8")
         parts += [struct.pack("<I", len(encoded)) + encoded, *pack_array(p.data)]
-    write_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, parts)
+    write_artifact(path, CHECKPOINT_MAGIC, parts)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor]]:
-    return read_artifact(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _decode_checkpoint)
+    return read_artifact(path, CHECKPOINT_MAGIC, _decode_checkpoint)
 
 
-def _decode_checkpoint(blob: bytes, off: int) -> tuple[tuple[ModelConfig, dict[str, Tensor]], int]:
+def _decode_checkpoint(blob: bytes, off: int, dtype: str) -> tuple[tuple[ModelConfig, dict[str, Tensor]], int]:
     (cfg_len,) = struct.unpack_from("<I", blob, off)
     off += 4
     config = ModelConfig.from_json(blob[off : off + cfg_len].decode("utf-8"))
@@ -402,7 +412,7 @@ def _decode_checkpoint(blob: bytes, off: int) -> tuple[tuple[ModelConfig, dict[s
         (name_len,) = struct.unpack_from("<I", blob, off)
         off += 4
         name = blob[off : off + name_len].decode("utf-8")
-        data, off = unpack_array(blob, off + name_len)
+        data, off = unpack_array(blob, off + name_len, dtype)
         if name != spec.name or data.shape != spec.shape:
             raise ValueError(f"tensor {name!r} of shape {data.shape} where the config has {spec.name!r} {spec.shape}")
         params[name] = Tensor(data, requires_grad=spec.trainable)

@@ -328,7 +328,7 @@ class TestContainer:
         save_perturbation(path, spec)
         loaded = load_perturbation(path)
         assert loaded.kind == "universal" and loaded.epsilon == eps
-        assert np.allclose(loaded.xi, xi, atol=1e-6)
+        assert loaded.xi.tobytes() == xi.tobytes()
         assert np.abs(loaded.xi).max() <= eps
 
     def test_patch_round_trip(self, tmp_path):
@@ -338,7 +338,7 @@ class TestContainer:
         loaded = load_perturbation(path)
         assert loaded.kind == "patch"
         assert loaded.chi == 0.4 and abs(loaded.theta_max - np.deg2rad(20)) < 1e-15
-        assert np.allclose(loaded.xi, spec.xi)
+        assert loaded.xi.tobytes() == spec.xi.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.pert"

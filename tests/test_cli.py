@@ -17,6 +17,8 @@ from advgame import attack as A
 from advgame import cli as C
 from advgame import data as D
 from advgame import model as M
+from advgame import tensor as T
+from advgame import train as TR
 from advgame.cli import ConfigError, ExperimentConfig, main, parse_config
 
 
@@ -284,6 +286,29 @@ class TestTrainEvalPipeline:
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         for ck in sorted(p.name for p in a.glob("checkpoint_*.ckpt")):
             assert (a / ck).read_bytes() == (b / ck).read_bytes()
+
+    # a float64 run's last artifacts are its end state, so a resumed run or an exact comparison can start from them
+    @pytest.mark.parametrize("command", [
+        ["train-fp", "--fp-mode", "approximate", "--attack-kind", "universal"],
+        ["train-fp", "--fp-mode", "exact", "--attack-kind", "patch"],
+        ["train-sgd"],
+    ], ids=["fp-universal", "fp-exact-patch", "sgd"])
+    def test_the_last_artifacts_load_bit_for_bit_to_the_returned_state(self, tmp_path, capsys, monkeypatch, command):
+        name = {"train-fp": "fp_train", "train-sgd": "sgd_train"}[command[0]]
+        trainer, returned = getattr(TR, name), []
+        monkeypatch.setattr(TR, name, lambda *args, **kwargs: returned.append(trainer(*args, **kwargs)))
+        assert main([*command, *desk_args(tmp_path)]) == 0
+        ((state, rows),) = returned
+        run = tmp_path / "run"
+        last = sorted(run.glob("checkpoint_*.ckpt"))[-1]
+        assert last.name == "checkpoint_0002.ckpt"
+        _, params = M.load_checkpoint(last)
+        assert list(params) == list(state.params)
+        for key, p in state.params.items():
+            assert params[key].data.dtype == np.float64 and params[key].data.tobytes() == p.data.tobytes(), key
+        if command[0] == "train-fp":
+            xi = A.load_perturbation(sorted(run.glob("perturbation_*.pert"))[-1]).xi
+            assert xi.dtype == np.float64 and xi.tobytes() == rows[-1].spec.xi.tobytes()
 
 
 class TestAttackCommand:
@@ -579,36 +604,60 @@ class TestCorruptArtifacts:
                 assert main(args) == 3, f"{len(broken)} of {len(blob)} bytes"
         assert not (tmp_path / "out.ppm").exists()
 
+    # each NaN is written in the payload's own dtype: v1 stores f32, v2 stores f64
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"], ids=["v1", "v2"])
     @pytest.mark.parametrize("command", ["attack", "eval"])
-    def test_non_finite_checkpoint_value_is_3(self, tmp_path, capsys, command):
+    def test_non_finite_checkpoint_value_is_3(self, tmp_path, capsys, command, dtype):
         ckpts = tmp_path / "ckpts"
         ckpts.mkdir()
         path = ckpts / "checkpoint_0001.ckpt"
         mc = M.tiny_config(side=8, num_classes=3)
-        M.save_checkpoint(path, mc, M.build_model(mc, 0))
-        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", np.nan))
+        params = {name: T.Tensor(p.data.astype(dtype), p.requires_grad) for name, p in M.build_model(mc, 0).items()}
+        M.save_checkpoint(path, mc, params)
+        nan = np.array(np.nan, dtype).tobytes()
+        path.write_bytes(path.read_bytes()[:-len(nan)] + nan)
         where = ["--checkpoint", str(path)] if command == "attack" else ["--checkpoint-dir", str(ckpts)]
         assert main([command, *desk_args(tmp_path), *where]) == 3
         assert "non-finite" in capsys.readouterr().err
 
-    # the universal epsilon is the f64 at offset 9, the patch theta_max the one at 21
+    # the universal epsilon is the f64 at offset 9, the patch theta_max the one at 21; a value is a payload
+    # value in the payload's own dtype
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"], ids=["v1", "v2"])
     @pytest.mark.parametrize("kind,at,value", [
-        ("universal", -4, struct.pack("<f", np.nan)),
+        ("universal", None, np.nan),
         ("universal", 9, struct.pack("<d", np.nan)),
         ("universal", 9, struct.pack("<d", np.inf)),
-        ("patch", -4, struct.pack("<f", np.nan)),
+        ("patch", None, np.nan),
         ("patch", 21, struct.pack("<d", np.inf)),
     ], ids=["nan-value", "nan-epsilon", "inf-epsilon", "nan-patch-value", "inf-theta-max"])
-    def test_non_finite_perturbation_is_3_without_ppm(self, tmp_path, capsys, kind, at, value):
+    def test_non_finite_perturbation_is_3_without_ppm(self, tmp_path, capsys, kind, at, value, dtype):
         path, ppm = tmp_path / "x.pert", tmp_path / "out.ppm"
-        spec = D.PerturbationSpec("universal", np.zeros((3, 2, 2)), epsilon=0.1) if kind == "universal" \
-            else D.gray_patch(3, 4, 0.5, 0.0)
+        spec = D.PerturbationSpec("universal", np.zeros((3, 2, 2), dtype), epsilon=0.1) if kind == "universal" \
+            else D.PerturbationSpec("patch", np.full((3, 4, 4), 0.5, dtype), chi=0.5, theta_max=0.0)
         A.save_perturbation(path, spec)
         blob = path.read_bytes()
-        at %= len(blob)
+        if at is None:
+            value = np.array(value, dtype).tobytes()
+            at = len(blob) - len(value)
         path.write_bytes(blob[:at] + value + blob[at + len(value):])
         assert main(["export-ppm", "--in", str(path), "--out", str(ppm)]) == 3
         assert not ppm.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "export-ppm"])
+    def test_unknown_artifact_version_is_3(self, tmp_path, capsys, command):
+        path = tmp_path / "x"
+        if command == "attack":
+            mc = M.tiny_config(side=8, num_classes=3)
+            M.save_checkpoint(path, mc, M.build_model(mc, 0))
+            args = ["attack", *desk_args(tmp_path), "--checkpoint", str(path)]
+        else:
+            A.save_perturbation(path, D.gray_patch(3, 4, 0.5, 0.0))
+            args = ["export-ppm", "--in", str(path), "--out", str(tmp_path / "out.ppm")]
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
+        assert main(args) == 3
+        assert "unsupported version 3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out.ppm").exists()
 
     @pytest.mark.parametrize("old,new", [(b"[16, 3, 2]", b"[17, 3, 2]"), (b"fc.bias", b"fc.biaz")],
                              ids=["conv-width", "tensor-name"])

@@ -1,10 +1,13 @@
 import struct
 import tracemalloc
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from advgame import attack as A
+from advgame import data as D
 from advgame import model as M
 from advgame import tensor as T
 from advgame.model import (
@@ -316,6 +319,32 @@ class TestPool:
         assert np.array_equal(after, forward(cfg, params, x, "infer").data)
 
 
+@contextmanager
+def default_dtype(dtype):
+    """The default dtype of a ``dtype`` run, for the body's duration."""
+    T.set_default_dtype(dtype)
+    try:
+        yield
+    finally:
+        T.set_default_dtype(np.float64)
+
+
+@pytest.fixture(params=[np.float32, np.float64], ids=["float32", "float64"])
+def precision(request):
+    with default_dtype(request.param):
+        yield request.param
+
+
+def framed_checkpoint(cfg, arrays, version: int, dtype: str) -> bytes:
+    """A checkpoint framed by hand: magic, version, config, then each named array stored as ``dtype``."""
+    text = cfg.to_json().encode("utf-8")
+    blob = M.CHECKPOINT_MAGIC + struct.pack("<II", version, len(text)) + text + struct.pack("<I", len(arrays))
+    for name, arr in arrays.items():
+        blob += struct.pack(f"<I{len(name)}sI{arr.ndim}I", len(name), name.encode(), arr.ndim, *arr.shape)
+        blob += arr.astype(dtype).tobytes()
+    return blob
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = tiny_config(side=8)
@@ -329,27 +358,81 @@ class TestCheckpoint:
         assert first.read_bytes() == second.read_bytes()
 
     def test_bytes_are_the_framed_f32_payload(self, tmp_path):
+        with default_dtype(np.float32):
+            cfg = tiny_config(side=8)
+            params = build_model(cfg, 98)
+            save_checkpoint(tmp_path / "f.ckpt", cfg, params)
+        arrays = {name: p.data for name, p in params.items()}
+        assert (tmp_path / "f.ckpt").read_bytes() == framed_checkpoint(cfg, arrays, 1, "<f4")
+
+    def test_bytes_are_the_framed_f64_payload(self, tmp_path):
         cfg = tiny_config(side=8)
         params = build_model(cfg, 98)
-        path = tmp_path / "f.ckpt"
-        save_checkpoint(path, cfg, params)
-        text = cfg.to_json().encode("utf-8")
-        expected = M.CHECKPOINT_MAGIC + struct.pack("<II", M.CHECKPOINT_VERSION, len(text)) + text
-        expected += struct.pack("<I", len(params))
-        for name, p in params.items():
-            arr = p.data
-            expected += struct.pack(f"<I{len(name)}sI{arr.ndim}I", len(name), name.encode(), arr.ndim, *arr.shape)
-            expected += arr.astype("<f4").tobytes()
-        assert path.read_bytes() == expected
+        save_checkpoint(tmp_path / "f.ckpt", cfg, params)
+        arrays = {name: p.data for name, p in params.items()}
+        assert (tmp_path / "f.ckpt").read_bytes() == framed_checkpoint(cfg, arrays, 2, "<f8")
 
-    def test_values_survive_f32_precision(self, tmp_path):
+    def test_values_round_trip_bit_for_bit(self, tmp_path, precision):
+        version = {np.float32: 1, np.float64: 2}[precision]
         cfg = tiny_config(side=8)
         params = build_model(cfg, 100)
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, cfg, params)
         _, loaded = load_checkpoint(path)
+        assert path.read_bytes()[4:8] == struct.pack("<I", version)
         for name in params:
-            assert np.allclose(loaded[name].data, params[name].data, atol=1e-6)
+            assert loaded[name].data.dtype == precision
+            assert loaded[name].data.tobytes() == params[name].data.tobytes()
+        rng, eps = np.random.default_rng(100), 16 / 255
+        universal = D.PerturbationSpec("universal", A.project_linf(rng.uniform(-eps, eps, (3, 8, 8)).astype(precision),
+                                                                   eps), epsilon=eps)
+        patch = D.PerturbationSpec("patch", rng.random((3, 4, 4)).astype(precision), chi=0.4, theta_max=0.3)
+        for spec in (universal, patch):
+            A.save_perturbation(tmp_path / "x.pert", spec)
+            loaded = A.load_perturbation(tmp_path / "x.pert")
+            assert (tmp_path / "x.pert").read_bytes()[4:8] == struct.pack("<I", version)
+            assert loaded.xi.dtype == precision and loaded.xi.tobytes() == spec.xi.tobytes()
+
+    def test_a_v1_checkpoint_loads_in_float64_as_its_f32_values(self, tmp_path):
+        cfg = tiny_config(side=8)
+        arrays = {name: p.data for name, p in build_model(cfg, 97).items()}
+        (tmp_path / "v1.ckpt").write_bytes(framed_checkpoint(cfg, arrays, 1, "<f4"))
+        loaded_cfg, loaded = load_checkpoint(tmp_path / "v1.ckpt")
+        assert loaded_cfg == cfg and list(loaded) == list(arrays)
+        for name, arr in arrays.items():
+            assert loaded[name].data.dtype == np.float64
+            assert np.array_equal(loaded[name].data, arr.astype(np.float32).astype(np.float64))
+        assert not np.array_equal(loaded["fc.weight"].data, arrays["fc.weight"])  # the f32 framing dropped bits
+
+    def test_a_v1_universal_perturbation_loads_in_float64_projected_onto_its_budget(self, tmp_path):
+        # a budget whose f32 rounding lies above it, so the f32 payload's boundary coordinates exceed it
+        eps = next(k / 255 for k in range(1, 256) if float(np.float32(k / 255)) > k / 255)
+        xi = np.random.default_rng(1).uniform(-eps, eps, (3, 4, 4)).astype(np.float32)
+        xi[0, 0, :2] = np.float32(eps), -np.float32(eps)
+        blob = A.CONTAINER_MAGIC + struct.pack("<IBd", 1, 0, eps) + struct.pack("<4I", 3, *xi.shape) + xi.tobytes()
+        (tmp_path / "v1.pert").write_bytes(blob)
+        loaded = A.load_perturbation(tmp_path / "v1.pert")
+        assert loaded.xi.dtype == np.float64 and loaded.epsilon == eps
+        assert np.array_equal(loaded.xi, np.clip(xi.astype(np.float64), -eps, eps))
+        assert loaded.xi[0, 0, 0] == eps and loaded.xi[0, 0, 1] == -eps
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_an_unknown_version_is_corrupt(self, tmp_path, version):
+        cfg = tiny_config(side=8)
+        save_checkpoint(tmp_path / "c.ckpt", cfg, build_model(cfg, 0))
+        A.save_perturbation(tmp_path / "x.pert", D.gray_patch(3, 4, 0.5, 0.0))
+        for path, load in ((tmp_path / "c.ckpt", load_checkpoint), (tmp_path / "x.pert", A.load_perturbation)):
+            blob = path.read_bytes()
+            path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+            with pytest.raises(M.CorruptFileError, match=f"unsupported version {version}"):
+                load(path)
+
+    @pytest.mark.parametrize("arrays", [[np.zeros(2), np.zeros(2, np.float32)], [np.zeros(2, np.int64)]],
+                             ids=["f64-then-f32", "int64"])
+    def test_an_artifact_stores_arrays_of_one_float_dtype(self, tmp_path, arrays):
+        with pytest.raises(ValueError, match="must all be of one dtype"):
+            M.write_artifact(tmp_path / "f.ckpt", M.CHECKPOINT_MAGIC, [b"head", *arrays])
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_write_goes_to_a_sibling_and_a_failed_one_keeps_the_earlier_file(self, tmp_path):
         cfg = tiny_config(side=8)
@@ -360,11 +443,12 @@ class TestCheckpoint:
 
         def parts():
             yield b"\0" * 64
+            yield np.zeros(8)
             during.append((path.read_bytes(), sorted(p.name for p in tmp_path.iterdir())))
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            M.write_artifact(path, M.CHECKPOINT_MAGIC, M.CHECKPOINT_VERSION, parts())
+            M.write_artifact(path, M.CHECKPOINT_MAGIC, parts())
         ((read_during, names_during),) = during
         assert read_during == before and len(names_during) == 2
         assert path.read_bytes() == before

@@ -61,3 +61,10 @@ def test_the_most_faults_of_a_repeated_call_are_named_and_first_calls_do_not_cou
     assert (tracer.refaults, tracer.refaulted_in) == (0, "repeated")
     repeated(64)
     assert tracer.refaults > 0 and tracer.refaulted_in == "repeated"
+    # the first call inside another traced call starts a new chain, as an attack's first backward does
+    outer = tracer.wrap("outer", repeated)
+    before = (tracer.refaults, tracer.refaulted_in)
+    outer(1024)
+    assert (tracer.refaults, tracer.refaulted_in) == before
+    outer(1024)
+    assert tracer.refaults >= 1024 and tracer.refaulted_in in ("repeated", "outer")

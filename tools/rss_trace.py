@@ -21,8 +21,11 @@ running (``before tensor.backward`` is a training step's forward pass).
 Both values come from ``/proc/self/status``, so the tool runs on Linux
 only.  The last line gives the final high-water mark, where it last rose,
 the run's minor faults, and the most faults taken inside one repeated call
-(any call of a traced name after its first) with that name: a step that
-faults back in memory its previous step freed shows there.  The trace goes
+with that name.  A call repeats when its name has run before inside the same
+chain of enclosing traced calls, so the first ``tensor.backward`` of an
+``attack.craft`` is not a repeat of a training step's: a step that faults
+back in memory its previous step freed shows there, and a first step at a
+new shape does not.  The trace goes
 to stderr and the command's own output to stdout; the exit status is the
 command's.  The wrapped names are restored when the command returns.
 """
@@ -59,7 +62,7 @@ class Tracer:
         self.stack: list[str] = []
         self.hwm = status_mb("VmHWM")
         self.peak_in = "at startup"
-        self.called: set[str] = set()
+        self.called: set[tuple[str, ...]] = set()  # the chains of traced calls run so far, outermost first
         self.refaults, self.refaulted_in = 0, "none"  # the most faults in one repeated call, and its name
 
     def line(self, name: str, event: str, faults_in: int | None = None) -> None:
@@ -83,6 +86,7 @@ class Tracer:
         def traced(*args, **kwargs):
             self.line(name, "enter")
             self.stack.append(name)
+            chain = tuple(self.stack)
             entry = minor_faults()
             try:
                 return fn(*args, **kwargs)
@@ -90,9 +94,9 @@ class Tracer:
                 faults_in = minor_faults() - entry
                 self.stack.pop()
                 self.line(name, "exit", faults_in)
-                if name in self.called and (faults_in > self.refaults or self.refaulted_in == "none"):
+                if chain in self.called and (faults_in > self.refaults or self.refaulted_in == "none"):
                     self.refaults, self.refaulted_in = faults_in, name
-                self.called.add(name)
+                self.called.add(chain)
 
         return traced
 

@@ -5,19 +5,17 @@
 Each argument is a directory that holds the ``advgame`` package (a
 checkout's ``src``).  Both trees run the same desk set of commands, each
 command in its own process with BLAS pinned to one thread, into a temporary
-directory per tree, and then the ``tools/f64_game.py`` beside this script
-(the same games for both trees), which writes the float64 parameters and
-last perturbation of five in-process desk games as ``.f64`` files under
-``f64/``: the ``.ckpt`` and ``.pert`` payloads are f32, so only
-these show a float64 change below f32 precision.  Each command's stdout,
-where ``attack`` prints its clean accuracy, adversarial accuracy and hit
-rate, is kept as ``<out_dir>/stdout.txt``; every path a command prints is
-relative, so the two trees' stdouts compare.  Every ``.ckpt``, ``.pert``,
-``.f64``, ``metrics.csv``, ``eval.csv`` and ``stdout.txt`` one tree writes is
-compared with the file of the same relative path from the other.  Exit 0
-when all of them are identical; exit 1, listing the files that differ or
-exist on one side only, or the command that did not exit 0; exit 2 when an
-argument holds no ``advgame`` package.
+directory per tree.  A ``.ckpt`` or ``.pert`` stores its arrays in the run's
+own precision, so a float64 run's artifacts show a float64 change below f32
+precision too.  Each command's stdout, where ``attack`` prints its clean
+accuracy, adversarial accuracy and hit rate, is kept as
+``<out_dir>/stdout.txt``; every path a command prints is relative, so the two
+trees' stdouts compare.  Every ``.ckpt``, ``.pert``, ``metrics.csv``,
+``eval.csv`` and ``stdout.txt`` one tree writes, 71 files, is compared with
+the file of the same relative path from the other.  Exit 0 when all of them
+are identical; exit 1, listing the files that differ or exist on one side
+only, or the command that did not exit 0; exit 2 when an argument holds no
+``advgame`` package.
 
 The desk set:
 
@@ -42,8 +40,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-F64_GAME = Path(__file__).resolve().parent / "f64_game.py"
 
 DESK = ["--seed", "3", "--per-class", "30", "--outer-iterations", "3", "--inner-steps", "40",
         "--batch-size", "32", "--attack-iterations", "30", "--eval-attack-iterations", "30",
@@ -76,19 +72,19 @@ COMMANDS = [
 
 
 def is_artifact(path: Path) -> bool:
-    return path.suffix in (".ckpt", ".pert", ".f64") or path.name in ("metrics.csv", "eval.csv", "stdout.txt")
+    return path.suffix in (".ckpt", ".pert") or path.name in ("metrics.csv", "eval.csv", "stdout.txt")
 
 
 def run_desk_set(src: Path, work: Path) -> list[str]:
-    """Run every command of the desk set and the float64 games from ``src``
-    inside ``work``, keeping each one's stdout in its output directory;
-    returns one line per command that did not exit 0."""
+    """Run every command of the desk set from ``src`` inside ``work``,
+    keeping each one's stdout in its output directory; returns one line per
+    command that did not exit 0."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
     failures = []
-    runs = [(out_dir, ["-m", "advgame.cli", *args, "--output-dir", out_dir]) for out_dir, args in COMMANDS]
-    for out_dir, args in [*runs, ("f64", [str(F64_GAME), "f64"])]:
-        done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True, text=True)
+    for out_dir, args in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "advgame.cli", *args, "--output-dir", out_dir], cwd=work,
+                              env=env, capture_output=True, text=True)
         if done.returncode != 0:
             failures.append(f"{src}: {out_dir} exited {done.returncode}: {done.stderr.strip()}")
         (work / out_dir).mkdir(exist_ok=True)
