@@ -177,7 +177,7 @@ def read_config_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()

@@ -102,17 +102,16 @@ def evaluate_checkpoint_series(
     seed: int = 0,
     sample_size: int | None = 2000,
 ) -> list[MetricsRow]:
-    """One row per numbered checkpoint per split; a fresh perturbation is crafted
-    per checkpoint on the train split and applied to every split.  A split's clean
-    and adversarial accuracies score one subset, named by one subset seed."""
+    """One row per numbered checkpoint per split, in iteration order (not name order); a
+    fresh perturbation is crafted per checkpoint on the train split and applied to every
+    split.  A split's clean and adversarial accuracies score one subset, named by one subset seed."""
     files = sorted(Path(checkpoint_dir).glob("checkpoint_*.ckpt"))
     if not files:
         raise FileNotFoundError(f"no checkpoint_*.ckpt files in {checkpoint_dir}")
     if bad := [str(p) for p in files if not p.stem.removeprefix("checkpoint_").isdecimal()]:
         raise CorruptFileError(f"checkpoint names without an iteration number: {', '.join(bad)}")
     rows = []
-    for path in files:
-        iteration = int(path.stem.removeprefix("checkpoint_"))
+    for iteration, path in sorted((int(p.stem.removeprefix("checkpoint_")), p) for p in files):
         config, params = load_checkpoint(path)
         config.check_input_shape(splits["train"].image_shape, splits["train"].num_classes)
         pool = single_pool(config, params)

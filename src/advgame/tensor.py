@@ -597,50 +597,45 @@ _SGD_CHUNK = 1 << 15
 
 
 def sgd_momentum_step(
-    params: Mapping[str, Tensor],
-    grads: Mapping[str, np.ndarray],
-    velocity: dict[str, np.ndarray],
+    name: str,
+    param: Tensor,
+    grad: np.ndarray,
+    velocity: np.ndarray,
     lr: float,
     momentum: float = 0.0,
     weight_decay: float = 0.0,
 ) -> None:
-    """One SGD step with momentum and L2 regularization, in place.
+    """One SGD step with momentum and L2 regularization of ``name``, in place.
 
     v <- momentum * v + (grad + weight_decay * param); param <- param - lr * v.
-    Parameters missing from ``grads`` are left untouched; ``velocity`` is
-    updated in place, ``grads`` only read, with the formula's exact bits.
-    The formula runs over flat slices of ``_SGD_CHUNK`` elements through one
-    step buffer per parameter; every pass is elementwise, so the split keeps
+    ``param`` and the ``velocity`` the caller holds for it (zeros before the
+    first step) are updated in place, ``grad`` only read, with the formula's
+    exact bits.  The formula runs over flat slices of ``_SGD_CHUNK`` elements
+    through one step buffer; every pass is elementwise, so the split keeps
     the bits.  A parameter and its velocity must be C-contiguous, so that
     their flat views are the arrays themselves, never a copy.  A parameter
-    the update leaves non-finite raises :class:`NonFiniteError` once the
-    whole parameter has been updated.
+    the update leaves non-finite raises :class:`NonFiniteError`, naming it,
+    once the whole parameter has been updated.
     """
     if lr < 0:
         raise ValueError("lr must be nonnegative")
-    for name in sorted(grads):
-        p = params[name]
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.shape} for {name!r}")
-        v = velocity.get(name)
-        if v is None:
-            v = velocity[name] = np.zeros_like(p.data)
-        elif v.shape != p.shape:
-            raise ValueError(f"velocity shape {v.shape} != param shape {p.shape} for {name!r}")
-        if not (p.data.flags.c_contiguous and v.flags.c_contiguous):
-            raise ValueError(f"param and velocity of {name!r} must be C-contiguous")
-        flat_p, flat_g, flat_v = p.data.reshape(-1), g.reshape(-1), v.reshape(-1)
-        buf = np.empty(min(flat_p.size, _SGD_CHUNK), dtype=p.data.dtype)
-        finite = True
-        for i in range(0, flat_p.size, _SGD_CHUNK):
-            pc, vc = flat_p[i : i + _SGD_CHUNK], flat_v[i : i + _SGD_CHUNK]
-            step = np.multiply(weight_decay, pc, out=buf[: pc.size])
-            step += flat_g[i : i + _SGD_CHUNK]
-            vc *= momentum
-            vc += step
-            np.multiply(vc, lr, out=step)
-            pc -= step
-            finite = finite and bool(np.isfinite(pc).all())
-        if not finite:
-            raise NonFiniteError(f"parameter {name!r} is not finite after the update")
+    if grad.shape != param.shape:
+        raise ValueError(f"grad shape {grad.shape} != param shape {param.shape} for {name!r}")
+    if velocity.shape != param.shape:
+        raise ValueError(f"velocity shape {velocity.shape} != param shape {param.shape} for {name!r}")
+    if not (param.data.flags.c_contiguous and velocity.flags.c_contiguous):
+        raise ValueError(f"param and velocity of {name!r} must be C-contiguous")
+    flat_p, flat_g, flat_v = param.data.reshape(-1), grad.reshape(-1), velocity.reshape(-1)
+    buf = np.empty(min(flat_p.size, _SGD_CHUNK), dtype=param.data.dtype)
+    finite = True
+    for i in range(0, flat_p.size, _SGD_CHUNK):
+        pc, vc = flat_p[i : i + _SGD_CHUNK], flat_v[i : i + _SGD_CHUNK]
+        step = np.multiply(weight_decay, pc, out=buf[: pc.size])
+        step += flat_g[i : i + _SGD_CHUNK]
+        vc *= momentum
+        vc += step
+        np.multiply(vc, lr, out=step)
+        pc -= step
+        finite = finite and bool(np.isfinite(pc).all())
+    if not finite:
+        raise NonFiniteError(f"parameter {name!r} is not finite after the update")

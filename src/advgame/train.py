@@ -1,25 +1,25 @@
 """Fictitious play for the classifier-vs-perturbation game, its two baselines,
 and a matrix-game best-response harness.
 
-A run is one :class:`FPState`, all that an outer iteration hands the next:
-FP, SGD and AT differ only in their first state (:func:`initial_state`) and
-batch loss, one loop (:func:`_play`) maps each state to the next, and each
-trainer returns the last state with its metrics rows.  Both players' losses
-are one :func:`~advgame.model.mixture_loss` weighted by
-:func:`~advgame.model.mixture_weights`.  ``fp_train`` and ``sgd_train`` mix
-the pooled views by the config's weighting (FP's attack, on ``(seed, 2)``,
-joins the pool; SGD's stays the clean view; neither loss draws from its
-generator on ``(seed, 10)``); ``at_train`` mixes the clean and PGD batches
-half and half (PGD on ``(seed, 2)``, attack on ``(seed, 7)``); the attacker
-mixes the pool's members uniformly.  So FP with a zero attack steps exactly
-as SGD only while its pool is the clean view alone (outer iteration 1): the
-split weights round otherwise.
+A run is one :class:`FPState`, all that an outer iteration hands the next,
+whose ``mode`` names the algorithm (FP's two modes, SGD or AT): one loop
+(:func:`_play`) maps each state to the next from the state and the config
+alone, and each trainer returns the last state with its metrics rows.  Both
+players' losses are one :func:`~advgame.model.mixture_loss` weighted by
+:func:`~advgame.model.mixture_weights`.  FP and SGD mix the pooled views by
+the config's weighting (FP's attack, on ``(seed, 2)``, joins the pool; SGD's
+stays the clean view; neither loss draws from its generator on
+``(seed, 10)``); AT mixes the clean and PGD batches half and half (PGD on
+``(seed, 2)``, attack on ``(seed, 7)``); the attacker mixes the pool's
+members uniformly.  So FP with a zero attack steps exactly as SGD only while
+its pool is the clean view alone (outer iteration 1): the split weights
+round otherwise.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .model import Classifier, ModelConfig
 from .tensor import Tensor
 
 FP_MODES = ("approximate", "exact")  # the modes of ``fp_train``, which the CLI accepts
+MODES = (*FP_MODES, "sgd", "at")     # the algorithms a state plays
 
 
 class TrainingError(RuntimeError):
@@ -79,25 +80,28 @@ class FPState:
     views: list[PerturbedView]              # views[0] is the clean dataset
     pool: list[Classifier]                  # the classifiers every attack targets
     weighting: str                          # of the views' mixture
-    mode: str | None                        # one of FP_MODES; None for the baselines
+    mode: str                               # one of MODES
     sampler: BatchSampler                   # the training batches, on (seed, 1)
-    attack_rng: np.random.Generator         # on (seed, attack_stream)
-    loss_rng: np.random.Generator           # on (seed, loss_stream); only AT's PGD draws from it
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
+    attack_rng: np.random.Generator         # on (seed, 2), AT's on (seed, 7)
+    loss_rng: np.random.Generator           # on (seed, 10), AT's on (seed, 2); only AT's PGD draws from it
+    velocity: dict[str, np.ndarray]         # of each trainable parameter, and only those; zeros at first
     step: int = 0                           # optimizer steps taken, over all outer iterations
     played: int = 0                         # outer iterations played
 
 
-def initial_state(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, mode, attack_stream=2,
-                  loss_stream=10) -> FPState:
-    """The state before outer iteration 1 in FP ``mode`` (``None``: a baseline).  Its pool is the live classifier,
-    or in exact mode its untrained frozen copy, kept as fictitious play counts every past play.  The attack and
-    the batch loss draw on streams of their own; ``cli``'s ``attack`` command holds ``(seed, 8)`` and ``(seed, 9)``."""
+def initial_state(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig, mode: str) -> FPState:
+    """The state before outer iteration 1 of ``mode``, one of :data:`MODES`: its pool is the live classifier, or in
+    exact mode its untrained frozen copy, kept as fictitious play counts every past play; its velocities are zero.
+    The attack and the batch loss draw on streams of their own; ``cli``'s ``attack`` holds (seed, 8) and (seed, 9)."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
     params = M.build_model(model_config, cfg.seed)
     pool = [M.freeze(model_config, params)] if mode == "exact" else M.single_pool(model_config, params)
+    attack_stream, loss_stream = (7, 2) if mode == "at" else (2, 10)
     return FPState(model_config, params, [clean_view(dataset)], pool, cfg.weighting, mode,
                    BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1))),
-                   np.random.default_rng((cfg.seed, attack_stream)), np.random.default_rng((cfg.seed, loss_stream)))
+                   np.random.default_rng((cfg.seed, attack_stream)), np.random.default_rng((cfg.seed, loss_stream)),
+                   {name: np.zeros_like(params[name].data) for name in M.trainable_names(params)})
 
 
 def classifier_pool_loss(state: FPState, indices: np.ndarray) -> Tensor:
@@ -123,43 +127,44 @@ def _lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate * cfg.lr_decay**passed
 
 
-def _play(state: FPState, dataset: Dataset, cfg: TrainConfig, batch_loss, on_step,
-          on_outer) -> tuple[FPState, list[MetricsRow]]:
-    """The one training loop: plays ``state`` on, in place, until ``cfg.outer_iterations`` outer iterations
-    are done, and returns it with the rows of those it played.
+def _play(state: FPState, cfg: TrainConfig, on_step, on_outer) -> tuple[FPState, list[MetricsRow]]:
+    """The one training loop: plays ``state`` on, in place, from it and ``cfg`` alone, until ``cfg.outer_iterations``
+    outer iterations are done, and returns it with the rows of those it played.
 
-    Outer iteration n takes K momentum-SGD steps on ``batch_loss(state, indices)`` over batches from
-    ``state.sampler``, each parameter's inside the backward pass as soon as its gradient is final (so a
-    non-finite update raises from the pass).  Exact mode then freezes a copy into ``state.pool``; the
-    attack ``cfg.attack`` is crafted against the pool (:func:`~advgame.attack.craft`) and in the game joins
-    ``state.views``; and the newest pool member, the classifier as the steps left it, is scored clean and
-    under that attack on one subset of ``eval_sample_size`` images, named by the subset seed ``(seed, 3, n)``.
-    ``on_outer(n, params, row)`` ends the iteration and is the only exit for its outputs; ``row.spec`` is
-    what ``adv_acc`` scored.  A failure in iteration k's steps, attack or scoring raises ``TrainingError``
-    naming k and skips its ``on_outer``.
+    Outer iteration n takes K momentum-SGD steps over batches from ``state.sampler``, on :func:`half_adversarial_loss`
+    in mode ``"at"`` and :func:`classifier_pool_loss` otherwise, each parameter in ``state.velocity`` stepped inside
+    the backward pass as soon as its gradient is final (so a non-finite update raises from the pass).  Exact mode
+    then freezes a copy into ``state.pool``; the attack ``cfg.attack`` is crafted against the pool on the clean
+    view's dataset (:func:`~advgame.attack.craft`), and in FP's modes joins ``state.views``; and the newest pool
+    member, the classifier as the steps left it, is scored clean and under that attack on one subset of
+    ``eval_sample_size`` images, named by the subset seed ``(seed, 3, n)``.  ``on_outer(n, params, row)`` ends the
+    iteration and is the only exit for its outputs; ``row.spec`` is what ``adv_acc`` scored.  A failure in
+    iteration k's steps, attack or scoring raises ``TrainingError`` naming k and skips its ``on_outer``.
     """
-    report: list[MetricsRow] = []
+    dataset, report = state.views[0].base, []
+    trainable = {name: state.params[name] for name in state.velocity}
     for n in range(state.played + 1, cfg.outer_iterations + 1):
         t0 = time.perf_counter()
-        trainable = {name: state.params[name] for name in M.trainable_names(state.params)}
         try:
             for _ in range(cfg.inner_steps):
                 # ``backward`` frees the last step's graph as it leaves each node, so these forwards run alone, and
                 # under ``cli.keep_freed_heap`` they reuse the heap it freed instead of faulting it back in: peak RSS
                 # fp-exact-patch 70.5 -> 60.9 MB (medians of 10 benchmark pairs), minor faults a run 41-44k -> 11k
-                loss = batch_loss(state, state.sampler.next_indices(cfg.batch_size))
+                indices = state.sampler.next_indices(cfg.batch_size)
+                loss = (half_adversarial_loss(state, indices, cfg.pgd) if state.mode == "at"
+                        else classifier_pool_loss(state, indices))
                 lr = _lr_at(cfg, state.step)
                 # each parameter takes its update as soon as its gradient is final, so a gradient lives from its
                 # first contribution to its update only; the update is elementwise, so the order keeps the bits
                 T.backward(loss, wrt=trainable, on_grad=lambda name, grad: T.sgd_momentum_step(
-                    state.params, {name: grad}, state.velocity, lr, cfg.momentum, cfg.weight_decay))
+                    name, trainable[name], grad, state.velocity[name], lr, cfg.momentum, cfg.weight_decay))
                 state.step += 1
                 if on_step is not None:
                     on_step(state.step, state.params)
             if state.mode == "exact":  # pool members, not a one-hot weighting of N copies (62 MB each for paper VGG)
                 state.pool.append(M.freeze(state.config, state.params))
             spec = A.craft(state.pool, dataset, cfg.attack, state.attack_rng)
-            if state.mode is not None:
+            if state.mode in FP_MODES:
                 view_seed = int(np.random.SeedSequence((cfg.seed, 4, n)).generate_state(1)[0])
                 state.views.append(PerturbedView(dataset, spec, seed=view_seed))
             scored = state.pool[-1:]  # in exact mode the copy just frozen, else the live classifier
@@ -190,7 +195,7 @@ def fp_train(
     ``adv_acc`` scores that fresh, not yet trained-on perturbation."""
     if mode not in FP_MODES:
         raise ValueError(f"mode must be one of {', '.join(FP_MODES)}")
-    return _play(initial_state(model_config, dataset, cfg, mode), dataset, cfg, classifier_pool_loss, on_step, on_outer)
+    return _play(initial_state(model_config, dataset, cfg, mode), cfg, on_step, on_outer)
 
 
 def sgd_train(
@@ -201,7 +206,7 @@ def sgd_train(
     on_outer=None,
 ) -> tuple[FPState, list[MetricsRow]]:
     """Plain stochastic gradient descent on the clean dataset, N*K steps."""
-    return _play(initial_state(model_config, dataset, cfg, None), dataset, cfg, classifier_pool_loss, on_step, on_outer)
+    return _play(initial_state(model_config, dataset, cfg, "sgd"), cfg, on_step, on_outer)
 
 
 def at_train(
@@ -219,8 +224,7 @@ def at_train(
     halves advance the running buffers."""
     if cfg.pgd is None:
         raise ValueError("at_train needs a pgd config")
-    return _play(initial_state(model_config, dataset, cfg, None, attack_stream=7, loss_stream=2), dataset, cfg,
-                 lambda state, indices: half_adversarial_loss(state, indices, cfg.pgd), on_step, on_outer)
+    return _play(initial_state(model_config, dataset, cfg, "at"), cfg, on_step, on_outer)
 
 
 # ---------------------------------------------------------------------------

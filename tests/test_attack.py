@@ -282,12 +282,12 @@ class TestPgd:
         params = build_model(cfg, 1)
         rng = np.random.default_rng(2)
         sampler = D.BatchSampler(len(dataset), rng)
-        vel = {}
+        vel = {n: np.zeros_like(params[n].data) for n in M.trainable_names(params)}
         for _ in range(300):
             idx = sampler.next_indices(32)
             loss = softmax_cross_entropy(forward(cfg, params, dataset.images[idx], "train"), dataset.labels[idx])
-            T.backward(loss, wrt={n: params[n] for n in M.trainable_names(params)}, on_grad=lambda name, grad:
-                       T.sgd_momentum_step(params, {name: grad}, vel, lr=0.05, momentum=0.9))
+            T.backward(loss, wrt={n: params[n] for n in vel}, on_grad=lambda name, grad:
+                       T.sgd_momentum_step(name, params[name], grad, vel[name], lr=0.05, momentum=0.9))
         eps = 16 / 255
         x, y = dataset.images[:40], dataset.labels[:40]
         adv = pgd_per_sample(single_pool(cfg, params), x, y, PgdConfig(eps, eps / 4, 7), np.random.default_rng(3))

@@ -43,7 +43,28 @@ def desk_args(tmp_path, **extra):
     return out
 
 
+# config files: arbitrary bytes, or lines of a known key and an arbitrary (text or binary) value
+CONFIG_FILES = st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.tuples(st.sampled_from(sorted(C._FIELD_TYPES)),
+                       st.one_of(st.text(max_size=12).map(str.encode), st.binary(max_size=6))), max_size=4)
+    .map(lambda lines: b"\n".join(key.encode() + b" = " + value for key, value in lines)),
+)
+
+
 class TestParseConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(CONFIG_FILES)
+    @example(b"\xff")  # not UTF-8
+    def test_any_bytes_give_a_config_or_a_config_error(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_bytes(blob)
+            try:
+                assert isinstance(parse_config(path), ExperimentConfig)
+            except ConfigError:
+                pass
+
     def test_empty_file_gives_desk_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("")
@@ -385,6 +406,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus = 1\n")
         assert main(["train-sgd", "--config", str(bad)]) == 2
+
+    def test_a_config_file_that_is_not_utf8_is_2_before_any_write(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"seed = \xff\n")
+        assert main(["train-sgd", "--config", str(bad), "--output-dir", str(tmp_path / "run")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_io_error_is_3(self, tmp_path, capsys):
         assert main(["export-ppm", "--in", str(tmp_path / "missing.pert"), "--out", str(tmp_path / "o.ppm")]) == 3

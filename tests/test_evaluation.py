@@ -218,6 +218,16 @@ class TestCheckpointSeries:
             (i, s) for i in (1, 2, 3) for s in ("train", "valid", "test")
         ]
 
+    def test_rows_follow_the_iteration_number_past_9999(self, tmp_path):
+        mc = M.tiny_config(side=8, num_classes=4)
+        for i in (10000, 9999):
+            save_checkpoint(tmp_path / f"checkpoint_{i:04d}.ckpt", mc, build_model(mc, i))
+        rows = evaluate_checkpoint_series(tmp_path, self._splits(),
+                                          UniversalAttackConfig(0.05, 0.01, 1, batch_size=8), seed=0)
+        assert [(r.iteration, r.split) for r in rows] == [
+            (i, s) for i in (9999, 10000) for s in ("train", "valid", "test")
+        ]
+
     def test_rerun_identical_csv_bytes(self, tmp_path):
         self._write_checkpoints(tmp_path, count=2)
         cfg = UniversalAttackConfig(0.05, 0.01, 2, batch_size=8)

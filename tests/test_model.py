@@ -298,8 +298,8 @@ class TestPool:
         before = forward(cfg, snap.params, x, "infer").data.copy()
         # keep training the live params
         loss = softmax_cross_entropy(forward(cfg, params, x, "train"), np.array([0, 1]))
-        T.backward(loss, wrt={n: params[n] for n in M.trainable_names(params)},
-                   on_grad=lambda name, grad: T.sgd_momentum_step(params, {name: grad}, {}, lr=0.5))
+        T.backward(loss, wrt={n: params[n] for n in M.trainable_names(params)}, on_grad=lambda name, grad:
+                   T.sgd_momentum_step(name, params[name], grad, np.zeros_like(grad), lr=0.5))
         after = forward(cfg, snap.params, x, "infer").data
         assert np.array_equal(before, after)
 
@@ -312,8 +312,8 @@ class TestPool:
         x = np.random.default_rng(12).random((2, 1, 6, 6))
         before = forward(cfg, member, x, "infer").data.copy()
         loss = softmax_cross_entropy(forward(cfg, params, x, "train"), np.array([0, 1]))
-        T.backward(loss, wrt={n: params[n] for n in M.trainable_names(params)},
-                   on_grad=lambda name, grad: T.sgd_momentum_step(params, {name: grad}, {}, lr=0.5))
+        T.backward(loss, wrt={n: params[n] for n in M.trainable_names(params)}, on_grad=lambda name, grad:
+                   T.sgd_momentum_step(name, params[name], grad, np.zeros_like(grad), lr=0.5))
         after = forward(cfg, member, x, "infer").data
         assert not np.array_equal(before, after)
         assert np.array_equal(after, forward(cfg, params, x, "infer").data)

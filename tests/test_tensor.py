@@ -616,12 +616,12 @@ class TestStreamedGradients:
 
     def test_an_unreached_parameter_takes_one_zero_gradient_update_at_the_end(self):
         params = {"used": Tensor([1.0, -1.0], requires_grad=True), "unused": Tensor([2.0, 4.0], requires_grad=True)}
-        velocity = {"unused": np.array([1.0, -1.0])}
+        velocity = {"used": np.zeros(2), "unused": np.array([1.0, -1.0])}
         handed = []
 
         def on_grad(name, grad):
             handed.append((name, grad.copy()))
-            sgd_momentum_step(params, {name: grad}, velocity, lr=0.5, momentum=0.5, weight_decay=0.25)
+            sgd_momentum_step(name, params[name], grad, velocity[name], lr=0.5, momentum=0.5, weight_decay=0.25)
 
         backward(tensor_sum(mul(params["used"], 2.0)), wrt=params, on_grad=on_grad)
         assert [name for name, _ in handed] == ["used", "unused"]
@@ -733,42 +733,42 @@ class TestGradcheckAllOps:
 
 class TestSgdMomentum:
     def _param(self, v):
-        return {"p": Tensor(np.array(v), requires_grad=True)}
+        return Tensor(np.array(v), requires_grad=True)
 
     def test_plain_sgd(self):
-        params = self._param([1.0])
-        vel = {}
-        sgd_momentum_step(params, {"p": np.array([0.5])}, vel, lr=0.1)
-        assert np.allclose(params["p"].data, [0.95])
+        p = self._param([1.0])
+        sgd_momentum_step("p", p, np.array([0.5]), np.zeros(1), lr=0.1)
+        assert np.allclose(p.data, [0.95])
 
     def test_overflowing_update_rejected(self):
-        params = self._param([1.0, 1e308])
+        p = self._param([1.0, 1e308])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'p' is not finite"):
-            sgd_momentum_step(params, {"p": np.array([0.0, -1e308])}, {}, lr=10.0)
+            sgd_momentum_step("p", p, np.array([0.0, -1e308]), np.zeros(2), lr=10.0)
 
     def test_zero_grad_identity(self):
-        params = self._param([1.0, -2.0])
-        sgd_momentum_step(params, {"p": np.zeros(2)}, {}, lr=0.1, momentum=0.9)
-        assert np.array_equal(params["p"].data, [1.0, -2.0])
+        p = self._param([1.0, -2.0])
+        sgd_momentum_step("p", p, np.zeros(2), np.zeros(2), lr=0.1, momentum=0.9)
+        assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_momentum_recurrence(self):
         # constant grad g, momentum 0.9: v1 = g, v2 = 1.9 g
         g = np.array([2.0])
-        params = self._param([0.0])
-        vel = {}
-        sgd_momentum_step(params, {"p": g}, vel, lr=0.1, momentum=0.9)
-        sgd_momentum_step(params, {"p": g}, vel, lr=0.1, momentum=0.9)
-        assert np.allclose(vel["p"], 1.9 * g)
+        p = self._param([0.0])
+        vel = np.zeros(1)
+        sgd_momentum_step("p", p, g, vel, lr=0.1, momentum=0.9)
+        sgd_momentum_step("p", p, g, vel, lr=0.1, momentum=0.9)
+        assert np.allclose(vel, 1.9 * g)
 
     def test_weight_decay(self):
-        params = self._param([2.0])
-        vel = {}
-        sgd_momentum_step(params, {"p": np.array([0.0])}, vel, lr=0.1, weight_decay=0.5)
-        assert np.allclose(params["p"].data, [2.0 - 0.1 * 0.5 * 2.0])
+        p = self._param([2.0])
+        sgd_momentum_step("p", p, np.array([0.0]), np.zeros(1), lr=0.1, weight_decay=0.5)
+        assert np.allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_momentum_step(self._param([1.0]), {"p": np.zeros(2)}, {}, lr=0.1)
+            sgd_momentum_step("p", self._param([1.0]), np.zeros(2), np.zeros(1), lr=0.1)
+        with pytest.raises(ValueError, match="velocity"):
+            sgd_momentum_step("p", self._param([1.0]), np.zeros(1), np.zeros(2), lr=0.1)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunked_step_equals_the_whole_array_formula_in_place(self, monkeypatch, dtype):
@@ -778,37 +778,36 @@ class TestSgdMomentum:
         p_ref = rng.standard_normal((5, 11)).astype(dtype)
         v_ref = rng.standard_normal((5, 11)).astype(dtype)
         p, v = p_ref.copy(), v_ref.copy()
-        params, velocity = {"p": Tensor(p, requires_grad=True)}, {"p": v}
+        param = Tensor(p, requires_grad=True)
         for _ in range(3):
             g = rng.standard_normal((5, 11)).astype(dtype)
-            sgd_momentum_step(params, {"p": g}, velocity, lr=0.05, momentum=0.9, weight_decay=5e-4)
+            sgd_momentum_step("p", param, g, v, lr=0.05, momentum=0.9, weight_decay=5e-4)
             v_ref = 0.9 * v_ref + (g + 5e-4 * p_ref)
             p_ref = p_ref - 0.05 * v_ref
-            assert params["p"].data is p and velocity["p"] is v
+            assert param.data is p
             assert np.array_equal(v, v_ref) and np.array_equal(p, p_ref)
 
     def test_non_contiguous_velocity_rejected(self):
-        params = {"p": Tensor(np.ones((3, 4)), requires_grad=True)}
-        velocity = {"p": np.zeros((4, 3)).T}
+        param = Tensor(np.ones((3, 4)), requires_grad=True)
         with pytest.raises(ValueError, match="C-contiguous"):
-            sgd_momentum_step(params, {"p": np.ones((3, 4))}, velocity, lr=0.1)
-        assert np.array_equal(params["p"].data, np.ones((3, 4)))
+            sgd_momentum_step("p", param, np.ones((3, 4)), np.zeros((4, 3)).T, lr=0.1)
+        assert np.array_equal(param.data, np.ones((3, 4)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_formula_bitwise_and_leaves_grads(self, dtype):
         rng = np.random.default_rng(4)
         p_ref = rng.standard_normal((3, 4)).astype(dtype)
         v_ref = np.zeros_like(p_ref)
-        params, velocity = {"p": Tensor(p_ref.copy(), requires_grad=True)}, {}
+        param, velocity = Tensor(p_ref.copy(), requires_grad=True), np.zeros_like(p_ref)
         for _ in range(3):
             g = rng.standard_normal(p_ref.shape).astype(dtype)
-            grads = {"p": g.copy()}
-            sgd_momentum_step(params, grads, velocity, lr=0.05, momentum=0.9, weight_decay=5e-4)
+            grad = g.copy()
+            sgd_momentum_step("p", param, grad, velocity, lr=0.05, momentum=0.9, weight_decay=5e-4)
             v_ref = 0.9 * v_ref + (g + 5e-4 * p_ref)
             p_ref = p_ref - 0.05 * v_ref
-            assert np.array_equal(grads["p"], g)
-            assert np.array_equal(velocity["p"], v_ref) and np.array_equal(params["p"].data, p_ref)
-            assert params["p"].data.dtype == velocity["p"].dtype == dtype
+            assert np.array_equal(grad, g)
+            assert np.array_equal(velocity, v_ref) and np.array_equal(param.data, p_ref)
+            assert param.data.dtype == velocity.dtype == dtype
 
 
 class TestFiniteDifference:

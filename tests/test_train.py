@@ -131,7 +131,7 @@ class TestDatasetWeights:
 
 class TestClassifierPoolLoss:
     def _state(self, dataset, views_extra=()):
-        state = TR.initial_state(tiny_config(side=8, num_classes=dataset.num_classes), dataset, desk_cfg(), None)
+        state = TR.initial_state(tiny_config(side=8, num_classes=dataset.num_classes), dataset, desk_cfg(), "sgd")
         state.views += views_extra
         return state
 
@@ -362,6 +362,27 @@ def test_the_attack_and_the_batch_loss_draw_on_streams_of_their_own(trainer, mon
     assert draws == tuple(np.random.default_rng((cfg.seed, stream)).random() for stream in streams)
 
 
+@pytest.mark.parametrize("mode", TR.MODES)
+def test_the_first_state_holds_a_zero_velocity_for_exactly_the_trainable_parameters(mode):
+    ds = small_dataset()
+    for mc in model_configs(ds):
+        state = TR.initial_state(mc, ds, desk_cfg(), mode)
+        assert state.mode == mode
+        assert list(state.velocity) == [n for n, p in state.params.items() if p.requires_grad], mc.name
+        assert (len(state.velocity) < len(state.params)) == mc.batchnorm  # the running buffers take no step
+        for name, v in state.velocity.items():
+            p = state.params[name].data
+            assert v.shape == p.shape and v.dtype == p.dtype and v.flags.c_contiguous and not v.any()
+            assert not np.shares_memory(v, p)
+
+
+@pytest.mark.parametrize("mode", [None, "SGD", "fp", "uniform", "at_train"])
+def test_the_first_state_rejects_a_mode_that_names_no_algorithm(mode):
+    ds = small_dataset()
+    with pytest.raises(ValueError, match="mode must be one of approximate, exact, sgd, at"):
+        TR.initial_state(tiny_config(side=8, num_classes=ds.num_classes), ds, desk_cfg(), mode)
+
+
 @pytest.mark.parametrize("model", ["tiny", "bn"])
 @pytest.mark.parametrize("kind", ["universal", "patch"])
 @pytest.mark.parametrize("trainer", ["approximate", "exact", "sgd", "at"])
@@ -375,11 +396,9 @@ def test_a_copy_of_the_state_plays_on_as_the_uninterrupted_run(trainer, kind, mo
                    pgd=PgdConfig(16 / 255, 4 / 255, 1))
     run = {"approximate": fp_train, "exact": lambda *args: fp_train(*args, mode="exact"),
            "sgd": sgd_train, "at": at_train}[trainer]
-    batch_loss = (TR.classifier_pool_loss if trainer != "at"
-                  else lambda state, indices: TR.half_adversarial_loss(state, indices, cfg.pgd))
     whole, whole_rows = run(mc, ds, cfg)
     first, first_rows = run(mc, ds, replace(cfg, outer_iterations=2))
-    resumed, rest = TR._play(copy.deepcopy(first), ds, cfg, batch_loss, None, None)
+    resumed, rest = TR._play(copy.deepcopy(first), cfg, None, None)
     assert (resumed.played, resumed.step, len(rest)) == (4, 8, 2)
 
     def end(state, rows):
@@ -419,10 +438,9 @@ class TestStreamedStep:
             for mc in model_configs(ds):
                 ends = []
                 for streamed in (False, True):
-                    state = TR.initial_state(mc, ds, desk_cfg(), None)
-                    state.views, params = three_views(ds), state.params
+                    state = TR.initial_state(mc, ds, desk_cfg(), "sgd")
+                    state.views, params, velocity = three_views(ds), state.params, state.velocity
                     trainable = {n: params[n] for n in M.trainable_names(params)}
-                    velocity = {}
                     for step in range(3):
                         loss = classifier_pool_loss(state, np.arange(8 * step, 8 * step + 8))
                         readers = {n: sum(any(p is q for q in node._parents) for node in T._topo_order(loss))
@@ -430,9 +448,10 @@ class TestStreamedStep:
                         assert set(readers.values()) == {3} and loss.dtype == dtype, mc.name
                         if streamed:
                             T.backward(loss, wrt=trainable, on_grad=lambda n, g: T.sgd_momentum_step(
-                                params, {n: g}, velocity, 0.05, 0.9, 2e-4))
+                                n, params[n], g, velocity[n], 0.05, 0.9, 2e-4))
                         else:
-                            T.sgd_momentum_step(params, whole_pass_grads(loss, trainable), velocity, 0.05, 0.9, 2e-4)
+                            for n, g in sorted(whole_pass_grads(loss, trainable).items()):
+                                T.sgd_momentum_step(n, params[n], g, velocity[n], 0.05, 0.9, 2e-4)
                     ends.append({**{n: p.data.tobytes() for n, p in params.items()},
                                  **{f"v:{n}": v.tobytes() for n, v in velocity.items()}})
                 assert ends[0] == ends[1], mc.name
@@ -447,14 +466,16 @@ class TestStreamedStep:
         for mc in model_configs(ds):
             played = []
             sgd_train(mc, ds, cfg, on_step=lambda s, p: played.append((s, param_digest(p))))
-            state = TR.initial_state(mc, ds, cfg, None)
-            params = state.params
+            state = TR.initial_state(mc, ds, cfg, "sgd")
+            params, velocity = state.params, state.velocity
             sampler = D.BatchSampler(len(ds), np.random.default_rng((cfg.seed, 1)))
             trainable = {n: params[n] for n in M.trainable_names(params)}
-            velocity, reference = {}, []
+            reference = []
             for step in range(cfg.outer_iterations * cfg.inner_steps):
                 grads = whole_pass_grads(classifier_pool_loss(state, sampler.next_indices(cfg.batch_size)), trainable)
-                T.sgd_momentum_step(params, grads, velocity, TR._lr_at(cfg, step), cfg.momentum, cfg.weight_decay)
+                for n, g in sorted(grads.items()):
+                    T.sgd_momentum_step(n, params[n], g, velocity[n], TR._lr_at(cfg, step), cfg.momentum,
+                                        cfg.weight_decay)
                 reference.append((step + 1, param_digest(params)))
             assert played == reference, mc.name
 
@@ -464,7 +485,7 @@ class TestStreamedStep:
         cfg = desk_cfg(inner_steps=3)
         state = TR.initial_state(mc, ds, cfg, "approximate")
         state.views = three_views(ds)
-        real_relu, activations, at_step_entry = T.relu, [], []
+        real_relu, real_loss, activations, at_step_entry = T.relu, TR.classifier_pool_loss, [], []
 
         def recorded_relu(x):
             out = real_relu(x)
@@ -475,10 +496,11 @@ class TestStreamedStep:
             # before this step's first forward: how many of the last step's activations were made, and still live
             at_step_entry.append((len(activations), sum(ref() is not None for ref in activations)))
             activations.clear()
-            return TR.classifier_pool_loss(state, indices)
+            return real_loss(state, indices)
 
         monkeypatch.setattr(T, "relu", recorded_relu)
-        TR._play(state, ds, cfg, batch_loss, None, None)
+        monkeypatch.setattr(TR, "classifier_pool_loss", batch_loss)
+        TR._play(state, cfg, None, None)
         # one relu per conv layer in each of the three views' forwards
         made = 3 * len(mc.conv_layers)
         assert at_step_entry == [(0, 0), (made, 0), (made, 0)]
