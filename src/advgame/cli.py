@@ -12,10 +12,13 @@ first artifact: training as ``config.txt``, ``attack`` as
 ``attack_config.txt`` and ``eval`` as ``eval_config.txt``, so an ``eval`` or
 ``attack`` run in a training directory leaves the record of how its
 checkpoints were trained intact.
-A single CIFAR-10 file as ``data_path`` is only a ``train`` split: ``eval``
-writes ``train`` rows alone and ``attack`` scores the training images.  A
-CIFAR-10 directory holds out its last 5000 training records as ``valid``, so
-one with 5000 or fewer exits 2.
+``train-*`` reads the ``train`` split alone, ``attack`` crafts on ``train``
+and scores ``test``, ``eval`` scores all three (``load_splits``); so training
+on a CIFAR-10 directory never opens ``test_batch.bin``, while ``attack`` and
+``eval`` exit 3 on a corrupt one.  A single CIFAR-10 file as ``data_path`` is
+only a ``train`` split: ``eval`` writes ``train`` rows alone and ``attack``
+scores the training images.  A CIFAR-10 directory holds out its last 5000
+training records as ``valid``, so one with 5000 or fewer exits 2.
 ``attack`` scores clean accuracy, adversarial accuracy and a targeted patch's
 hit rate on one subset, and the hit rate on the adversarial score's placements.
 Each setting has one flag, named after its field, and takes its value from the
@@ -238,30 +241,33 @@ def echo_config(cfg: ExperimentConfig, out_dir: Path, name: str) -> None:
 # experiment assembly
 # ---------------------------------------------------------------------------
 
-def load_splits(cfg: ExperimentConfig) -> dict[str, D.Dataset]:
+def load_splits(cfg: ExperimentConfig, names: tuple[str, ...] = E.SPLIT_ORDER) -> dict[str, D.Dataset]:
+    """The splits of ``names`` that the data holds, and no other.  Synthetic ``train``, ``valid`` and
+    ``test`` are :func:`~advgame.data.make_synthetic` draws of ``per_class``, ``max(2, per_class // 4)`` and
+    ``max(2, per_class // 2)`` images per class on ``seed``, ``seed + 1`` and ``seed + 2``.  A CIFAR-10 directory's
+    last 5000 ``data_batch_*.bin`` records are ``valid``; its ``test_batch.bin`` is opened only for ``test``."""
     if cfg.data == "synthetic":
-        return D.synthetic_splits(cfg.classes, cfg.per_class, cfg.image_side, cfg.seed, cfg.channels)
+        sizes = {"train": cfg.per_class, "valid": max(2, cfg.per_class // 4), "test": max(2, cfg.per_class // 2)}
+        return {name: D.make_synthetic(cfg.classes, sizes[name], cfg.image_side, cfg.seed + E.SPLIT_ORDER.index(name),
+                                       cfg.channels, split=name) for name in names}
     path = Path(cfg.data_path)
-    if path.is_dir():
-        train_parts = sorted(path.glob("data_batch_*.bin"))
-        if not train_parts:
-            raise FileNotFoundError(f"no data_batch_*.bin under {path}")
-        loaded = [D.load_cifar10(p, "train") for p in train_parts]
-        images = np.concatenate([d.images for d in loaded])
-        labels = np.concatenate([d.labels for d in loaded])
-        if len(images) <= 5000:
-            raise ConfigError(f"{path} holds {len(images)} training records in data_batch_*.bin; the last 5000 are "
-                              f"held out for validation, so a cifar10 directory needs more than 5000")
-        cut = len(images) - 5000
-        splits = {
-            "train": D.Dataset(images[:cut], labels[:cut], D.CIFAR_CLASSES, "train"),
-            "valid": D.Dataset(images[cut:], labels[cut:], D.CIFAR_CLASSES, "valid"),
-        }
-        test_path = path / "test_batch.bin"
-        if test_path.exists():
-            splits["test"] = D.load_cifar10(test_path, "test")
-        return splits
-    return {"train": D.load_cifar10(path, "train")}
+    if not path.is_dir():
+        return {"train": D.load_cifar10(path, "train")}
+    train_parts = sorted(path.glob("data_batch_*.bin"))
+    if not train_parts:
+        raise FileNotFoundError(f"no data_batch_*.bin under {path}")
+    loaded = [D.load_cifar10(p, "train") for p in train_parts]
+    images = np.concatenate([d.images for d in loaded])
+    labels = np.concatenate([d.labels for d in loaded])
+    if len(images) <= 5000:
+        raise ConfigError(f"{path} holds {len(images)} training records in data_batch_*.bin; the last 5000 are "
+                          f"held out for validation, so a cifar10 directory needs more than 5000")
+    held = {"train": slice(None, -5000), "valid": slice(-5000, None)}
+    splits = {name: D.Dataset(images[held[name]], labels[held[name]], D.CIFAR_CLASSES, name)
+              for name in names if name in held}
+    if "test" in names and (test_path := path / "test_batch.bin").exists():
+        splits["test"] = D.load_cifar10(test_path, "test")
+    return splits
 
 
 def build_model_config(cfg: ExperimentConfig) -> M.ModelConfig:
@@ -325,7 +331,7 @@ def _prepare_run(cfg: ExperimentConfig, echo_name: str):
 
 
 def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
-    train_ds = load_splits(cfg)["train"]
+    train_ds = load_splits(cfg, ("train",))["train"]
     if cfg.batch_size > len(train_ds):
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(train_ds)} training images")
     try:
@@ -353,7 +359,7 @@ def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
 
 def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> int:
     model_cfg, params = M.load_checkpoint(checkpoint)
-    splits = load_splits(cfg)
+    splits = load_splits(cfg, ("train", "test"))
     train_ds = splits["train"]
     model_cfg.check_input_shape(train_ds.image_shape, train_ds.num_classes)
     out_dir = _prepare_run(cfg, "attack_config.txt")

@@ -123,15 +123,6 @@ def make_synthetic(
     return Dataset(images, labels, classes, split)
 
 
-def synthetic_splits(classes: int, per_class: int, side: int, seed: int, channels: int = 3) -> dict[str, Dataset]:
-    """Train/valid/test datasets drawn from the same class patterns, disjoint noise."""
-    return {
-        "train": make_synthetic(classes, per_class, side, seed, channels, split="train"),
-        "valid": make_synthetic(classes, max(2, per_class // 4), side, seed + 1, channels, split="valid"),
-        "test": make_synthetic(classes, max(2, per_class // 2), side, seed + 2, channels, split="test"),
-    }
-
-
 # ---------------------------------------------------------------------------
 # perturbation specs
 # ---------------------------------------------------------------------------

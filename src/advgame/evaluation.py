@@ -104,24 +104,25 @@ def evaluate_checkpoint_series(
 ) -> list[MetricsRow]:
     """One row per numbered checkpoint per split, in iteration order (not name order); a
     fresh perturbation is crafted per checkpoint on the train split and applied to every
-    split.  A split's clean and adversarial accuracies score one subset, named by one subset seed."""
+    split.  A split's clean and adversarial accuracies score one subset, named by one subset seed.  A name
+    without a number, or two of one number (``checkpoint_1``, ``checkpoint_0001``), raise ``CorruptFileError``."""
     files = sorted(Path(checkpoint_dir).glob("checkpoint_*.ckpt"))
     if not files:
         raise FileNotFoundError(f"no checkpoint_*.ckpt files in {checkpoint_dir}")
     if bad := [str(p) for p in files if not p.stem.removeprefix("checkpoint_").isdecimal()]:
         raise CorruptFileError(f"checkpoint names without an iteration number: {', '.join(bad)}")
+    numbered = sorted((int(p.stem.removeprefix("checkpoint_")), p) for p in files)
+    if twice := [f"{a} and {b}" for (i, a), (j, b) in zip(numbered, numbered[1:]) if i == j]:
+        raise CorruptFileError(f"checkpoint names of one iteration: {', '.join(twice)}")
     rows = []
-    for iteration, path in sorted((int(p.stem.removeprefix("checkpoint_")), p) for p in files):
+    for iteration, path in numbered:
         config, params = load_checkpoint(path)
         config.check_input_shape(splits["train"].image_shape, splits["train"].num_classes)
         pool = single_pool(config, params)
         rng = np.random.default_rng((seed, 5, iteration))
         t0 = time.perf_counter()
         spec = A.craft(pool, splits["train"], attack_config, rng)
-        for split in SPLIT_ORDER:
-            if split not in splits:
-                continue
-            ds = splits[split]
+        for split, ds in ((split, splits[split]) for split in SPLIT_ORDER if split in splits):
             subset_seed = (seed, 6, iteration, SPLIT_ORDER.index(split))
             clean = accuracy(pool, ds, sample_size, subset_seed)
             adv = perturbed_accuracy(pool, ds, spec, sample_size, subset_seed, placement_seed=iteration)

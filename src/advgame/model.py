@@ -245,7 +245,7 @@ def build_model(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     for spec in config.param_specs():
         if spec.fan_in:
             bound = np.sqrt(1.0 / spec.fan_in)
-            value = rng.uniform(-bound, bound, spec.shape).astype(dtype)
+            value = rng.uniform(-bound, bound, spec.shape).astype(dtype, copy=False)
         else:
             value = np.full(spec.shape, spec.fill, dtype=dtype)
         params[spec.name] = Tensor(value, requires_grad=spec.trainable)

@@ -332,6 +332,59 @@ class TestTrainEvalPipeline:
             assert xi.dtype == np.float64 and xi.tobytes() == rows[-1].spec.xi.tobytes()
 
 
+class TestLoadSplits:
+    # training reads ``train`` alone, ``attack`` crafts on ``train`` and scores ``test``, ``eval`` scores all three
+    @pytest.mark.parametrize("command,built", [("train-fp", ["train"]), ("train-sgd", ["train"]),
+                                               ("train-at", ["train"]), ("attack", ["train", "test"]),
+                                               ("eval", ["train", "valid", "test"])])
+    def test_each_command_builds_only_the_splits_it_reads(self, tmp_path, capsys, monkeypatch, command, built):
+        args = desk_args(tmp_path, **{"outer-iterations": 1, "inner-steps": 1, "pgd-steps": 1})
+        if command in ("attack", "eval"):
+            assert main(["train-sgd", *args]) == 0
+        make_synthetic, splits = D.make_synthetic, []
+
+        def recorded(*positional, **keywords):
+            splits.append(keywords["split"])
+            return make_synthetic(*positional, **keywords)
+
+        monkeypatch.setattr(D, "make_synthetic", recorded)
+        where = ["--checkpoint", str(tmp_path / "run" / "checkpoint_0001.ckpt")] if command == "attack" else []
+        assert main([command, *args, *where]) == 0
+        assert splits == built
+
+    def test_a_cifar_directory_opens_test_batch_only_for_the_test_split(self, tmp_path, monkeypatch):
+        for name in ("data_batch_1.bin", "test_batch.bin"):
+            (tmp_path / name).write_bytes(b"")
+        opened = []
+
+        def load(path, split="train"):
+            opened.append(Path(path).name)
+            return D.Dataset(np.zeros((5001, 1, 1, 1)), np.zeros(5001), D.CIFAR_CLASSES, split)
+
+        monkeypatch.setattr(D, "load_cifar10", load)
+        cfg = parse_config(overrides={"data": "cifar10", "data_path": str(tmp_path), "image_side": 32, "classes": 10})
+        assert {name: len(ds) for name, ds in C.load_splits(cfg, ("train",)).items()} == {"train": 1}
+        assert opened == ["data_batch_1.bin"]
+        opened.clear()
+        splits = C.load_splits(cfg)
+        assert {name: len(ds) for name, ds in splits.items()} == {"train": 1, "valid": 5000, "test": 5001}
+        assert [ds.split for ds in splits.values()] == ["train", "valid", "test"]
+        assert opened == ["data_batch_1.bin", "test_batch.bin"]
+
+    @pytest.mark.parametrize("per_class", [5, 9])
+    def test_the_default_splits_are_the_three_synthetic_draws(self, per_class):
+        cfg = parse_config(overrides={"classes": 3, "per_class": per_class, "image_side": 8, "seed": 4})
+        expected = {"train": D.make_synthetic(3, per_class, 8, 4, 3, split="train"),
+                    "valid": D.make_synthetic(3, max(2, per_class // 4), 8, 5, 3, split="valid"),
+                    "test": D.make_synthetic(3, max(2, per_class // 2), 8, 6, 3, split="test")}
+        splits = C.load_splits(cfg)
+        assert list(splits) == list(expected)
+        for name, want in expected.items():
+            got = splits[name]
+            assert (got.split, got.num_classes, got.images.dtype) == (name, 3, want.images.dtype)
+            assert got.images.tobytes() == want.images.tobytes() and got.labels.tobytes() == want.labels.tobytes()
+
+
 class TestAttackCommand:
     def _trained_checkpoint(self, tmp_path):
         assert main(["train-sgd", *desk_args(tmp_path, **{"outer-iterations": 1, "inner-steps": 30})]) == 0
@@ -431,6 +484,17 @@ class TestExitCodes:
         assert "checkpoint_best.ckpt" in capsys.readouterr().err
         assert not (tmp_path / "run" / "eval.csv").exists()
         assert not (tmp_path / "run").exists()
+
+    def test_eval_on_two_names_of_one_iteration_is_3_before_any_write(self, tmp_path, capsys):
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        mc = M.tiny_config(side=8, num_classes=3)
+        for name in ("checkpoint_0001.ckpt", "checkpoint_1.ckpt"):
+            M.save_checkpoint(ckpts / name, mc, M.build_model(mc, 0))
+        assert main(["eval", *desk_args(tmp_path, **{"output-dir": str(ckpts)})]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "checkpoint_0001.ckpt" in err and "checkpoint_1.ckpt" in err
+        assert sorted(p.name for p in ckpts.iterdir()) == ["checkpoint_0001.ckpt", "checkpoint_1.ckpt"]
 
     @pytest.mark.parametrize("where", ["missing", "empty"])
     def test_eval_on_a_missing_or_empty_checkpoint_dir_is_3_before_any_write(self, tmp_path, capsys, where):

@@ -243,6 +243,15 @@ class TestCheckpointSeries:
         assert len(rows) == 9 and all(not np.any(r.spec.xi) for r in rows)
         assert [r.adv_acc for r in rows] == [r.clean_acc for r in rows]
 
+    def test_two_names_of_one_iteration_raise_before_any_load(self, tmp_path, monkeypatch):
+        mc = self._write_checkpoints(tmp_path, count=2)
+        save_checkpoint(tmp_path / "checkpoint_1.ckpt", mc, build_model(mc, 1))
+        loaded = []
+        monkeypatch.setattr(E, "load_checkpoint", loaded.append)
+        with pytest.raises(M.CorruptFileError, match=r"checkpoint_0001\.ckpt and .*checkpoint_1\.ckpt"):
+            evaluate_checkpoint_series(tmp_path, self._splits(), UniversalAttackConfig(0.05, 0.01, 1), seed=0)
+        assert loaded == []
+
     def test_missing_checkpoints_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             evaluate_checkpoint_series(tmp_path, self._splits(), UniversalAttackConfig(0.05, 0.01, 1), seed=0)
