@@ -44,7 +44,7 @@ class UniversalAttackConfig:
 
 @dataclass(frozen=True)
 class PatchAttackConfig:
-    patch_side: int
+    """A C x H x H patch, where H is the side of the images it is crafted on."""
     chi: float
     theta_max: float        # radians
     alpha: float
@@ -57,7 +57,7 @@ class PatchAttackConfig:
     def __post_init__(self):
         if not (0.0 < self.chi <= 1.0) or self.theta_max < 0 or self.placements_per_step < 1:
             raise ValueError("invalid patch attack config")
-        if self.patch_side < 2 or self.alpha <= 0 or self.iterations < 0 or self.batch_size < 1:
+        if self.alpha <= 0 or self.iterations < 0 or self.batch_size < 1:
             raise ValueError("invalid patch attack config")
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lambda must lie in [0, 1]")
@@ -183,16 +183,16 @@ def learn_patch(
     config: PatchAttackConfig,
     rng: np.random.Generator,
 ) -> PerturbationSpec:
-    """Craft a patch by gradient ascent from a mid-gray disc, resampling
-    placements freshly at every step, after the step's batch."""
+    """Craft a patch of the images' side by gradient ascent from a mid-gray disc,
+    resampling placements freshly at every step, after the step's batch."""
     channels, side = dataset.image_shape[:2]
-    mask = D.disc_mask(config.patch_side)
+    mask = D.disc_mask(side)
 
     def step(xi, x, y):
         placements = sample_placements(rng, len(y) * config.placements_per_step, side, config.chi, config.theta_max)
         return patch_step(xi, pool, x, y, config, placements, mask)
 
-    xi = D.gray_patch(channels, config.patch_side, config.chi, config.theta_max).xi
+    xi = D.gray_patch(channels, side, config.chi, config.theta_max).xi
     xi = _ascend(xi, dataset, config, rng, step)
     return PerturbationSpec("patch", xi, chi=config.chi, theta_max=config.theta_max)
 

@@ -16,9 +16,10 @@ checkpoints were trained intact.
 and scores ``test``, ``eval`` scores all three (``load_splits``); so training
 on a CIFAR-10 directory never opens ``test_batch.bin``, while ``attack`` and
 ``eval`` exit 3 on a corrupt one.  A single CIFAR-10 file as ``data_path`` is
-only a ``train`` split: ``eval`` writes ``train`` rows alone and ``attack``
-scores the training images.  A CIFAR-10 directory holds out its last 5000
-training records as ``valid``, so one with 5000 or fewer exits 2.
+only a ``train`` split, and a CIFAR-10 directory without ``test_batch.bin``
+only ``train`` and ``valid``: then ``eval`` writes no ``test`` rows and
+``attack`` scores the training images.  A CIFAR-10 directory holds out its
+last 5000 training records as ``valid``, so one with 5000 or fewer exits 2.
 ``attack`` scores clean accuracy, adversarial accuracy and a targeted patch's
 hit rate on one subset, and the hit rate on the adversarial score's placements.
 Each setting has one flag, named after its field, and takes its value from the
@@ -249,24 +250,25 @@ def load_splits(cfg: ExperimentConfig, names: tuple[str, ...] = E.SPLIT_ORDER) -
     if cfg.data == "synthetic":
         sizes = {"train": cfg.per_class, "valid": max(2, cfg.per_class // 4), "test": max(2, cfg.per_class // 2)}
         return {name: D.make_synthetic(cfg.classes, sizes[name], cfg.image_side, cfg.seed + E.SPLIT_ORDER.index(name),
-                                       cfg.channels, split=name) for name in names}
+                                       cfg.channels) for name in names}
     path = Path(cfg.data_path)
     if not path.is_dir():
-        return {"train": D.load_cifar10(path, "train")}
-    train_parts = sorted(path.glob("data_batch_*.bin"))
-    if not train_parts:
+        return {"train": D.load_cifar10(path)}
+    loaded = [D.load_cifar10(p) for p in sorted(path.glob("data_batch_*.bin"))]
+    if not loaded:
         raise FileNotFoundError(f"no data_batch_*.bin under {path}")
-    loaded = [D.load_cifar10(p, "train") for p in train_parts]
-    images = np.concatenate([d.images for d in loaded])
-    labels = np.concatenate([d.labels for d in loaded])
-    if len(images) <= 5000:
-        raise ConfigError(f"{path} holds {len(images)} training records in data_batch_*.bin; the last 5000 are "
+    if (total := sum(map(len, loaded))) <= 5000:
+        raise ConfigError(f"{path} holds {total} training records in data_batch_*.bin; the last 5000 are "
                           f"held out for validation, so a cifar10 directory needs more than 5000")
-    held = {"train": slice(None, -5000), "valid": slice(-5000, None)}
-    splits = {name: D.Dataset(images[held[name]], labels[held[name]], D.CIFAR_CLASSES, name)
+    # a file's first k records are ``train`` and the rest ``valid``; each split is concatenated from its own slices of
+    # the files, so that neither keeps the other's records alive
+    ks = [max(total - 5000 - start, 0) for start in np.cumsum([0, *map(len, loaded[:-1])])]
+    held = {"train": [slice(None, k) for k in ks], "valid": [slice(k, None) for k in ks]}
+    splits = {name: D.Dataset(np.concatenate([d.images[c] for d, c in zip(loaded, held[name])]),
+                              np.concatenate([d.labels[c] for d, c in zip(loaded, held[name])]), D.CIFAR_CLASSES)
               for name in names if name in held}
     if "test" in names and (test_path := path / "test_batch.bin").exists():
-        splits["test"] = D.load_cifar10(test_path, "test")
+        splits["test"] = D.load_cifar10(test_path)
     return splits
 
 
@@ -285,7 +287,6 @@ def build_attack_config(cfg: ExperimentConfig, iterations: int):
             batch_size=cfg.attack_batch_size,
         )
     return PatchAttackConfig(
-        patch_side=cfg.image_side,
         chi=cfg.patch_chi,
         theta_max=float(np.deg2rad(cfg.patch_theta_max_deg)),
         alpha=cfg.attack_alpha,
@@ -491,7 +492,7 @@ def main(argv=None) -> int:
         overrides = {key: _parse_value(key, raw) for key in _FIELD_TYPES if (raw := getattr(args, key)) is not None}
         cfg = parse_config(args.config, overrides)
         # every data and checkpoint loader reads the default dtype
-        T.set_default_dtype(np.float32 if cfg.precision == "float32" else np.float64)
+        T.set_default_dtype(cfg.precision)
         if args.command.startswith("train-"):
             return run_training(cfg, args.command.removeprefix("train-"))
         if args.command == "attack":

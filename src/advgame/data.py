@@ -31,7 +31,6 @@ class Dataset:
     images: np.ndarray  # [N, C, H, W], values in [0, 1]
     labels: np.ndarray  # [N], ints in [0, num_classes)
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         self.images = np.asarray(self.images)
@@ -56,7 +55,7 @@ class Dataset:
 # CIFAR-10 binary format
 # ---------------------------------------------------------------------------
 
-def load_cifar10(path, split: str = "train") -> Dataset:
+def load_cifar10(path) -> Dataset:
     """Read CIFAR-10 binary records: 1 label byte + 3072 channel-major pixels;
     an empty file, a truncated one or a label byte past the last class raises
     ``CorruptFileError``."""
@@ -72,7 +71,7 @@ def load_cifar10(path, split: str = "train") -> Dataset:
     if labels.max() >= CIFAR_CLASSES:
         raise CorruptFileError(f"{path}: label byte {labels.max()} out of range")
     images = raw[:, 1:].reshape(n, *CIFAR_SHAPE).astype(T.get_default_dtype()) / 255.0
-    return Dataset(images, labels, CIFAR_CLASSES, split)
+    return Dataset(images, labels, CIFAR_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,6 @@ def make_synthetic(
     seed: int,
     channels: int = 3,
     noise: float = 0.06,
-    split: str = "train",
 ) -> Dataset:
     """Balanced synthetic dataset of noisy class textures, pixels clipped to [0, 1]."""
     check_synthetic(classes, per_class, side)
@@ -120,7 +118,7 @@ def make_synthetic(
     patterns = np.stack([class_pattern(k, classes, side, channels) for k in range(classes)])
     images = patterns[labels] + noise * rng.standard_normal((n, channels, side, side))
     images = np.clip(images, 0.0, 1.0).astype(dtype)
-    return Dataset(images, labels, classes, split)
+    return Dataset(images, labels, classes)
 
 
 # ---------------------------------------------------------------------------

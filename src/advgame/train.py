@@ -79,7 +79,6 @@ class FPState:
     params: dict[str, Tensor]
     views: list[PerturbedView]              # views[0] is the clean dataset
     pool: list[Classifier]                  # the classifiers every attack targets
-    weighting: str                          # of the views' mixture
     mode: str                               # one of MODES
     sampler: BatchSampler                   # the training batches, on (seed, 1)
     attack_rng: np.random.Generator         # on (seed, 2), AT's on (seed, 7)
@@ -98,19 +97,19 @@ def initial_state(model_config: ModelConfig, dataset: Dataset, cfg: TrainConfig,
     params = M.build_model(model_config, cfg.seed)
     pool = [M.freeze(model_config, params)] if mode == "exact" else M.single_pool(model_config, params)
     attack_stream, loss_stream = (7, 2) if mode == "at" else (2, 10)
-    return FPState(model_config, params, [clean_view(dataset)], pool, cfg.weighting, mode,
+    return FPState(model_config, params, [clean_view(dataset)], pool, mode,
                    BatchSampler(len(dataset), np.random.default_rng((cfg.seed, 1))),
                    np.random.default_rng((cfg.seed, attack_stream)), np.random.default_rng((cfg.seed, loss_stream)),
                    {name: np.zeros_like(params[name].data) for name in M.trainable_names(params)})
 
 
-def classifier_pool_loss(state: FPState, indices: np.ndarray) -> Tensor:
+def classifier_pool_loss(state: FPState, indices: np.ndarray, weighting: str) -> Tensor:
     """The classifier's mixture loss over the pool of perturbed views (not of classifiers; the benchmark's
     trace counts forwards under this name): one index batch rendered under each view with patch draw
-    ``state.step``, each view's train-mode forward run as its term is added, weighted by ``mixture_weights``."""
+    ``state.step``, each view's train-mode forward run as its term is added, weighted by ``weighting``."""
     logits = (M.forward(state.config, state.params, view.materialize(indices, draw=state.step), "train")
               for view in state.views)
-    weights = M.mixture_weights(len(state.views), state.weighting)
+    weights = M.mixture_weights(len(state.views), weighting)
     return M.mixture_loss(logits, state.views[0].labels[indices], weights)
 
 
@@ -138,8 +137,9 @@ def _play(state: FPState, cfg: TrainConfig, on_step, on_outer) -> tuple[FPState,
     view's dataset (:func:`~advgame.attack.craft`), and in FP's modes joins ``state.views``; and the newest pool
     member, the classifier as the steps left it, is scored clean and under that attack on one subset of
     ``eval_sample_size`` images, named by the subset seed ``(seed, 3, n)``.  ``on_outer(n, params, row)`` ends the
-    iteration and is the only exit for its outputs; ``row.spec`` is what ``adv_acc`` scored.  A failure in
-    iteration k's steps, attack or scoring raises ``TrainingError`` naming k and skips its ``on_outer``.
+    iteration and is the only exit for its outputs; ``row.split`` is ``train``, the split it trains on, and
+    ``row.spec`` is what ``adv_acc`` scored.  A failure in iteration k's steps, attack or scoring raises
+    ``TrainingError`` naming k and skips its ``on_outer``.
     """
     dataset, report = state.views[0].base, []
     trainable = {name: state.params[name] for name in state.velocity}
@@ -152,7 +152,7 @@ def _play(state: FPState, cfg: TrainConfig, on_step, on_outer) -> tuple[FPState,
                 # fp-exact-patch 70.5 -> 60.9 MB (medians of 10 benchmark pairs), minor faults a run 41-44k -> 11k
                 indices = state.sampler.next_indices(cfg.batch_size)
                 loss = (half_adversarial_loss(state, indices, cfg.pgd) if state.mode == "at"
-                        else classifier_pool_loss(state, indices))
+                        else classifier_pool_loss(state, indices, cfg.weighting))
                 lr = _lr_at(cfg, state.step)
                 # each parameter takes its update as soon as its gradient is final, so a gradient lives from its
                 # first contribution to its update only; the update is elementwise, so the order keeps the bits
@@ -173,7 +173,7 @@ def _play(state: FPState, cfg: TrainConfig, on_step, on_outer) -> tuple[FPState,
         except (ValueError, FloatingPointError) as exc:
             raise TrainingError(f"outer iteration {n}: {exc}") from exc
         state.played = n
-        row = MetricsRow(n, dataset.split, clean, adv, spec, time.perf_counter() - t0)
+        row = MetricsRow(n, "train", clean, adv, spec, time.perf_counter() - t0)
         report.append(row)
         if on_outer is not None:
             on_outer(n, state.params, row)

@@ -146,7 +146,7 @@ class TestPatchStep:
     def _setup(self, desk, lam=0.0, target_class=None, alpha=0.5):
         cfg, params, dataset = desk
         config = PatchAttackConfig(
-            patch_side=8, chi=0.5, theta_max=np.deg2rad(20), alpha=alpha,
+            chi=0.5, theta_max=np.deg2rad(20), alpha=alpha,
             iterations=1, placements_per_step=2, batch_size=4,
             target_class=target_class, lam=lam,
         )
@@ -176,7 +176,7 @@ class TestPatchStep:
         decreased = False
         for alpha in (1.0, 0.1, 0.01):
             config = PatchAttackConfig(
-                patch_side=8, chi=0.5, theta_max=np.deg2rad(20), alpha=alpha,
+                chi=0.5, theta_max=np.deg2rad(20), alpha=alpha,
                 iterations=1, placements_per_step=2, batch_size=4, target_class=3, lam=1.0,
             )
             placements = D.sample_placements(np.random.default_rng(6), 8, 8, config.chi, config.theta_max)
@@ -230,9 +230,22 @@ class TestPatchStep:
 class TestLearnPatch:
     def test_zero_iterations_gray_disc(self, desk):
         cfg, params, dataset = desk
-        config = PatchAttackConfig(8, 0.5, 0.0, alpha=0.1, iterations=0)
+        config = PatchAttackConfig(0.5, 0.0, alpha=0.1, iterations=0)
         spec = learn_patch(single_pool(cfg, params), dataset, config, np.random.default_rng(0))
         assert np.all(spec.xi == 0.5) and spec.kind == "patch"
+
+    @pytest.mark.parametrize("side", [8, 12])
+    def test_the_patch_takes_the_side_of_the_images_it_is_crafted_on(self, side):
+        cfg = tiny_config(side=side)
+        pool, dataset = single_pool(cfg, build_model(cfg, 0)), D.make_synthetic(10, 4, side, seed=0)
+        rng = np.random.default_rng(0)
+        gray = learn_patch(pool, dataset, PatchAttackConfig(0.5, 0.3, alpha=0.1, iterations=0), rng)
+        assert gray.xi.tobytes() == D.gray_patch(3, side, 0.5, 0.3).xi.tobytes() and gray.patch_side == side
+        config = PatchAttackConfig(0.5, 0.3, alpha=5.0, iterations=2, batch_size=8)
+        spec = learn_patch(pool, dataset, config, np.random.default_rng(0))
+        disc = D.disc_mask(side)
+        assert spec.xi.shape == (3, side, side)
+        assert np.all(spec.xi[:, ~disc] == 0.5) and np.any(spec.xi[:, disc] != 0.5)
 
 
 class TestFloat32:
@@ -249,7 +262,7 @@ class TestFloat32:
 
     def test_learn_patch(self, desk32):
         cfg, params, dataset = desk32
-        config = PatchAttackConfig(8, 0.5, 0.0, alpha=0.1, iterations=2, batch_size=8)
+        config = PatchAttackConfig(0.5, 0.0, alpha=0.1, iterations=2, batch_size=8)
         spec = learn_patch(single_pool(cfg, params), dataset, config, np.random.default_rng(0))
         assert spec.xi.dtype == np.float32
 
@@ -308,9 +321,9 @@ class TestConfigs:
 
     def test_patch_validation(self):
         with pytest.raises(ValueError):
-            PatchAttackConfig(8, 1.5, 0.0, alpha=0.1, iterations=1)
+            PatchAttackConfig(1.5, 0.0, alpha=0.1, iterations=1)
         with pytest.raises(ValueError):
-            PatchAttackConfig(8, 0.5, 0.0, alpha=0.1, iterations=1, lam=0.5)  # lam without target
+            PatchAttackConfig(0.5, 0.0, alpha=0.1, iterations=1, lam=0.5)  # lam without target
 
     def test_pgd_validation(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import advgame
 from advgame import attack as A
 from advgame import cli as C
 from advgame import data as D
+from advgame import evaluation as E
 from advgame import model as M
 from advgame import tensor as T
 from advgame import train as TR
@@ -338,14 +339,14 @@ class TestLoadSplits:
                                                ("train-at", ["train"]), ("attack", ["train", "test"]),
                                                ("eval", ["train", "valid", "test"])])
     def test_each_command_builds_only_the_splits_it_reads(self, tmp_path, capsys, monkeypatch, command, built):
-        args = desk_args(tmp_path, **{"outer-iterations": 1, "inner-steps": 1, "pgd-steps": 1})
+        args = desk_args(tmp_path, **{"outer-iterations": 1, "inner-steps": 1, "pgd-steps": 1, "seed": 3})
         if command in ("attack", "eval"):
             assert main(["train-sgd", *args]) == 0
         make_synthetic, splits = D.make_synthetic, []
 
-        def recorded(*positional, **keywords):
-            splits.append(keywords["split"])
-            return make_synthetic(*positional, **keywords)
+        def recorded(classes, per_class, side, seed, *rest):
+            splits.append(E.SPLIT_ORDER[seed - 3])  # split k is drawn on seed + k
+            return make_synthetic(classes, per_class, side, seed, *rest)
 
         monkeypatch.setattr(D, "make_synthetic", recorded)
         where = ["--checkpoint", str(tmp_path / "run" / "checkpoint_0001.ckpt")] if command == "attack" else []
@@ -357,9 +358,9 @@ class TestLoadSplits:
             (tmp_path / name).write_bytes(b"")
         opened = []
 
-        def load(path, split="train"):
+        def load(path):
             opened.append(Path(path).name)
-            return D.Dataset(np.zeros((5001, 1, 1, 1)), np.zeros(5001), D.CIFAR_CLASSES, split)
+            return D.Dataset(np.zeros((5001, 1, 1, 1)), np.zeros(5001), D.CIFAR_CLASSES)
 
         monkeypatch.setattr(D, "load_cifar10", load)
         cfg = parse_config(overrides={"data": "cifar10", "data_path": str(tmp_path), "image_side": 32, "classes": 10})
@@ -368,20 +369,69 @@ class TestLoadSplits:
         opened.clear()
         splits = C.load_splits(cfg)
         assert {name: len(ds) for name, ds in splits.items()} == {"train": 1, "valid": 5000, "test": 5001}
-        assert [ds.split for ds in splits.values()] == ["train", "valid", "test"]
+        assert list(splits) == ["train", "valid", "test"]
         assert opened == ["data_batch_1.bin", "test_batch.bin"]
+
+    @pytest.mark.parametrize("sizes", [(5001,), (5001, 5001), (5001, 3000)])
+    def test_a_cifar_split_holds_its_own_records_alone(self, tmp_path, monkeypatch, sizes):
+        # the last 5000 records of the files in order are ``valid``; no split's images view an array that holds
+        # records of the other, so a ``train`` load frees the held-out ones
+        total, starts = sum(sizes), np.cumsum([0, *sizes])
+        for k in range(len(sizes)):
+            (tmp_path / f"data_batch_{k + 1}.bin").write_bytes(b"")
+
+        def load(path):
+            k = int(Path(path).stem.removeprefix("data_batch_")) - 1
+            ids = np.arange(starts[k], starts[k + 1])  # record i's one pixel is i / total
+            return D.Dataset((ids / total).reshape(-1, 1, 1, 1), ids % 10, D.CIFAR_CLASSES)
+
+        monkeypatch.setattr(D, "load_cifar10", load)
+        cfg = parse_config(overrides={"data": "cifar10", "data_path": str(tmp_path), "image_side": 32, "classes": 10})
+        held = {"train": np.arange(total - 5000), "valid": np.arange(total - 5000, total)}
+        for names in (("train",), E.SPLIT_ORDER):
+            splits = C.load_splits(cfg, names)
+            assert list(splits) == [name for name in names if name in held]
+            for name, ds in splits.items():
+                assert ds.images.ravel().tolist() == (held[name] / total).tolist()
+                assert ds.labels.tolist() == (held[name] % 10).tolist()
+                owner = ds.images if ds.images.base is None else ds.images.base
+                assert owner.size == len(held[name]), name
+
+    def test_a_cifar_directory_without_a_test_batch_scores_the_training_split(self, tmp_path, capsys, monkeypatch):
+        # ``load_splits`` gives it ``train`` and ``valid`` alone: ``attack`` scores ``train`` and ``eval`` writes no
+        # ``test`` rows; the loader gives 8-px images, so the records stay small
+        (tmp_path / "data_batch_1.bin").write_bytes(b"")
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(D, "CIFAR_SHAPE", (3, 8, 8))
+        monkeypatch.setattr(D, "load_cifar10", lambda path: D.Dataset(rng.uniform(0, 1, (5010, 3, 8, 8)),
+                                                                      np.arange(5010) % 10, D.CIFAR_CLASSES))
+        args = desk_args(tmp_path, **{"classes": 10, "data": "cifar10", "data-path": str(tmp_path),
+                                      "outer-iterations": 1, "inner-steps": 1})
+        assert main(["train-sgd", *args]) == 0
+        assert main(["eval", *args]) == 0
+        rows = (tmp_path / "run" / "eval.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["train", "valid"]
+        accuracy, scored = E.accuracy, []
+
+        def recorded(pool, ds, *rest):
+            scored.append(len(ds))
+            return accuracy(pool, ds, *rest)
+
+        monkeypatch.setattr(E, "accuracy", recorded)
+        assert main(["attack", *args, "--checkpoint", str(tmp_path / "run" / "checkpoint_0001.ckpt")]) == 0
+        assert scored == [10]
 
     @pytest.mark.parametrize("per_class", [5, 9])
     def test_the_default_splits_are_the_three_synthetic_draws(self, per_class):
         cfg = parse_config(overrides={"classes": 3, "per_class": per_class, "image_side": 8, "seed": 4})
-        expected = {"train": D.make_synthetic(3, per_class, 8, 4, 3, split="train"),
-                    "valid": D.make_synthetic(3, max(2, per_class // 4), 8, 5, 3, split="valid"),
-                    "test": D.make_synthetic(3, max(2, per_class // 2), 8, 6, 3, split="test")}
+        expected = {"train": D.make_synthetic(3, per_class, 8, 4, 3),
+                    "valid": D.make_synthetic(3, max(2, per_class // 4), 8, 5, 3),
+                    "test": D.make_synthetic(3, max(2, per_class // 2), 8, 6, 3)}
         splits = C.load_splits(cfg)
         assert list(splits) == list(expected)
         for name, want in expected.items():
             got = splits[name]
-            assert (got.split, got.num_classes, got.images.dtype) == (name, 3, want.images.dtype)
+            assert (got.num_classes, got.images.dtype) == (3, want.images.dtype)
             assert got.images.tobytes() == want.images.tobytes() and got.labels.tobytes() == want.labels.tobytes()
 
 

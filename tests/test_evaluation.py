@@ -29,7 +29,7 @@ def onehot_dataset(classes=4, copies=3):
     eye = np.eye(classes).reshape(classes, 1, 2, 2)
     images = np.tile(eye, (copies, 1, 1, 1))
     labels = np.tile(np.arange(classes), copies)
-    return Dataset(images, labels, classes, "test")
+    return Dataset(images, labels, classes)
 
 
 def perfect_classifier(classes=4):
@@ -198,9 +198,9 @@ class TestCheckpointSeries:
 
     def _splits(self):
         return {
-            "train": D.make_synthetic(4, 10, 8, seed=3, split="train"),
-            "valid": D.make_synthetic(4, 4, 8, seed=4, split="valid"),
-            "test": D.make_synthetic(4, 6, 8, seed=5, split="test"),
+            "train": D.make_synthetic(4, 10, 8, seed=3),
+            "valid": D.make_synthetic(4, 4, 8, seed=4),
+            "test": D.make_synthetic(4, 6, 8, seed=5),
         }
 
     def test_single_checkpoint_three_rows(self, tmp_path):

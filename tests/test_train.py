@@ -139,7 +139,7 @@ class TestClassifierPoolLoss:
         ds = small_dataset()
         state = self._state(ds)
         idx = np.arange(6)
-        got = classifier_pool_loss(state, idx).item()
+        got = classifier_pool_loss(state, idx, "literal").item()
         want = softmax_cross_entropy(
             forward(state.config, state.params, ds.images[idx], "infer"), ds.labels[idx]
         ).item()
@@ -150,7 +150,7 @@ class TestClassifierPoolLoss:
         zero = D.PerturbedView(ds, D.PerturbationSpec("universal", np.zeros(ds.image_shape), epsilon=0.1))
         state = self._state(ds, [zero])
         idx = np.arange(6)
-        got = classifier_pool_loss(state, idx).item()
+        got = classifier_pool_loss(state, idx, "literal").item()
         want = softmax_cross_entropy(
             forward(state.config, state.params, ds.images[idx], "infer"), ds.labels[idx]
         ).item()
@@ -173,7 +173,7 @@ class TestClassifierPoolLoss:
                 softmax_cross_entropy(forward(state.config, state.params, x, "infer"), ds.labels[idx]).item()
             )
         want = sum(w * t for w, t in zip(weights, terms))
-        got = classifier_pool_loss(state, idx).item()
+        got = classifier_pool_loss(state, idx, "literal").item()
         assert abs(got - want) < 1e-12
 
 
@@ -315,10 +315,10 @@ class TestFpTrain:
         real, views_seen = TR.classifier_pool_loss, []
 
         # each step's loss against the uniform mixture of its views' cross-entropies, summed here term by term
-        def checked(state, indices):
+        def checked(state, indices, weighting):
             terms = [softmax_cross_entropy(forward(mc, state.params, view.materialize(indices), "train"),
                                            ds.labels[indices]).item() for view in state.views]
-            loss = real(state, indices)
+            loss = real(state, indices, weighting)
             assert abs(loss.item() - sum(w * t for w, t in zip(mixture_weights(len(terms), "uniform"), terms))) < 1e-12
             views_seen.append(len(terms))
             return loss
@@ -390,7 +390,7 @@ def test_a_copy_of_the_state_plays_on_as_the_uninterrupted_run(trainer, kind, mo
     ds = small_dataset()
     mc = model_configs(ds)[model == "bn"]
     attack = (UniversalAttackConfig(16 / 255, 0.01, 2, batch_size=8) if kind == "universal"
-              else PatchAttackConfig(8, 0.5, 0.3, 0.01, 2, batch_size=8))
+              else PatchAttackConfig(0.5, 0.3, 0.01, 2, batch_size=8))
     # the milestone falls after the interruption, so the resumed run must carry the global step
     cfg = desk_cfg(outer_iterations=4, inner_steps=2, attack=attack, lr_milestones=(5,),
                    pgd=PgdConfig(16 / 255, 4 / 255, 1))
@@ -407,6 +407,22 @@ def test_a_copy_of_the_state_plays_on_as_the_uninterrupted_run(trainer, kind, mo
                 [(r.clean_acc, r.adv_acc, r.spec.xi.tobytes()) for r in rows])
 
     assert end(resumed, first_rows + rest) == end(whole, whole_rows)
+
+
+def test_a_state_mixes_its_views_by_the_weighting_of_the_config_it_is_played_under():
+    # the weighting is read from the config ``_play`` runs under, not kept in the state from the one that built it
+    ds = small_dataset()
+    mc = tiny_config(side=8, num_classes=ds.num_classes)
+    cfg = desk_cfg(outer_iterations=3, inner_steps=2, weighting="uniform",
+                   attack=UniversalAttackConfig(16 / 255, 0.01, 2, batch_size=8))
+    ends = []
+    for built_under in ("literal", "uniform"):
+        state, rows = TR._play(TR.initial_state(mc, ds, replace(cfg, weighting=built_under), "approximate"), cfg,
+                               None, None)
+        assert len(state.views) == 4
+        ends.append(({n: p.data.tobytes() for n, p in state.params.items()},
+                     [(r.split, r.clean_acc, r.adv_acc, r.spec.xi.tobytes()) for r in rows]))
+    assert ends[0] == ends[1]
 
 
 def three_views(ds):
@@ -442,7 +458,7 @@ class TestStreamedStep:
                     state.views, params, velocity = three_views(ds), state.params, state.velocity
                     trainable = {n: params[n] for n in M.trainable_names(params)}
                     for step in range(3):
-                        loss = classifier_pool_loss(state, np.arange(8 * step, 8 * step + 8))
+                        loss = classifier_pool_loss(state, np.arange(8 * step, 8 * step + 8), "literal")
                         readers = {n: sum(any(p is q for q in node._parents) for node in T._topo_order(loss))
                                    for n, p in trainable.items()}
                         assert set(readers.values()) == {3} and loss.dtype == dtype, mc.name
@@ -472,7 +488,8 @@ class TestStreamedStep:
             trainable = {n: params[n] for n in M.trainable_names(params)}
             reference = []
             for step in range(cfg.outer_iterations * cfg.inner_steps):
-                grads = whole_pass_grads(classifier_pool_loss(state, sampler.next_indices(cfg.batch_size)), trainable)
+                loss = classifier_pool_loss(state, sampler.next_indices(cfg.batch_size), cfg.weighting)
+                grads = whole_pass_grads(loss, trainable)
                 for n, g in sorted(grads.items()):
                     T.sgd_momentum_step(n, params[n], g, velocity[n], TR._lr_at(cfg, step), cfg.momentum,
                                         cfg.weight_decay)
@@ -492,11 +509,11 @@ class TestStreamedStep:
             activations.append(weakref.ref(out.data))
             return out
 
-        def batch_loss(state, indices):
+        def batch_loss(state, indices, weighting):
             # before this step's first forward: how many of the last step's activations were made, and still live
             at_step_entry.append((len(activations), sum(ref() is not None for ref in activations)))
             activations.clear()
-            return real_loss(state, indices)
+            return real_loss(state, indices, weighting)
 
         monkeypatch.setattr(T, "relu", recorded_relu)
         monkeypatch.setattr(TR, "classifier_pool_loss", batch_loss)
