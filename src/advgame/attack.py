@@ -67,10 +67,11 @@ class PatchAttackConfig:
 
 @dataclass(frozen=True)
 class PgdConfig:
+    """Per-sample PGD of ``steps`` signed steps of ``step_size`` in the max-norm ball of radius ``epsilon``,
+    from a uniform random start in the ball whenever it takes a step."""
     epsilon: float
     step_size: float
     steps: int
-    random_init: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.step_size <= 0 or self.steps < 0:
@@ -204,14 +205,13 @@ def pgd_per_sample(
     config: PgdConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-sample projected gradient ascent inside the max-norm ball."""
+    """Per-sample projected gradient ascent inside the max-norm ball, from a uniform random point in it.  With
+    zero steps it returns ``batch`` as it is and draws nothing from ``rng``."""
     x = np.asarray(batch)
-    if config.random_init:
-        # the draw is float64; cast, so that a float32 batch stays float32
-        noise = rng.uniform(-config.epsilon, config.epsilon, x.shape).astype(x.dtype, copy=False)
-        adv = np.clip(x + noise, 0.0, 1.0)
-    else:
-        adv = x.copy()
+    if config.steps == 0:
+        return x
+    # the draw is float64; cast, so that a float32 batch stays float32
+    adv = np.clip(x + rng.uniform(-config.epsilon, config.epsilon, x.shape).astype(x.dtype, copy=False), 0.0, 1.0)
     for _ in range(config.steps):
         leaf = Tensor(adv, requires_grad=True)
         T.backward(pool_expected_loss(pool, leaf, labels))

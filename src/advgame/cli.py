@@ -25,6 +25,9 @@ hit rate on one subset, and the hit rate on the adversarial score's placements.
 Each setting has one flag, named after its field, and takes its value from the
 profile preset, then the ``--config`` file, then the flags, the later winning.
 ``CHOICES`` lists the allowed values of every enumerated setting.
+Only ``train-*`` reads ``model``, and only it checks the model against the
+data and a batchnorm model's ``batch_size >= 2``; ``attack`` and ``eval``
+take the model from the checkpoint.
 Before it parses anything, ``main`` sets the process's heap policy
 (``keep_freed_heap``), so each training and attack step reuses the memory
 the step before it freed.
@@ -69,7 +72,6 @@ class ExperimentConfig:
     classes: int = 10
     per_class: int = 100
     image_side: int = 16
-    channels: int = 3
     # model
     model: str = "tiny"
     precision: str = "float64"
@@ -99,7 +101,6 @@ class ExperimentConfig:
     # adversarial-training baseline
     pgd_steps: int = 7
     pgd_step_size: float = -1.0        # -1 means epsilon / 4
-    pgd_random_init: bool = True
     # evaluation and bookkeeping
     eval_sample_size: int = 2000
     seed: int = 0
@@ -166,12 +167,6 @@ def _parse_value(key: str, raw: str):
             if not np.isfinite(value := float(raw)):
                 raise ValueError(raw)
             return value
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}") from exc
@@ -219,13 +214,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.pgd_step_size != -1 and not cfg.pgd_step_size > 0:
         raise ConfigError(f"pgd_step_size must be -1 (epsilon / 4) or > 0, got {cfg.pgd_step_size}")
     try:
-        model_config = build_model_config(cfg)
-        if model_config.batchnorm and cfg.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2 for {cfg.model}, whose batchnorm trains on batch statistics")
-        if cfg.data == "cifar10":
-            model_config.check_input_shape(D.CIFAR_SHAPE, D.CIFAR_CLASSES)
-        else:
-            model_config.check_input_shape((cfg.channels, cfg.image_side, cfg.image_side), cfg.classes)
+        if cfg.data == "synthetic":
             D.check_synthetic(cfg.classes, cfg.per_class, cfg.image_side)
         build_train_config(cfg, "fp")
         build_attack_config(cfg, cfg.eval_attack_iterations)
@@ -249,8 +238,8 @@ def load_splits(cfg: ExperimentConfig, names: tuple[str, ...] = E.SPLIT_ORDER) -
     last 5000 ``data_batch_*.bin`` records are ``valid``; its ``test_batch.bin`` is opened only for ``test``."""
     if cfg.data == "synthetic":
         sizes = {"train": cfg.per_class, "valid": max(2, cfg.per_class // 4), "test": max(2, cfg.per_class // 2)}
-        return {name: D.make_synthetic(cfg.classes, sizes[name], cfg.image_side, cfg.seed + E.SPLIT_ORDER.index(name),
-                                       cfg.channels) for name in names}
+        return {name: D.make_synthetic(cfg.classes, sizes[name], cfg.image_side, cfg.seed + E.SPLIT_ORDER.index(name))
+                for name in names}
     path = Path(cfg.data_path)
     if not path.is_dir():
         return {"train": D.load_cifar10(path)}
@@ -274,7 +263,7 @@ def load_splits(cfg: ExperimentConfig, names: tuple[str, ...] = E.SPLIT_ORDER) -
 
 def build_model_config(cfg: ExperimentConfig) -> M.ModelConfig:
     if cfg.model == "tiny":
-        return M.tiny_config(side=cfg.image_side, channels=cfg.channels, num_classes=cfg.classes)
+        return M.tiny_config(side=cfg.image_side, num_classes=cfg.classes)
     return M.paper_vgg_config(num_classes=cfg.classes)
 
 
@@ -316,8 +305,8 @@ def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,
         attack=build_attack_config(cfg, cfg.attack_iterations if algorithm == "fp" else cfg.eval_attack_iterations),
-        pgd=PgdConfig(cfg.epsilon, cfg.pgd_step_size if cfg.pgd_step_size > 0 else cfg.epsilon / 4.0, cfg.pgd_steps,
-                      cfg.pgd_random_init) if algorithm == "at" else None,
+        pgd=PgdConfig(cfg.epsilon, cfg.pgd_step_size if cfg.pgd_step_size > 0 else cfg.epsilon / 4.0,
+                      cfg.pgd_steps) if algorithm == "at" else None,
         weighting=cfg.weighting,
         eval_sample_size=cfg.eval_sample_size,
         seed=cfg.seed,
@@ -332,15 +321,22 @@ def _prepare_run(cfg: ExperimentConfig, echo_name: str):
 
 
 def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
-    train_ds = load_splits(cfg, ("train",))["train"]
-    if cfg.batch_size > len(train_ds):
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(train_ds)} training images")
+    # only training builds its model from ``model``, so only training checks it against the data, before any read
     try:
+        model_cfg = build_model_config(cfg)
+        if model_cfg.batchnorm and cfg.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2 for {cfg.model}, whose batchnorm trains on batch statistics")
+        if cfg.data == "cifar10":
+            model_cfg.check_input_shape(D.CIFAR_SHAPE, D.CIFAR_CLASSES)
+        else:
+            model_cfg.check_input_shape((3, cfg.image_side, cfg.image_side), cfg.classes)
         tcfg = build_train_config(cfg, algorithm)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    train_ds = load_splits(cfg, ("train",))["train"]
+    if cfg.batch_size > len(train_ds):
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(train_ds)} training images")
     out_dir = _prepare_run(cfg, "config.txt")
-    model_cfg = build_model_config(cfg)
     rows = []
 
     def on_outer(n, params, row):

@@ -78,8 +78,8 @@ def load_cifar10(path) -> Dataset:
 # synthetic desk-scale data
 # ---------------------------------------------------------------------------
 
-def class_pattern(k: int, num_classes: int, side: int, channels: int = 3) -> np.ndarray:
-    """Deterministic per-class texture: oriented gradient plus an oriented grating."""
+def class_pattern(k: int, num_classes: int, side: int) -> np.ndarray:
+    """Deterministic per-class RGB texture: oriented gradient plus an oriented grating."""
     angle = np.pi * k / num_classes
     freq = 1.5 + (k % 3)
     phase = 2.0 * np.pi * ((5 * k) % 7) / 7.0
@@ -87,9 +87,9 @@ def class_pattern(k: int, num_classes: int, side: int, channels: int = 3) -> np.
     axis = (np.cos(angle) * xs + np.sin(angle) * ys) / side
     grating = np.sin(2.0 * np.pi * freq * axis + phase)
     gradient = axis - axis.mean()
-    img = np.empty((channels, side, side))
-    for c in range(channels):
-        hue = 0.5 + 0.5 * np.cos(2.0 * np.pi * (k / num_classes) + 2.0 * np.pi * c / max(channels, 1))
+    img = np.empty((3, side, side))
+    for c in range(3):
+        hue = 0.5 + 0.5 * np.cos(2.0 * np.pi * (k / num_classes) + 2.0 * np.pi * c / 3)
         img[c] = 0.5 + 0.10 * hue * grating + 0.10 * gradient
     return img
 
@@ -105,18 +105,17 @@ def make_synthetic(
     per_class: int,
     side: int,
     seed: int,
-    channels: int = 3,
     noise: float = 0.06,
 ) -> Dataset:
-    """Balanced synthetic dataset of noisy class textures, pixels clipped to [0, 1]."""
+    """Balanced synthetic dataset of noisy RGB class textures, pixels clipped to [0, 1]."""
     check_synthetic(classes, per_class, side)
     rng = np.random.default_rng(seed)
     dtype = T.get_default_dtype()
     n = classes * per_class
     labels = np.repeat(np.arange(classes), per_class)
     rng.shuffle(labels)
-    patterns = np.stack([class_pattern(k, classes, side, channels) for k in range(classes)])
-    images = patterns[labels] + noise * rng.standard_normal((n, channels, side, side))
+    patterns = np.stack([class_pattern(k, classes, side) for k in range(classes)])
+    images = patterns[labels] + noise * rng.standard_normal((n, 3, side, side))
     images = np.clip(images, 0.0, 1.0).astype(dtype)
     return Dataset(images, labels, classes)
 
@@ -362,7 +361,7 @@ def to_ppm_bytes(spec: PerturbationSpec) -> bytes:
     """Render a perturbation as binary PPM (P6, maxval 255).
 
     Universal perturbations are shifted from [-eps, eps] into display range;
-    patches are in [0, 1] already and map directly.
+    patches are in [0, 1] already and map directly.  It needs 3 channels.
     """
     if spec.kind == "universal":
         scaled = np.round((spec.xi + spec.epsilon) / (2.0 * spec.epsilon) * 255.0)
@@ -370,10 +369,8 @@ def to_ppm_bytes(spec: PerturbationSpec) -> bytes:
         scaled = np.round(spec.xi * 255.0)
     img = np.clip(scaled, 0, 255).astype(np.uint8)
     c, h, w = img.shape
-    if c == 1:
-        img = np.repeat(img, 3, axis=0)
-    elif c != 3:
-        raise InputShapeError(f"cannot export a {c}-channel perturbation as PPM (needs 1 or 3 channels)")
+    if c != 3:
+        raise InputShapeError(f"cannot export a {c}-channel perturbation as PPM (needs 3 channels)")
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     return header + img.transpose(1, 2, 0).tobytes()
 

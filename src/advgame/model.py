@@ -212,11 +212,11 @@ class ModelConfig:
         )
 
 
-def tiny_config(side: int = 16, channels: int = 3, num_classes: int = 10) -> ModelConfig:
-    """Desk-scale model: two strided conv blocks and a classifier head."""
+def tiny_config(side: int = 16, num_classes: int = 10) -> ModelConfig:
+    """Desk-scale model of RGB images: two strided conv blocks and a classifier head."""
     return ModelConfig(
         name="tiny",
-        input_shape=(channels, side, side),
+        input_shape=(3, side, side),
         num_classes=num_classes,
         conv_layers=(ConvSpec(8, 3, 2), ConvSpec(16, 3, 2)),
         batchnorm=False,

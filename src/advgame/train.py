@@ -219,9 +219,9 @@ def at_train(
     """Adversarial training: per-batch PGD examples against the current
     classifier, descending on the half clean, half adversarial mixture.  PGD
     runs first, as its infer-mode forwards read the batchnorm running buffers
-    that the mixture's train-mode forwards advance.  With zero PGD steps and
-    no random start it equals SGD in the trainable parameters only: both
-    halves advance the running buffers."""
+    that the mixture's train-mode forwards advance.  With zero PGD steps it
+    equals SGD in the trainable parameters only: both halves advance the
+    running buffers."""
     if cfg.pgd is None:
         raise ValueError("at_train needs a pgd config")
     return _play(initial_state(model_config, dataset, cfg, "at"), cfg, on_step, on_outer)

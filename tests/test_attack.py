@@ -269,23 +269,26 @@ class TestFloat32:
     def test_pgd_random_init(self, desk32):
         cfg, params, dataset = desk32
         out = pgd_per_sample(single_pool(cfg, params), dataset.images[:4], dataset.labels[:4],
-                             PgdConfig(0.1, 0.025, 2, random_init=True), np.random.default_rng(0))
+                             PgdConfig(0.1, 0.025, 2), np.random.default_rng(0))
         assert out.dtype == np.float32
 
 
 class TestPgd:
     def test_zero_steps_no_init_identity(self, desk):
         cfg, params, dataset = desk
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
         out = pgd_per_sample(single_pool(cfg, params), dataset.images[:3], dataset.labels[:3],
-                             PgdConfig(0.1, 0.025, 0, random_init=False), np.random.default_rng(0))
-        assert np.array_equal(out, dataset.images[:3])
+                             PgdConfig(0.1, 0.025, 0), rng)
+        assert out.tobytes() == dataset.images[:3].tobytes() and out.dtype == dataset.images.dtype
+        assert rng.bit_generator.state == before
 
     def test_ball_and_range_property(self, desk):
         cfg, params, dataset = desk
         eps = 16 / 255
         x = dataset.images[:8]
         out = pgd_per_sample(single_pool(cfg, params), x, dataset.labels[:8],
-                             PgdConfig(eps, eps / 4, 7, random_init=True), np.random.default_rng(1))
+                             PgdConfig(eps, eps / 4, 7), np.random.default_rng(1))
         assert np.abs(out - x).max() <= eps + 1e-12
         assert out.min() >= 0.0 and out.max() <= 1.0
 

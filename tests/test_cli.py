@@ -287,6 +287,14 @@ class TestTrainEvalPipeline:
         assert main(["train-at", *desk_args(tmp_path, **{"pgd-steps": 1})]) == 0
         assert (tmp_path / "run" / "metrics.csv").exists()
 
+    # with no PGD step AT's adversarial half is the clean batch, drawn from no stream
+    def test_train_at_with_zero_pgd_steps_writes_the_checkpoints_of_train_sgd(self, tmp_path):
+        runs = {}
+        for command in ("train-at", "train-sgd"):
+            assert main([command, *desk_args(tmp_path / command, **{"pgd-steps": 0})]) == 0
+            runs[command] = [p.read_bytes() for p in sorted((tmp_path / command / "run").glob("checkpoint_*.ckpt"))]
+        assert runs["train-at"] == runs["train-sgd"] and len(runs["train-sgd"]) == 2
+
     # FP crafts the training attack, the baselines the evaluation attack; each once per outer iteration
     @pytest.mark.parametrize("command,iterations", [("train-fp", 2), ("train-sgd", 3), ("train-at", 3)])
     def test_each_trainer_crafts_its_configs_attack(self, tmp_path, capsys, monkeypatch, command, iterations):
@@ -424,9 +432,9 @@ class TestLoadSplits:
     @pytest.mark.parametrize("per_class", [5, 9])
     def test_the_default_splits_are_the_three_synthetic_draws(self, per_class):
         cfg = parse_config(overrides={"classes": 3, "per_class": per_class, "image_side": 8, "seed": 4})
-        expected = {"train": D.make_synthetic(3, per_class, 8, 4, 3),
-                    "valid": D.make_synthetic(3, max(2, per_class // 4), 8, 5, 3),
-                    "test": D.make_synthetic(3, max(2, per_class // 2), 8, 6, 3)}
+        expected = {"train": D.make_synthetic(3, per_class, 8, 4),
+                    "valid": D.make_synthetic(3, max(2, per_class // 4), 8, 5),
+                    "test": D.make_synthetic(3, max(2, per_class // 2), 8, 6)}
         splits = C.load_splits(cfg)
         assert list(splits) == list(expected)
         for name, want in expected.items():
@@ -495,6 +503,18 @@ class TestAttackCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    # the checkpoint decides the model, so a ``model`` and a ``batch_size`` its batchnorm could not train with are
+    # not read
+    @pytest.mark.parametrize("extra", [["--model", "paper-vgg"], ["--model", "paper-vgg", "--batch-size", "1"]],
+                             ids=" ".join)
+    def test_attack_ignores_the_model_settings(self, tmp_path, extra):
+        args = desk_args(tmp_path, **{"image-side": 16, "outer-iterations": 1})
+        assert main(["train-sgd", *args]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint_0001.ckpt")
+        for out, flags in (("plain.pert", []), ("flagged.pert", extra)):
+            assert main(["attack", *args, "--checkpoint", ckpt, "--out", str(tmp_path / out), *flags]) == 0
+        assert (tmp_path / "flagged.pert").read_bytes() == (tmp_path / "plain.pert").read_bytes()
+
     def test_export_ppm(self, tmp_path, capsys):
         ckpt = self._trained_checkpoint(tmp_path)
         pert = str(tmp_path / "x.pert")
@@ -556,11 +576,13 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
 
     def test_export_ppm_of_two_channel_perturbation_is_2_without_file(self, tmp_path, capsys):
-        pert, ppm = tmp_path / "two.pert", tmp_path / "out.ppm"
-        A.save_perturbation(pert, D.PerturbationSpec("universal", np.zeros((2, 4, 4)), epsilon=0.1))
-        assert main(["export-ppm", "--in", str(pert), "--out", str(ppm)]) == 2
-        assert "2-channel" in capsys.readouterr().err
-        assert not ppm.exists()
+        # and of a one-channel one: a PPM takes 3 channels
+        for channels in (1, 2):
+            pert, ppm = tmp_path / f"{channels}.pert", tmp_path / f"{channels}.ppm"
+            A.save_perturbation(pert, D.PerturbationSpec("universal", np.zeros((channels, 4, 4)), epsilon=0.1))
+            assert main(["export-ppm", "--in", str(pert), "--out", str(ppm)]) == 2
+            assert f"{channels}-channel" in capsys.readouterr().err
+            assert not ppm.exists()
 
     def test_numeric_failure_keeps_finished_iterations(self, tmp_path, capsys, monkeypatch):
         craft, calls = A.craft, []

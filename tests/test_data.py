@@ -417,7 +417,7 @@ class TestPpmExport:
         assert set(body) == {128}
 
     def test_export_file(self, tmp_path):
-        spec = gray_patch(1, 4, 0.5, 0.0)
+        spec = gray_patch(3, 4, 0.5, 0.0)
         path = tmp_path / "p.ppm"
         D.export_ppm(spec, path)
         assert path.read_bytes().startswith(b"P6\n4 4\n255\n")

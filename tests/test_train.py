@@ -203,7 +203,7 @@ class TestReductionIdentities:
     def test_at_with_zero_pgd_equals_sgd_bitwise(self):
         ds = small_dataset()
         mc = tiny_config(side=8, num_classes=ds.num_classes)
-        cfg = desk_cfg(inner_steps=25, pgd=PgdConfig(16 / 255, 0.01, 0, random_init=False))
+        cfg = desk_cfg(inner_steps=25, pgd=PgdConfig(16 / 255, 0.01, 0))
         at_digests, sgd_digests = [], []
         at_train(mc, ds, cfg, on_step=lambda s, p: at_digests.append(param_digest(p)))
         sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_digests.append(param_digest(p)))
@@ -212,7 +212,7 @@ class TestReductionIdentities:
     def test_at_with_zero_pgd_on_batchnorm_differs_from_sgd_only_in_running_buffers(self):
         ds = small_dataset()
         mc = bn_config(ds.num_classes)
-        cfg = desk_cfg(inner_steps=5, pgd=PgdConfig(16 / 255, 0.01, 0, random_init=False))
+        cfg = desk_cfg(inner_steps=5, pgd=PgdConfig(16 / 255, 0.01, 0))
         at_params, sgd_params = [], []
         at_train(mc, ds, cfg, on_step=lambda s, p: at_params.append({n: t.data.copy() for n, t in p.items()}))
         sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_params.append({n: t.data.copy() for n, t in p.items()}))
@@ -577,7 +577,7 @@ class TestAtTrain:
         mc = tiny_config(side=8, num_classes=4)
         eps = 16 / 255
         cfg = desk_cfg(inner_steps=150, batch_size=16,
-                       pgd=PgdConfig(eps, eps / 4, 5, random_init=True),
+                       pgd=PgdConfig(eps, eps / 4, 5),
                        attack=UniversalAttackConfig(eps, 0.01, 0, batch_size=8))
         log = []
         pgd = A.pgd_per_sample
