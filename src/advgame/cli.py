@@ -24,10 +24,15 @@ last 5000 training records as ``valid``, so one with 5000 or fewer exits 2.
 hit rate on one subset, and the hit rate on the adversarial score's placements.
 Each setting has one flag, named after its field, and takes its value from the
 profile preset, then the ``--config`` file, then the flags, the later winning.
-``CHOICES`` lists the allowed values of every enumerated setting.
-Only ``train-*`` reads ``model``, and only it checks the model against the
-data and a batchnorm model's ``batch_size >= 2``; ``attack`` and ``eval``
-take the model from the checkpoint.
+A command checks the settings it reads, and no other, before any read or
+write: ``validate_config`` those all commands read (each enumerated one
+against ``CHOICES``, the table ``--help`` shows; ``data_path``, the synthetic
+size, ``patch_target_class``, ``seed``, ``eval_sample_size``), and building
+its typed configs, once, the rest.  ``train-*`` builds the model, which only
+it reads and checks against the data and a batchnorm's ``batch_size >= 2``,
+and a ``TrainConfig``: FP with the ``attack_iterations`` attack, SGD and AT
+with the ``eval_attack_iterations`` one, AT alone with PGD.  ``attack`` and
+``eval`` build the attack of those counts; the checkpoint is their model.
 Before it parses anything, ``main`` sets the process's heap policy
 (``keep_freed_heap``), so each training and attack step reuses the memory
 the step before it freed.
@@ -64,6 +69,9 @@ class ExperimentConfig:
 
     Defaults are the ``desk`` profile (tiny model on synthetic data, minutes
     of CPU); ``profile = cifar10`` switches the published full-scale numbers.
+    Fixed, and so no setting: momentum 0.9, weight decay 2e-4 and LR decay 0.1
+    (``TrainConfig``), the PGD step epsilon / 4 (``build_train_config``) and
+    the patch's rotation bound of 20 degrees (``build_attack_config``).
     """
     profile: str = "desk"
     # data
@@ -80,10 +88,7 @@ class ExperimentConfig:
     inner_steps: int = 300
     batch_size: int = 64
     learning_rate: float = 0.05
-    lr_decay: float = 0.1
     lr_milestones: str = ""            # comma-separated global step indices
-    momentum: float = 0.9
-    weight_decay: float = 0.0002
     weighting: str = "literal"
     fp_mode: str = "approximate"
     # perturbation loop
@@ -94,13 +99,11 @@ class ExperimentConfig:
     attack_batch_size: int = 64
     eval_attack_iterations: int = 2000
     patch_chi: float = 0.4
-    patch_theta_max_deg: float = 20.0
     patch_placements: int = 4
     patch_lambda: float = 0.0
     patch_target_class: int = -1       # -1 means untargeted
     # adversarial-training baseline
     pgd_steps: int = 7
-    pgd_step_size: float = -1.0        # -1 means epsilon / 4
     # evaluation and bookkeeping
     eval_sample_size: int = 2000
     seed: int = 0
@@ -128,9 +131,7 @@ PROFILES = {
         "inner_steps": 10_000,
         "batch_size": 256,
         "learning_rate": 0.01,
-        "lr_decay": 0.1,
         "lr_milestones": "150000,300000,450000",
-        "weight_decay": 0.0002,
         "epsilon_pixels": 16.0,
         "attack_alpha": 2e-5,
         "attack_iterations": 20_000,
@@ -203,23 +204,27 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
+def _checked(build, *args):
+    """``build(*args)``, where the ``ValueError`` of a setting out of range is a config error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    """The checks of the settings that every config-reading command reads; each checks the rest as it builds."""
     for key, allowed in CHOICES.items():
         if (value := getattr(cfg, key)) not in allowed:
             raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
     if cfg.data == "cifar10" and not cfg.data_path:
         raise ConfigError("missing required key data_path for data = cifar10")
+    if cfg.data == "synthetic":
+        _checked(D.check_synthetic, cfg.classes, cfg.per_class, cfg.image_side)
     if cfg.patch_target_class != -1 and not 0 <= cfg.patch_target_class < cfg.classes:
         raise ConfigError(f"patch_target_class must be -1 or in [0, {cfg.classes}), got {cfg.patch_target_class}")
-    if cfg.pgd_step_size != -1 and not cfg.pgd_step_size > 0:
-        raise ConfigError(f"pgd_step_size must be -1 (epsilon / 4) or > 0, got {cfg.pgd_step_size}")
-    try:
-        if cfg.data == "synthetic":
-            D.check_synthetic(cfg.classes, cfg.per_class, cfg.image_side)
-        build_train_config(cfg, "fp")
-        build_attack_config(cfg, cfg.eval_attack_iterations)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.seed < 0 or cfg.eval_sample_size < 1:
+        raise ConfigError(f"need seed >= 0 and eval_sample_size >= 1, got {cfg.seed} and {cfg.eval_sample_size}")
 
 
 def echo_config(cfg: ExperimentConfig, out_dir: Path, name: str) -> None:
@@ -277,7 +282,7 @@ def build_attack_config(cfg: ExperimentConfig, iterations: int):
         )
     return PatchAttackConfig(
         chi=cfg.patch_chi,
-        theta_max=float(np.deg2rad(cfg.patch_theta_max_deg)),
+        theta_max=float(np.deg2rad(20.0)),
         alpha=cfg.attack_alpha,
         iterations=iterations,
         placements_per_step=cfg.patch_placements,
@@ -290,7 +295,8 @@ def build_attack_config(cfg: ExperimentConfig, iterations: int):
 def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
     """The ``TrainConfig`` of ``train-<algorithm>``: FP crafts the training
     attack, the SGD and AT baselines score the ``eval_attack_iterations`` one;
-    only AT builds, and so checks, the PGD config."""
+    only AT builds, and so checks, the PGD config, of step epsilon / 4.  It
+    leaves momentum, weight decay and LR decay at ``TrainConfig``'s defaults."""
     try:
         milestones = tuple(int(s) for s in cfg.lr_milestones.split(",")) if cfg.lr_milestones else ()
     except ValueError as exc:
@@ -300,13 +306,9 @@ def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
         inner_steps=cfg.inner_steps,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
-        lr_decay=cfg.lr_decay,
         lr_milestones=milestones,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
         attack=build_attack_config(cfg, cfg.attack_iterations if algorithm == "fp" else cfg.eval_attack_iterations),
-        pgd=PgdConfig(cfg.epsilon, cfg.pgd_step_size if cfg.pgd_step_size > 0 else cfg.epsilon / 4.0,
-                      cfg.pgd_steps) if algorithm == "at" else None,
+        pgd=PgdConfig(cfg.epsilon, cfg.epsilon / 4.0, cfg.pgd_steps) if algorithm == "at" else None,
         weighting=cfg.weighting,
         eval_sample_size=cfg.eval_sample_size,
         seed=cfg.seed,
@@ -321,18 +323,14 @@ def _prepare_run(cfg: ExperimentConfig, echo_name: str):
 
 
 def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
-    # only training builds its model from ``model``, so only training checks it against the data, before any read
-    try:
-        model_cfg = build_model_config(cfg)
-        if model_cfg.batchnorm and cfg.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2 for {cfg.model}, whose batchnorm trains on batch statistics")
-        if cfg.data == "cifar10":
-            model_cfg.check_input_shape(D.CIFAR_SHAPE, D.CIFAR_CLASSES)
-        else:
-            model_cfg.check_input_shape((3, cfg.image_side, cfg.image_side), cfg.classes)
-        tcfg = build_train_config(cfg, algorithm)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model_cfg = _checked(build_model_config, cfg)
+    if model_cfg.batchnorm and cfg.batch_size < 2:
+        raise ConfigError(f"batch_size must be >= 2 for {cfg.model}, whose batchnorm trains on batch statistics")
+    if cfg.data == "cifar10":
+        model_cfg.check_input_shape(D.CIFAR_SHAPE, D.CIFAR_CLASSES)
+    else:
+        model_cfg.check_input_shape((3, cfg.image_side, cfg.image_side), cfg.classes)
+    tcfg = _checked(build_train_config, cfg, algorithm)
     train_ds = load_splits(cfg, ("train",))["train"]
     if cfg.batch_size > len(train_ds):
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(train_ds)} training images")
@@ -355,6 +353,7 @@ def run_training(cfg: ExperimentConfig, algorithm: str) -> int:
 
 
 def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> int:
+    attack_cfg = _checked(build_attack_config, cfg, cfg.attack_iterations)
     model_cfg, params = M.load_checkpoint(checkpoint)
     splits = load_splits(cfg, ("train", "test"))
     train_ds = splits["train"]
@@ -362,7 +361,7 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
     out_dir = _prepare_run(cfg, "attack_config.txt")
     pool = M.single_pool(model_cfg, params)
     rng = np.random.default_rng((cfg.seed, 8))
-    spec = A.craft(pool, train_ds, build_attack_config(cfg, cfg.attack_iterations), rng)
+    spec = A.craft(pool, train_ds, attack_cfg, rng)
     dest = Path(out_path) if out_path else out_dir / f"attack_{cfg.attack_kind}.pert"
     A.save_perturbation(dest, spec)
     eval_ds = splits.get("test", train_ds)
@@ -379,9 +378,9 @@ def run_attack(cfg: ExperimentConfig, checkpoint: str, out_path: str | None) -> 
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint_dir: str | None) -> int:
+    attack_cfg = _checked(build_attack_config, cfg, cfg.eval_attack_iterations)
     splits = load_splits(cfg)
     ckpt_dir = Path(checkpoint_dir or cfg.output_dir)
-    attack_cfg = build_attack_config(cfg, cfg.eval_attack_iterations)
     # the series writes nothing, so a missing, unnumbered or unreadable checkpoint exits before any write
     rows = E.evaluate_checkpoint_series(ckpt_dir, splits, attack_cfg, seed=cfg.seed,
                                         sample_size=cfg.eval_sample_size)

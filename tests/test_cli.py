@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -84,9 +85,12 @@ class TestParseConfig:
         cfg = parse_config(path, {"batch_size": 64})
         assert cfg.batch_size == 64 and cfg.seed == 5
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # the paper's fixed values (momentum, weight decay, LR decay, PGD step, patch rotation bound) are no settings
+    @pytest.mark.parametrize("key", ["not_a_key", "momentum", "weight_decay", "lr_decay", "pgd_step_size",
+                                     "patch_theta_max_deg"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
-        path.write_text("not_a_key = 1\n")
+        path.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(path)
 
@@ -248,6 +252,16 @@ class TestTrainEvalPipeline:
         cfg = parse_config(echoed)
         assert cfg.output_dir == str(tmp_path / "run")
         assert cfg.outer_iterations == 1
+        # a run made again from its own echo, elsewhere, writes the same artifacts
+        first, again = tmp_path / "fp", tmp_path / "again"
+        assert main(["train-fp", *desk_args(tmp_path, **{"output-dir": str(first)})]) == 0
+        assert main(["train-fp", "--config", str(first / "config.txt"), "--output-dir", str(again)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir()) and len(names) == 6
+        for name in names:
+            if name != "config.txt":
+                assert (again / name).read_bytes() == (first / name).read_bytes(), name
+        assert parse_config(again / "config.txt") == replace(parse_config(first / "config.txt"), output_dir=str(again))
 
     def test_a_config_echo_goes_to_a_sibling_and_a_failed_one_keeps_the_earlier_file(self, tmp_path, monkeypatch):
         C.echo_config(ExperimentConfig(seed=1), tmp_path, "config.txt")
@@ -308,6 +322,32 @@ class TestTrainEvalPipeline:
         args = desk_args(tmp_path, **{"attack-iterations": 2, "eval-attack-iterations": 3, "pgd-steps": 1})
         assert main([command, *args]) == 0
         assert [c.iterations for c in configs] == [iterations, iterations]
+
+    # the paper's fixed values have no setting; the CLI builds them in
+    @pytest.mark.parametrize("command", ["train-fp", "train-sgd", "train-at"])
+    def test_the_fixed_values_are_built_in(self, tmp_path, capsys, monkeypatch, command):
+        built = []
+        name = {"train-fp": "fp_train", "train-sgd": "sgd_train", "train-at": "at_train"}[command]
+        monkeypatch.setattr(TR, name, lambda model_cfg, dataset, tcfg, **kwargs: built.append(tcfg))
+        assert main([command, *desk_args(tmp_path, **{"attack-kind": "patch", "epsilon-pixels": 8})]) == 0
+        ((tcfg,),) = [built]
+        assert (tcfg.momentum, tcfg.weight_decay, tcfg.lr_decay) == (0.9, 2e-4, 0.1)
+        assert tcfg.attack.theta_max == np.deg2rad(20.0)
+        if command == "train-at":
+            assert tcfg.pgd.epsilon == 8 / 255 and tcfg.pgd.step_size == (8 / 255) / 4
+        else:
+            assert tcfg.pgd is None
+
+    # a trainer reads one of the two attack lengths, and only that one is checked
+    @pytest.mark.parametrize("command,unread", [("train-sgd", "attack-iterations"),
+                                                ("train-fp", "eval-attack-iterations")])
+    def test_training_ignores_the_attack_length_it_does_not_read(self, tmp_path, capsys, command, unread):
+        for run, flags in (("plain", []), ("flagged", [f"--{unread}", "-1"])):
+            assert main([command, *desk_args(tmp_path, **{"output-dir": str(tmp_path / run)}), *flags]) == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir() if p.name != "config.txt")
+        assert names == sorted(p.name for p in (tmp_path / "flagged").iterdir() if p.name != "config.txt")
+        for name in names:
+            assert (tmp_path / "flagged" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
     def test_rerun_byte_identical(self, tmp_path):
         assert main(["train-sgd", *desk_args(tmp_path, **{"output-dir": str(tmp_path / "a")})]) == 0
@@ -494,8 +534,10 @@ class TestAttackCommand:
             assert np.array_equal(indices, clean[0][2])
         assert perturbed[0][1] == perturbed[1][1]
 
-    # each setting has one flag, the one named after its field
-    @pytest.mark.parametrize("alias", [["--kind", "patch"], ["--target-class", "1"], ["--lambda", "1.0"]], ids=" ".join)
+    # each setting has one flag, the one named after its field, and a fixed value of the paper has none
+    @pytest.mark.parametrize("alias", [["--kind", "patch"], ["--target-class", "1"], ["--lambda", "1.0"],
+                                       ["--momentum", "0.9"], ["--weight-decay", "0.0002"], ["--lr-decay", "0.1"],
+                                       ["--pgd-step-size", "0.01"], ["--patch-theta-max-deg", "20"]], ids=" ".join)
     def test_alias_flags_are_unknown(self, tmp_path, capsys, alias):
         with pytest.raises(SystemExit) as done:
             main(["attack", *desk_args(tmp_path), "--checkpoint", "unread.ckpt", *alias])
@@ -514,6 +556,17 @@ class TestAttackCommand:
         for out, flags in (("plain.pert", []), ("flagged.pert", extra)):
             assert main(["attack", *args, "--checkpoint", ckpt, "--out", str(tmp_path / out), *flags]) == 0
         assert (tmp_path / "flagged.pert").read_bytes() == (tmp_path / "plain.pert").read_bytes()
+
+    # neither command trains, so no training setting is read or checked
+    def test_attack_and_eval_ignore_the_training_settings(self, tmp_path, capsys):
+        ckpt = self._trained_checkpoint(tmp_path)
+        unread = ["--outer-iterations", "0", "--learning-rate", "-1", "--lr-milestones", "5,3", "--pgd-steps", "-1"]
+        for run, flags in (("plain", []), ("flagged", unread)):
+            args = desk_args(tmp_path, **{"output-dir": str(tmp_path / run)})
+            assert main(["attack", *args, "--checkpoint", ckpt, "--out", str(tmp_path / f"{run}.pert"), *flags]) == 0
+            assert main(["eval", *args, "--checkpoint-dir", str(tmp_path / "run"), *flags]) == 0
+        assert (tmp_path / "flagged.pert").read_bytes() == (tmp_path / "plain.pert").read_bytes()
+        assert (tmp_path / "flagged" / "eval.csv").read_bytes() == (tmp_path / "plain" / "eval.csv").read_bytes()
 
     def test_export_ppm(self, tmp_path, capsys):
         ckpt = self._trained_checkpoint(tmp_path)
@@ -635,12 +688,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra", [
         ["--outer-iterations", "0"],
         ["--batch-size", "0"],
-        ["--momentum", "1.5"],
         ["--weighting", "foo"],
         ["--attack-alpha", "-1"],
         ["--patch-chi", "2", "--attack-kind", "patch"],
         ["--fp-mode", "foo"],
-        ["--eval-attack-iterations", "-1"],
         ["--classes", "1"],
         ["--image-side", "4"],
         ["--per-class", "1"],
@@ -650,18 +701,11 @@ class TestExitCodes:
         ["--attack-kind", "patch", "--patch-target-class", "12", "--patch-lambda", "0.5"],
         ["--per-class", "2", "--batch-size", "64"],
         ["--learning-rate", "nan"],
-        ["--weight-decay", "inf"],
         ["--epsilon-pixels", "nan"],
         ["--attack-alpha", "inf"],
-        ["--lr-decay", "-1", "--lr-milestones", "1"],
-        ["--attack-kind", "patch", "--patch-theta-max-deg", "-5"],
-        ["--pgd-step-size", "nan"],
         ["--config", "learning_rate = inf"],
         ["--seed", "-1"],
-        ["--weight-decay", "-1"],
         ["--attack-kind", "patch", "--patch-target-class", "-5"],
-        ["--pgd-step-size", "0"],
-        ["--pgd-step-size", "-3"],
         ["--profile", "foo"],
         ["--data", "foo"],
         ["--model", "foo"],
@@ -705,6 +749,21 @@ class TestExitCodes:
     def test_negative_seed_is_2_before_any_write(self, tmp_path, capsys, command):
         assert main([command[0], *desk_args(tmp_path), "--seed", "-1", *command[1:]]) == 2
         assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    # each command checks the settings it reads before it reads a checkpoint or writes anything
+    @pytest.mark.parametrize("command,message", [pytest.param(command, message, id=" ".join(command))
+                                                 for command, message in [
+        (["train-sgd", "--eval-attack-iterations", "-1"], "invalid universal attack config"),
+        (["train-at", "--pgd-steps", "-1"], "invalid pgd config"),
+        (["attack", "--checkpoint", "unread.ckpt", "--attack-iterations", "-1"], "invalid universal attack config"),
+        (["eval", "--eval-attack-iterations", "-1"], "invalid universal attack config"),
+        (["attack", "--checkpoint", "unread.ckpt", "--eval-sample-size", "0"], "eval_sample_size >= 1"),
+        (["eval", "--eval-sample-size", "0"], "eval_sample_size >= 1"),
+    ]])
+    def test_a_setting_the_command_reads_is_2_before_any_write(self, tmp_path, capsys, command, message):
+        assert main([command[0], *desk_args(tmp_path), *command[1:]]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_cifar_set_smaller_than_batch_is_2_before_any_write(self, tmp_path, capsys):
