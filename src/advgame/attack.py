@@ -28,6 +28,7 @@ from .model import Classifier, pack_array, pool_expected_loss, read_artifact, un
 from .tensor import Tensor
 
 CONTAINER_MAGIC = b"AGPT"
+THETA_MAX = float(np.deg2rad(20.0))  # the paper's patch rotation bound, radians; a ``.pert`` header still holds its own
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,8 @@ class UniversalAttackConfig:
 
 @dataclass(frozen=True)
 class PatchAttackConfig:
-    """A C x H x H patch, where H is the side of the images it is crafted on."""
+    """A C x H x H patch, H the side of the images it is crafted on, placed at rotations within ``THETA_MAX``."""
     chi: float
-    theta_max: float        # radians
     alpha: float
     iterations: int
     placements_per_step: int = 4
@@ -55,7 +55,7 @@ class PatchAttackConfig:
     lam: float = 0.0        # weight of the fixed-class term
 
     def __post_init__(self):
-        if not (0.0 < self.chi <= 1.0) or self.theta_max < 0 or self.placements_per_step < 1:
+        if not (0.0 < self.chi <= 1.0) or self.placements_per_step < 1:
             raise ValueError("invalid patch attack config")
         if self.alpha <= 0 or self.iterations < 0 or self.batch_size < 1:
             raise ValueError("invalid patch attack config")
@@ -67,14 +67,13 @@ class PatchAttackConfig:
 
 @dataclass(frozen=True)
 class PgdConfig:
-    """Per-sample PGD of ``steps`` signed steps of ``step_size`` in the max-norm ball of radius ``epsilon``,
-    from a uniform random start in the ball whenever it takes a step."""
+    """Per-sample PGD of ``steps`` signed steps of the fixed ``epsilon / 4`` in the max-norm ball of radius
+    ``epsilon``, from a uniform random start in the ball whenever it takes a step."""
     epsilon: float
-    step_size: float
     steps: int
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.step_size <= 0 or self.steps < 0:
+        if self.epsilon <= 0 or self.steps < 0:
             raise ValueError("invalid pgd config")
 
 
@@ -190,12 +189,12 @@ def learn_patch(
     mask = D.disc_mask(side)
 
     def step(xi, x, y):
-        placements = sample_placements(rng, len(y) * config.placements_per_step, side, config.chi, config.theta_max)
+        placements = sample_placements(rng, len(y) * config.placements_per_step, side, config.chi, THETA_MAX)
         return patch_step(xi, pool, x, y, config, placements, mask)
 
-    xi = D.gray_patch(channels, side, config.chi, config.theta_max).xi
+    xi = D.gray_patch(channels, side, config.chi, THETA_MAX).xi
     xi = _ascend(xi, dataset, config, rng, step)
-    return PerturbationSpec("patch", xi, chi=config.chi, theta_max=config.theta_max)
+    return PerturbationSpec("patch", xi, chi=config.chi, theta_max=THETA_MAX)
 
 
 def pgd_per_sample(
@@ -215,7 +214,7 @@ def pgd_per_sample(
     for _ in range(config.steps):
         leaf = Tensor(adv, requires_grad=True)
         T.backward(pool_expected_loss(pool, leaf, labels))
-        adv = adv + config.step_size * np.sign(leaf.grad)
+        adv = adv + config.epsilon / 4 * np.sign(leaf.grad)
         adv = np.clip(adv, x - config.epsilon, x + config.epsilon)
         adv = np.clip(adv, 0.0, 1.0)
     return adv

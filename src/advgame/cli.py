@@ -70,8 +70,9 @@ class ExperimentConfig:
     Defaults are the ``desk`` profile (tiny model on synthetic data, minutes
     of CPU); ``profile = cifar10`` switches the published full-scale numbers.
     Fixed, and so no setting: momentum 0.9, weight decay 2e-4 and LR decay 0.1
-    (``TrainConfig``), the PGD step epsilon / 4 (``build_train_config``) and
-    the patch's rotation bound of 20 degrees (``build_attack_config``).
+    (``train.MOMENTUM``, ``WEIGHT_DECAY``, ``LR_DECAY``), the PGD step
+    epsilon / 4 (``attack.pgd_per_sample``) and the patch's rotation bound of
+    20 degrees (``attack.THETA_MAX``).
     """
     profile: str = "desk"
     # data
@@ -282,7 +283,6 @@ def build_attack_config(cfg: ExperimentConfig, iterations: int):
         )
     return PatchAttackConfig(
         chi=cfg.patch_chi,
-        theta_max=float(np.deg2rad(20.0)),
         alpha=cfg.attack_alpha,
         iterations=iterations,
         placements_per_step=cfg.patch_placements,
@@ -295,8 +295,8 @@ def build_attack_config(cfg: ExperimentConfig, iterations: int):
 def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
     """The ``TrainConfig`` of ``train-<algorithm>``: FP crafts the training
     attack, the SGD and AT baselines score the ``eval_attack_iterations`` one;
-    only AT builds, and so checks, the PGD config, of step epsilon / 4.  It
-    leaves momentum, weight decay and LR decay at ``TrainConfig``'s defaults."""
+    only AT builds, and so checks, the PGD config.  The optimizer's fixed
+    values are ``train``'s constants, not settings."""
     try:
         milestones = tuple(int(s) for s in cfg.lr_milestones.split(",")) if cfg.lr_milestones else ()
     except ValueError as exc:
@@ -308,7 +308,7 @@ def build_train_config(cfg: ExperimentConfig, algorithm: str) -> TR.TrainConfig:
         learning_rate=cfg.learning_rate,
         lr_milestones=milestones,
         attack=build_attack_config(cfg, cfg.attack_iterations if algorithm == "fp" else cfg.eval_attack_iterations),
-        pgd=PgdConfig(cfg.epsilon, cfg.epsilon / 4.0, cfg.pgd_steps) if algorithm == "at" else None,
+        pgd=PgdConfig(cfg.epsilon, cfg.pgd_steps) if algorithm == "at" else None,
         weighting=cfg.weighting,
         eval_sample_size=cfg.eval_sample_size,
         seed=cfg.seed,

@@ -107,17 +107,17 @@ def make_synthetic(
     seed: int,
     noise: float = 0.06,
 ) -> Dataset:
-    """Balanced synthetic dataset of noisy RGB class textures, pixels clipped to [0, 1]."""
+    """Balanced noisy RGB class textures, ``clip(patterns[labels] + noise * normal, 0, 1)`` built in one array."""
     check_synthetic(classes, per_class, side)
     rng = np.random.default_rng(seed)
-    dtype = T.get_default_dtype()
-    n = classes * per_class
     labels = np.repeat(np.arange(classes), per_class)
     rng.shuffle(labels)
-    patterns = np.stack([class_pattern(k, classes, side) for k in range(classes)])
-    images = patterns[labels] + noise * rng.standard_normal((n, 3, side, side))
-    images = np.clip(images, 0.0, 1.0).astype(dtype)
-    return Dataset(images, labels, classes)
+    images = rng.standard_normal((classes * per_class, 3, side, side))
+    images *= noise
+    for k in range(classes):
+        images[labels == k] += class_pattern(k, classes, side)
+    np.clip(images, 0.0, 1.0, out=images)
+    return Dataset(images.astype(T.get_default_dtype(), copy=False), labels, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ from .tensor import Tensor
 
 FP_MODES = ("approximate", "exact")  # the modes of ``fp_train``, which the CLI accepts
 MODES = (*FP_MODES, "sgd", "at")     # the algorithms a state plays
+MOMENTUM = 0.9                       # the paper's optimizer, the same for every run
+WEIGHT_DECAY = 0.0002
+LR_DECAY = 0.1                       # the learning rate's factor at each of ``lr_milestones``
 
 
 class TrainingError(RuntimeError):
@@ -43,15 +46,13 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A run's settings; the optimizer's momentum, weight decay and LR decay are fixed, as this module's constants."""
     outer_iterations: int                   # N
     inner_steps: int                        # K
     batch_size: int
     learning_rate: float
     attack: UniversalAttackConfig | PatchAttackConfig   # crafted after every outer iteration
-    lr_decay: float = 0.1
     lr_milestones: tuple[int, ...] = ()     # global step indices
-    momentum: float = 0.9
-    weight_decay: float = 0.0002
     pgd: PgdConfig | None = None
     weighting: str = "literal"
     eval_sample_size: int | None = 2000
@@ -62,10 +63,8 @@ class TrainConfig:
             raise ValueError("invalid train config")
         if self.eval_sample_size is not None and self.eval_sample_size < 1:
             raise ValueError("eval_sample_size must be >= 1")
-        if self.learning_rate < 0 or self.lr_decay < 0 or not (0.0 <= self.momentum < 1.0):
-            raise ValueError("invalid train config")
-        if self.weight_decay < 0 or self.seed < 0:
-            raise ValueError("weight_decay and seed must be >= 0")
+        if self.learning_rate < 0 or self.seed < 0:
+            raise ValueError("learning_rate and seed must be >= 0")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)) or min(self.lr_milestones, default=0) < 0:
             raise ValueError("lr milestones must be strictly increasing step indices >= 0")
         if self.weighting not in M.WEIGHTINGS:
@@ -123,7 +122,7 @@ def half_adversarial_loss(state: FPState, indices: np.ndarray, pgd: PgdConfig) -
 
 def _lr_at(cfg: TrainConfig, step: int) -> float:
     passed = sum(1 for m in cfg.lr_milestones if m <= step)
-    return cfg.learning_rate * cfg.lr_decay**passed
+    return cfg.learning_rate * LR_DECAY**passed
 
 
 def _play(state: FPState, cfg: TrainConfig, on_step, on_outer) -> tuple[FPState, list[MetricsRow]]:
@@ -157,7 +156,7 @@ def _play(state: FPState, cfg: TrainConfig, on_step, on_outer) -> tuple[FPState,
                 # each parameter takes its update as soon as its gradient is final, so a gradient lives from its
                 # first contribution to its update only; the update is elementwise, so the order keeps the bits
                 T.backward(loss, wrt=trainable, on_grad=lambda name, grad: T.sgd_momentum_step(
-                    name, trainable[name], grad, state.velocity[name], lr, cfg.momentum, cfg.weight_decay))
+                    name, trainable[name], grad, state.velocity[name], lr, MOMENTUM, WEIGHT_DECAY))
                 state.step += 1
                 if on_step is not None:
                     on_step(state.step, state.params)

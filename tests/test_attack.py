@@ -146,25 +146,25 @@ class TestPatchStep:
     def _setup(self, desk, lam=0.0, target_class=None, alpha=0.5):
         cfg, params, dataset = desk
         config = PatchAttackConfig(
-            chi=0.5, theta_max=np.deg2rad(20), alpha=alpha,
+            chi=0.5, alpha=alpha,
             iterations=1, placements_per_step=2, batch_size=4,
             target_class=target_class, lam=lam,
         )
         rng = np.random.default_rng(5)
-        placements = D.sample_placements(rng, 4 * 2, 8, config.chi, config.theta_max)
+        placements = D.sample_placements(rng, 4 * 2, 8, config.chi, A.THETA_MAX)
         return cfg, params, dataset, config, placements
 
     def test_zero_gradients_leave_patch(self, desk):
         cfg, params, dataset, config, placements = self._setup(desk)
         params0 = {k: Tensor(np.zeros_like(v.data), requires_grad=v.requires_grad) for k, v in params.items()}
-        spec = D.gray_patch(3, 8, config.chi, config.theta_max)
+        spec = D.gray_patch(3, 8, config.chi, A.THETA_MAX)
         out = patch_step(spec.xi, single_pool(cfg, params0), dataset.images[:4], dataset.labels[:4],
                          config, placements, D.disc_mask(8))
         assert np.array_equal(out, spec.xi)
 
     def test_masked_pixels_never_change(self, desk):
         cfg, params, dataset, config, placements = self._setup(desk)
-        spec = D.gray_patch(3, 8, config.chi, config.theta_max)
+        spec = D.gray_patch(3, 8, config.chi, A.THETA_MAX)
         out = patch_step(spec.xi, single_pool(cfg, params), dataset.images[:4], dataset.labels[:4],
                          config, placements, D.disc_mask(8))
         outside = ~D.disc_mask(8)
@@ -176,11 +176,11 @@ class TestPatchStep:
         decreased = False
         for alpha in (1.0, 0.1, 0.01):
             config = PatchAttackConfig(
-                chi=0.5, theta_max=np.deg2rad(20), alpha=alpha,
+                chi=0.5, alpha=alpha,
                 iterations=1, placements_per_step=2, batch_size=4, target_class=3, lam=1.0,
             )
-            placements = D.sample_placements(np.random.default_rng(6), 8, 8, config.chi, config.theta_max)
-            spec = D.gray_patch(3, 8, config.chi, config.theta_max)
+            placements = D.sample_placements(np.random.default_rng(6), 8, 8, config.chi, A.THETA_MAX)
+            spec = D.gray_patch(3, 8, config.chi, A.THETA_MAX)
 
             def target_loss(xi):
                 return -patch_objective(single_pool(cfg, params), Tensor(xi), batch, labels, config, placements).item()
@@ -196,7 +196,7 @@ class TestPatchStep:
         cfg, params, dataset, config, placements = self._setup(desk, lam=0.5, target_class=3)
         pool = [freeze(cfg, params) for _ in range(2)]
         batch, labels = dataset.images[:4], dataset.labels[:4]
-        spec = D.gray_patch(3, 8, config.chi, config.theta_max)
+        spec = D.gray_patch(3, 8, config.chi, A.THETA_MAX)
         forwards = []
         real_forward = M.forward
 
@@ -216,11 +216,11 @@ class TestPatchStep:
 
     def test_pixels_stay_in_range_many_steps(self, desk):
         cfg, params, dataset, config, _ = self._setup(desk, alpha=5.0)
-        spec = D.gray_patch(3, 8, config.chi, config.theta_max)
+        spec = D.gray_patch(3, 8, config.chi, A.THETA_MAX)
         xi = spec.xi
         rng = np.random.default_rng(8)
         for _ in range(40):
-            placements = D.sample_placements(rng, 8, 8, config.chi, config.theta_max)
+            placements = D.sample_placements(rng, 8, 8, config.chi, A.THETA_MAX)
             idx = rng.integers(0, len(dataset), 4)
             xi = patch_step(xi, single_pool(cfg, params), dataset.images[idx], dataset.labels[idx],
                             config, placements, D.disc_mask(8))
@@ -230,7 +230,7 @@ class TestPatchStep:
 class TestLearnPatch:
     def test_zero_iterations_gray_disc(self, desk):
         cfg, params, dataset = desk
-        config = PatchAttackConfig(0.5, 0.0, alpha=0.1, iterations=0)
+        config = PatchAttackConfig(0.5, alpha=0.1, iterations=0)
         spec = learn_patch(single_pool(cfg, params), dataset, config, np.random.default_rng(0))
         assert np.all(spec.xi == 0.5) and spec.kind == "patch"
 
@@ -239,9 +239,9 @@ class TestLearnPatch:
         cfg = tiny_config(side=side)
         pool, dataset = single_pool(cfg, build_model(cfg, 0)), D.make_synthetic(10, 4, side, seed=0)
         rng = np.random.default_rng(0)
-        gray = learn_patch(pool, dataset, PatchAttackConfig(0.5, 0.3, alpha=0.1, iterations=0), rng)
-        assert gray.xi.tobytes() == D.gray_patch(3, side, 0.5, 0.3).xi.tobytes() and gray.patch_side == side
-        config = PatchAttackConfig(0.5, 0.3, alpha=5.0, iterations=2, batch_size=8)
+        gray = learn_patch(pool, dataset, PatchAttackConfig(0.5, alpha=0.1, iterations=0), rng)
+        assert gray.xi.tobytes() == D.gray_patch(3, side, 0.5, A.THETA_MAX).xi.tobytes() and gray.patch_side == side
+        config = PatchAttackConfig(0.5, alpha=5.0, iterations=2, batch_size=8)
         spec = learn_patch(pool, dataset, config, np.random.default_rng(0))
         disc = D.disc_mask(side)
         assert spec.xi.shape == (3, side, side)
@@ -262,14 +262,14 @@ class TestFloat32:
 
     def test_learn_patch(self, desk32):
         cfg, params, dataset = desk32
-        config = PatchAttackConfig(0.5, 0.0, alpha=0.1, iterations=2, batch_size=8)
+        config = PatchAttackConfig(0.5, alpha=0.1, iterations=2, batch_size=8)
         spec = learn_patch(single_pool(cfg, params), dataset, config, np.random.default_rng(0))
         assert spec.xi.dtype == np.float32
 
     def test_pgd_random_init(self, desk32):
         cfg, params, dataset = desk32
         out = pgd_per_sample(single_pool(cfg, params), dataset.images[:4], dataset.labels[:4],
-                             PgdConfig(0.1, 0.025, 2), np.random.default_rng(0))
+                             PgdConfig(0.1, 2), np.random.default_rng(0))
         assert out.dtype == np.float32
 
 
@@ -279,16 +279,29 @@ class TestPgd:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         out = pgd_per_sample(single_pool(cfg, params), dataset.images[:3], dataset.labels[:3],
-                             PgdConfig(0.1, 0.025, 0), rng)
+                             PgdConfig(0.1, 0), rng)
         assert out.tobytes() == dataset.images[:3].tobytes() and out.dtype == dataset.images.dtype
         assert rng.bit_generator.state == before
+
+    def test_a_step_moves_each_free_pixel_by_a_quarter_of_the_budget(self, desk):
+        # one step from the seeded start, where the gradient is nonzero and neither clip touches the pixel
+        cfg, params, dataset = desk
+        pool, eps, x, y = single_pool(cfg, params), 16 / 255, dataset.images[:8], dataset.labels[:8]
+        start = np.clip(x + np.random.default_rng(4).uniform(-eps, eps, x.shape), 0.0, 1.0)
+        leaf = Tensor(start, requires_grad=True)
+        T.backward(M.pool_expected_loss(pool, leaf, y))
+        out = pgd_per_sample(pool, x, y, PgdConfig(eps, 1), np.random.default_rng(4))
+        stepped = start + eps / 4 * np.sign(leaf.grad)
+        free = (leaf.grad != 0) & (np.abs(stepped - x) <= eps) & (stepped >= 0.0) & (stepped <= 1.0)
+        assert free.mean() > 0.5 and np.array_equal(out[free], stepped[free])
+        assert np.allclose(np.abs(out - start)[free], eps / 4, rtol=0, atol=np.finfo(np.float64).eps)
 
     def test_ball_and_range_property(self, desk):
         cfg, params, dataset = desk
         eps = 16 / 255
         x = dataset.images[:8]
         out = pgd_per_sample(single_pool(cfg, params), x, dataset.labels[:8],
-                             PgdConfig(eps, eps / 4, 7), np.random.default_rng(1))
+                             PgdConfig(eps, 7), np.random.default_rng(1))
         assert np.abs(out - x).max() <= eps + 1e-12
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -306,7 +319,7 @@ class TestPgd:
                        T.sgd_momentum_step(name, params[name], grad, vel[name], lr=0.05, momentum=0.9))
         eps = 16 / 255
         x, y = dataset.images[:40], dataset.labels[:40]
-        adv = pgd_per_sample(single_pool(cfg, params), x, y, PgdConfig(eps, eps / 4, 7), np.random.default_rng(3))
+        adv = pgd_per_sample(single_pool(cfg, params), x, y, PgdConfig(eps, 7), np.random.default_rng(3))
 
         def per_sample_loss(batch):
             logits = forward(cfg, params, batch, "infer").data
@@ -324,13 +337,15 @@ class TestConfigs:
 
     def test_patch_validation(self):
         with pytest.raises(ValueError):
-            PatchAttackConfig(1.5, 0.0, alpha=0.1, iterations=1)
+            PatchAttackConfig(1.5, alpha=0.1, iterations=1)
         with pytest.raises(ValueError):
-            PatchAttackConfig(0.5, 0.0, alpha=0.1, iterations=1, lam=0.5)  # lam without target
+            PatchAttackConfig(0.5, alpha=0.1, iterations=1, lam=0.5)  # lam without target
 
     def test_pgd_validation(self):
         with pytest.raises(ValueError):
-            PgdConfig(0.1, 0.0, 5)
+            PgdConfig(0.0, 5)
+        with pytest.raises(ValueError):
+            PgdConfig(0.1, -1)
 
 
 class TestContainer:

@@ -323,20 +323,21 @@ class TestTrainEvalPipeline:
         assert main([command, *args]) == 0
         assert [c.iterations for c in configs] == [iterations, iterations]
 
-    # the paper's fixed values have no setting; the CLI builds them in
+    # only AT builds a PGD config, on the run's budget; its step is fixed (``test_attack``'s ``TestPgd``)
     @pytest.mark.parametrize("command", ["train-fp", "train-sgd", "train-at"])
-    def test_the_fixed_values_are_built_in(self, tmp_path, capsys, monkeypatch, command):
+    def test_only_at_builds_pgd_on_the_runs_budget(self, tmp_path, capsys, monkeypatch, command):
         built = []
         name = {"train-fp": "fp_train", "train-sgd": "sgd_train", "train-at": "at_train"}[command]
         monkeypatch.setattr(TR, name, lambda model_cfg, dataset, tcfg, **kwargs: built.append(tcfg))
-        assert main([command, *desk_args(tmp_path, **{"attack-kind": "patch", "epsilon-pixels": 8})]) == 0
+        assert main([command, *desk_args(tmp_path, **{"epsilon-pixels": 8, "pgd-steps": 2})]) == 0
         ((tcfg,),) = [built]
-        assert (tcfg.momentum, tcfg.weight_decay, tcfg.lr_decay) == (0.9, 2e-4, 0.1)
-        assert tcfg.attack.theta_max == np.deg2rad(20.0)
-        if command == "train-at":
-            assert tcfg.pgd.epsilon == 8 / 255 and tcfg.pgd.step_size == (8 / 255) / 4
-        else:
-            assert tcfg.pgd is None
+        assert tcfg.pgd == (A.PgdConfig(8 / 255, 2) if command == "train-at" else None)
+
+    # the patch's rotation bound has no setting: a crafted patch's header holds the paper's 20 degrees
+    def test_a_crafted_patch_holds_the_papers_rotation_bound(self, tmp_path, capsys):
+        assert main(["train-fp", *desk_args(tmp_path, **{"attack-kind": "patch", "outer-iterations": 1})]) == 0
+        blob = (tmp_path / "run" / "perturbation_0001.pert").read_bytes()
+        assert blob[8] == 1 and struct.unpack_from("<d", blob, 21) == (np.deg2rad(20.0),)
 
     # a trainer reads one of the two attack lengths, and only that one is checked
     @pytest.mark.parametrize("command,unread", [("train-sgd", "attack-iterations"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from advgame import data as D
+from advgame import tensor as T
 from advgame.model import CorruptFileError
 from advgame.data import (
     BatchSampler,
@@ -93,6 +96,34 @@ class TestSynthetic:
         d2 = ((flat[:, None, :] - centroids[None]) ** 2).sum(axis=2)
         acc = np.mean(np.argmin(d2, axis=1) == test.labels)
         assert acc >= 0.9
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(10, 50, 16), (10, 2, 32), (3, 7, 8)])
+    def test_bits_of_the_closed_formula(self, dtype, shape):
+        classes, per_class, side = shape
+        rng = np.random.default_rng(11)
+        labels = np.repeat(np.arange(classes), per_class)
+        rng.shuffle(labels)
+        patterns = np.stack([D.class_pattern(k, classes, side) for k in range(classes)])
+        expected = np.clip(patterns[labels] + 0.06 * rng.standard_normal((len(labels), 3, side, side)), 0.0, 1.0)
+        T.set_default_dtype(dtype)
+        try:
+            ds = make_synthetic(classes, per_class, side, seed=11)
+        finally:
+            T.set_default_dtype(np.float64)
+        assert ds.images.dtype == dtype and np.array_equal(ds.labels, labels)
+        assert ds.images.tobytes() == expected.astype(dtype).tobytes()
+
+    def test_no_dataset_sized_temporaries(self):
+        # the 500-image set of the benchmark's fp workloads; the closed formula's temporaries peak at ~3x its size
+        make_synthetic(10, 2, 16, seed=5)  # first-call allocations of the code path are not the set's
+        tracemalloc.start()
+        try:
+            ds = make_synthetic(10, 50, 16, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.images.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):

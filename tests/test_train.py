@@ -203,7 +203,7 @@ class TestReductionIdentities:
     def test_at_with_zero_pgd_equals_sgd_bitwise(self):
         ds = small_dataset()
         mc = tiny_config(side=8, num_classes=ds.num_classes)
-        cfg = desk_cfg(inner_steps=25, pgd=PgdConfig(16 / 255, 0.01, 0))
+        cfg = desk_cfg(inner_steps=25, pgd=PgdConfig(16 / 255, 0))
         at_digests, sgd_digests = [], []
         at_train(mc, ds, cfg, on_step=lambda s, p: at_digests.append(param_digest(p)))
         sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_digests.append(param_digest(p)))
@@ -212,7 +212,7 @@ class TestReductionIdentities:
     def test_at_with_zero_pgd_on_batchnorm_differs_from_sgd_only_in_running_buffers(self):
         ds = small_dataset()
         mc = bn_config(ds.num_classes)
-        cfg = desk_cfg(inner_steps=5, pgd=PgdConfig(16 / 255, 0.01, 0))
+        cfg = desk_cfg(inner_steps=5, pgd=PgdConfig(16 / 255, 0))
         at_params, sgd_params = [], []
         at_train(mc, ds, cfg, on_step=lambda s, p: at_params.append({n: t.data.copy() for n, t in p.items()}))
         sgd_train(mc, ds, cfg, on_step=lambda s, p: sgd_params.append({n: t.data.copy() for n, t in p.items()}))
@@ -278,7 +278,7 @@ class TestFpTrain:
     def test_pool_of_one_wraps_the_live_parameters(self, trainer, monkeypatch):
         ds = small_dataset()
         mc = tiny_config(side=8, num_classes=ds.num_classes)
-        cfg = desk_cfg(outer_iterations=2, inner_steps=2, pgd=PgdConfig(16 / 255, 4 / 255, 1))
+        cfg = desk_cfg(outer_iterations=2, inner_steps=2, pgd=PgdConfig(16 / 255, 1))
         attacked = []  # the pool each attack (and AT's PGD) was handed
 
         def recorded(real):
@@ -339,7 +339,7 @@ class TestFpTrain:
 def test_no_parameter_holds_a_gradient_between_steps(trainer):
     ds = small_dataset()
     mc = tiny_config(side=8, num_classes=ds.num_classes)
-    cfg = desk_cfg(outer_iterations=2, inner_steps=3, pgd=PgdConfig(16 / 255, 4 / 255, 1))
+    cfg = desk_cfg(outer_iterations=2, inner_steps=3, pgd=PgdConfig(16 / 255, 1))
     held = []
     run = {"sgd": sgd_train, "fp": fp_train, "at": at_train}[trainer]
     run(mc, ds, cfg, on_step=lambda s, params: held.append([n for n, p in params.items() if p.grad is not None]))
@@ -354,7 +354,7 @@ def test_the_attack_and_the_batch_loss_draw_on_streams_of_their_own(trainer, mon
     monkeypatch.setattr(TR, "_play", lambda state, *args: first_states.append(state) or (state, []))
     run = {"approximate": fp_train, "exact": lambda *args: fp_train(*args, mode="exact"),
            "sgd": sgd_train, "at": at_train}[trainer]
-    cfg = desk_cfg(seed=3, pgd=PgdConfig(16 / 255, 4 / 255, 1))
+    cfg = desk_cfg(seed=3, pgd=PgdConfig(16 / 255, 1))
     run(tiny_config(side=8, num_classes=ds.num_classes), ds, cfg)
     (state,) = first_states
     draws = (state.attack_rng.random(), state.loss_rng.random())
@@ -390,10 +390,10 @@ def test_a_copy_of_the_state_plays_on_as_the_uninterrupted_run(trainer, kind, mo
     ds = small_dataset()
     mc = model_configs(ds)[model == "bn"]
     attack = (UniversalAttackConfig(16 / 255, 0.01, 2, batch_size=8) if kind == "universal"
-              else PatchAttackConfig(0.5, 0.3, 0.01, 2, batch_size=8))
+              else PatchAttackConfig(0.5, 0.01, 2, batch_size=8))
     # the milestone falls after the interruption, so the resumed run must carry the global step
     cfg = desk_cfg(outer_iterations=4, inner_steps=2, attack=attack, lr_milestones=(5,),
-                   pgd=PgdConfig(16 / 255, 4 / 255, 1))
+                   pgd=PgdConfig(16 / 255, 1))
     run = {"approximate": fp_train, "exact": lambda *args: fp_train(*args, mode="exact"),
            "sgd": sgd_train, "at": at_train}[trainer]
     whole, whole_rows = run(mc, ds, cfg)
@@ -491,10 +491,26 @@ class TestStreamedStep:
                 loss = classifier_pool_loss(state, sampler.next_indices(cfg.batch_size), cfg.weighting)
                 grads = whole_pass_grads(loss, trainable)
                 for n, g in sorted(grads.items()):
-                    T.sgd_momentum_step(n, params[n], g, velocity[n], TR._lr_at(cfg, step), cfg.momentum,
-                                        cfg.weight_decay)
+                    T.sgd_momentum_step(n, params[n], g, velocity[n], TR._lr_at(cfg, step), TR.MOMENTUM,
+                                        TR.WEIGHT_DECAY)
                 reference.append((step + 1, param_digest(params)))
             assert played == reference, mc.name
+
+    def test_play_steps_with_the_papers_fixed_optimizer(self, monkeypatch):
+        # momentum 0.9 and weight decay 2e-4 at every step, the learning rate times 0.1 from each milestone on
+        ds = small_dataset()
+        mc = tiny_config(side=8, num_classes=ds.num_classes)
+        step, calls = T.sgd_momentum_step, []
+
+        def recorded(name, param, grad, velocity, lr, momentum, weight_decay):
+            calls.append((lr, momentum, weight_decay))
+            step(name, param, grad, velocity, lr, momentum, weight_decay)
+
+        monkeypatch.setattr(T, "sgd_momentum_step", recorded)
+        sgd_train(mc, ds, desk_cfg(inner_steps=3, lr_milestones=(1, 2)))
+        assert (TR.MOMENTUM, TR.WEIGHT_DECAY, TR.LR_DECAY) == (0.9, 2e-4, 0.1)
+        per_step = len(M.trainable_names(build_model(mc, 0)))
+        assert calls == [(0.05 * 0.1**k, 0.9, 2e-4) for k in range(3) for _ in range(per_step)]
 
     def test_no_activation_of_a_step_lives_into_the_next_steps_forwards(self, monkeypatch):
         ds = small_dataset()
@@ -536,7 +552,8 @@ class TestStreamedStep:
 
         monkeypatch.setattr(T, "backward", recorded)
         # weight decay 100 makes |v| far above 1, so the first update overflows
-        cfg = desk_cfg(learning_rate=1e308, weight_decay=100.0)
+        monkeypatch.setattr(TR, "WEIGHT_DECAY", 100.0)
+        cfg = desk_cfg(learning_rate=1e308)
         with pytest.raises(TrainingError, match="outer iteration 1: parameter .* is not finite after the update"):
             sgd_train(mc, ds, cfg, on_outer=lambda *args: outers.append(args))
         assert passes == ["started"] and outers == []
@@ -577,7 +594,7 @@ class TestAtTrain:
         mc = tiny_config(side=8, num_classes=4)
         eps = 16 / 255
         cfg = desk_cfg(inner_steps=150, batch_size=16,
-                       pgd=PgdConfig(eps, eps / 4, 5),
+                       pgd=PgdConfig(eps, 5),
                        attack=UniversalAttackConfig(eps, 0.01, 0, batch_size=8))
         log = []
         pgd = A.pgd_per_sample
